@@ -1,8 +1,7 @@
 """Exact log jet scheme engine: presentations, dimensions, and criteria."""
 
 from .analyzer import (AnalysisConfig, AnalysisReport, analyze, estimate_lct,
-                       jacobian_singular_locus, open_part_jet_presentation,
-                       ordinary_jet_presentation)
+                       open_part_jet_presentation, ordinary_jet_presentation)
 from .chart import Chart, support_in_monoid
 from .chartfile import load_chart
 from .dimension import (EMPTY, Budgets, DimResult, IdealPresentation,
@@ -15,8 +14,7 @@ from .monoid import AffineMonoid, Face
 from .parse import parse_poly
 from .poly import LOG, ORDINARY, JetMonomial, JetPoly, RingDescriptor
 from .report import emit_report, report_from_dict, report_to_dict
-from .strata import (check_assumption, log_jet_stratum_presentation,
-                     stratify, stratum_jet_presentation)
+from .strata import check_assumption, stratify, stratum_jet_presentation
 
 __version__ = "0.1.0"
 
@@ -27,8 +25,7 @@ __all__ = [
     "analyze", "check_assumption", "derivative_chain", "derive_log",
     "derive_ordinary", "dimension_of", "emit_report", "estimate_lct",
     "expand_by_substitution", "fp_count_points", "fp_dimension_estimate",
-    "groebner_basis", "jacobian_singular_locus", "jet_ideal", "krull_dim",
-    "load_chart", "log_jet_stratum_presentation",
+    "groebner_basis", "jet_ideal", "krull_dim", "load_chart",
     "open_part_jet_presentation", "ordinary_jet_presentation", "parse_poly",
     "refinement_pullback_check", "report_from_dict", "report_to_dict",
     "specialize_log_to_ordinary", "stratify", "stratum_jet_presentation",

@@ -26,14 +26,13 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .dimension import (EMPTY, Budgets, IdealPresentation, dimension_of,
-                        fp_dimension_estimate, groebner_dimension)
-from .errors import (CompleteIntersectionError, LogjetError,
-                     ResourceLimitError, SupportError)
-from .jets import derivative_chain, jet_ideal
-from .poly import LOG, ORDINARY, JetMonomial, JetPoly, RingDescriptor, lift_base_vars
-from .strata import (AssumptionReport, base_presentation, check_assumption,
-                     stratify, stratum_jet_presentation)
+from .dimension import EMPTY, Budgets, dimension_of, fp_dimension_estimate
+from .errors import CompleteIntersectionError, LogjetError, ResourceLimitError
+from .jets import derivative_chain  # noqa: F401  (patched by bench/tracing.py)
+from .jets import jet_ideal
+from .poly import LOG, ORDINARY, JetMonomial, JetPoly, RingDescriptor
+from .strata import (base_presentation, check_assumption, jet_presentation,
+                     open_stratum, stratify, stratum_jet_presentation)
 
 
 @dataclass(frozen=True)
@@ -121,35 +120,21 @@ class AnalysisReport:
 # -- presentations used by the analyzer ---------------------------------------
 
 
-def _ordered_jet_names(base_names, ring):
-    names = list(base_names)
-    for i, j in ring.jet_positions():
-        names.append(f"{base_names[i - 1]}({j})")
-    return tuple(names)
-
-
-def _terms_of(polys, ring):
-    return [{mono.exponent_vector(ring): c
-             for mono, c in g.term_map().items()} for g in polys]
+def _coordinates(chart):
+    return tuple(f"x{i}" for i in range(1, chart.ambient_rank + 1))
 
 
 def ordinary_jet_presentation(chart, m):
     """J_m of the chart equations in plain affine space."""
-    ring = RingDescriptor(chart.ambient_rank, m, ORDINARY)
-    polys = []
-    for f in chart.equations:
-        polys.extend(derivative_chain(f.with_ring(ring)))
-    names = _ordered_jet_names(
-        tuple(f"x{i}" for i in range(1, chart.ambient_rank + 1)), ring)
-    return IdealPresentation.from_terms(
-        names, _terms_of(polys, ring),
-        provenance=f"J_{m} of chart equations", jet_order=m)
+    return jet_presentation(_coordinates(chart), chart.equations, m,
+                            f"J_{m} of chart equations")
 
 
-def _jacobian_minors(chart, ring):
-    """All c x c minors of (df_i/dx_k), as polynomials in the given ring."""
+def _jacobian_minors(chart):
+    """All c x c minors of (df_i/dx_k), as base polynomials."""
     c = chart.codim
     n = chart.ambient_rank
+    ring = RingDescriptor(n, 0, ORDINARY)
     partials = []
     for f in chart.equations:
         row = []
@@ -159,7 +144,7 @@ def _jacobian_minors(chart, ring):
                 a = mono.base[k - 1]
                 if a == 0:
                     continue
-                base = list(mono.base) + [0] * (ring.n - len(mono.base))
+                base = list(mono.base)
                 base[k - 1] = a - 1
                 key = JetMonomial(base)
                 terms[key] = terms.get(key, Fraction(0)) + coeff * a
@@ -184,71 +169,24 @@ def _det_polys(matrix, ring):
     return total
 
 
-def jacobian_singular_locus(chart):
-    """Equations plus Jacobian minors, localized to the open stratum.
-
-    For a monoid chart the open stratum is the torus, inverted by one
-    Rabinowitsch variable; ordinary charts need no localization.
-    """
-    if not chart.equations:
-        raise LogjetError("singular locus needs at least one equation")
-    n = chart.ambient_rank
-    if chart.monoid is None:
-        ring = RingDescriptor(n, 0, ORDINARY)
-        polys = [f.with_ring(ring) for f in chart.equations]
-        polys += _jacobian_minors(chart, ring)
-        names = tuple(f"x{i}" for i in range(1, n + 1))
-        return IdealPresentation.from_terms(
-            names, _terms_of(polys, ring),
-            provenance="singular locus of chart")
-    ring = RingDescriptor(n + 1, 0, ORDINARY)
-    polys = [lift_base_vars(f, ring) for f in chart.equations]
-    polys += [lift_base_vars(g, ring) for g in
-              _jacobian_minors(chart, RingDescriptor(n, 0, ORDINARY))]
-    torus = tuple(sum(g[k] for g in chart.monoid.generators)
-                  for k in range(n))
-    exps = chart.exponents_of(torus)
-    w_eq = (JetPoly.base_var(ring, n + 1)
-            * JetPoly.monomial(ring, tuple(exps) + (0,)) - 1)
-    polys.append(w_eq)
-    names = tuple(f"x{i}" for i in range(1, n + 1)) + ("w",)
-    return IdealPresentation.from_terms(
-        names, _terms_of(polys, ring),
-        provenance="singular locus of open stratum", localized=True)
-
-
 def open_part_jet_presentation(chart, m):
     """Jets of X constrained over the singular locus of the open stratum.
 
-    Jet generators d^j f_i plus base-variable constraints (Jacobian minors
-    and, for monoid charts, the torus localization).  The dimension is
-    compared against d*(m+1) per the local complete intersection theorem.
+    The jet presentation of the open stratum (the chart itself for an
+    ordinary chart, the l = 0 stratum for a monoid chart) plus the Jacobian
+    minors as base-only constraints.  The dimension is compared against
+    d*(m+1) per the local complete intersection theorem.
     """
     if not chart.equations:
         raise LogjetError("open-part check needs at least one equation")
-    n = chart.ambient_rank
-    is_log = chart.monoid is not None
-    width = n + 1 if is_log else n
-    ring = RingDescriptor(width, m, ORDINARY)
-    polys = []
-    for f in chart.equations:
-        polys.extend(derivative_chain(lift_base_vars(f, ring)))
-    base_ring = RingDescriptor(n, 0, ORDINARY)
-    for g in _jacobian_minors(chart, base_ring):
-        polys.append(lift_base_vars(g, ring))
-    base_names = tuple(f"x{i}" for i in range(1, n + 1))
-    if is_log:
-        torus = tuple(sum(g[k] for g in chart.monoid.generators)
-                      for k in range(n))
-        exps = chart.exponents_of(torus)
-        polys.append(JetPoly.base_var(ring, n + 1)
-                     * JetPoly.monomial(ring, tuple(exps) + (0,)) - 1)
-        base_names = base_names + ("w",)
-    names = _ordered_jet_names(base_names, ring)
-    return IdealPresentation.from_terms(
-        names, _terms_of(polys, ring),
-        provenance=f"J_{m} over singular locus of the open stratum",
-        localized=is_log, jet_order=m)
+    provenance = f"J_{m} over singular locus of the open stratum"
+    minors = _jacobian_minors(chart)
+    if chart.monoid is None:
+        return jet_presentation(_coordinates(chart), chart.equations, m,
+                                provenance, constraints=minors)
+    stratum = open_stratum(chart)
+    return jet_presentation(stratum.variables, stratum.equations, m,
+                            provenance, localized=True, constraints=minors)
 
 
 # -- the analysis --------------------------------------------------------------
@@ -365,10 +303,7 @@ def analyze(chart, cfg=None):
         strata = None
         assumption = None
         if chart.equations:
-            dim_x = _dim(IdealPresentation.from_terms(
-                tuple(f"x{i}" for i in range(1, n + 1)),
-                _terms_of([f for f in chart.equations], chart.base_ring),
-                provenance="chart equations"), cfg).dimension
+            dim_x = _dim(ordinary_jet_presentation(chart, 0), cfg).dimension
         else:
             dim_x = n
 

@@ -30,10 +30,6 @@ class Chart:
         return len(self.equations)
 
     @property
-    def base_ring(self):
-        return RingDescriptor(self.ambient_rank, 0, ORDINARY)
-
-    @property
     def is_log(self):
         return self.monoid is not None
 

@@ -56,9 +56,6 @@ class RingDescriptor:
         return [(i, j) for i in range(1, self.n + 1)
                 for j in range(1, self.m + 1)]
 
-    def base_ring(self):
-        return RingDescriptor(self.n, 0, self.mode)
-
 
 class JetMonomial:
     """Exponent data of one monomial: base vector plus sparse jet map."""
@@ -98,9 +95,6 @@ class JetMonomial:
 
     def jet_map(self):
         return dict(self.jets)
-
-    def is_constant(self):
-        return not self.jets and all(a == 0 for a in self.base)
 
     def exponent_vector(self, ring):
         """Full exponent vector (base then jets in (i, j) order)."""
@@ -332,6 +326,8 @@ class JetPoly:
 
     def with_ring(self, ring):
         """Reinterpret in a compatible ring (same n; bounds rechecked)."""
+        if ring == self.ring:
+            return self
         if ring.n != self.ring.n:
             raise RingMismatchError("base variable count differs")
         return JetPoly(ring, self._terms)
@@ -341,14 +337,6 @@ class JetPoly:
 
     def base_exponent_vectors(self):
         return sorted({mono.base for mono in self._terms})
-
-    def max_jet_index(self):
-        """Largest j used by any jet variable, or 0."""
-        best = 0
-        for mono in self._terms:
-            for (_i, j), _e in mono.jets:
-                best = max(best, j)
-        return best
 
 
 def require_mode(poly, mode):

@@ -1,23 +1,36 @@
-"""Stratification of a chart by torus orbits, as closed presentations.
+"""Stratification of a chart by torus orbits, and the one jet-presentation
+builder.
 
-Each face F of the chart monoid yields a locally closed stratum: the points
-where exactly the monomials with exponent in F are invertible.  The stratum
-is closed-ified with one Rabinowitsch variable w inverting the monomial of
-p_F = (sum of the face generators), an interior point of F:
+Each face F of the chart monoid yields a locally closed stratum X_l: the
+points where exactly the monomials with exponent in F are invertible.  Its
+base system inverts the monomial of p_F = (sum of the face generators), an
+interior point of F, with one Rabinowitsch variable w:
 
     equations of X,  chi^g for generators g outside F,  w * chi^{p_F} - 1.
 
+The open stratum (l = 0, F the whole monoid) keeps only the equations and
+the localization of the torus.
+
 Everything is written in the chart's basis coordinates; monomials of the
 monoid may acquire negative exponents there, which are cleared against the
-inverted locus when the presentation is handed to the dimension engine.
+inverted locus before the system is jetted.
+
+Every jet presentation comes from one builder, jet_presentation.  It jets
+every polynomial of a base system with the ordinary derivation, the
+localization included, so w and its jets are fixed by the jetted
+localization, the same for strata and for the open row.  Base-only
+constraints are added without jetting: the open row is the l = 0 stratum's
+presentation plus the Jacobian minors (analyzer.open_part_jet_presentation).
 """
 
 from dataclasses import dataclass
 
 from .dimension import EMPTY, IdealPresentation
 from .errors import ModeMismatchError
-from .jets import derivative_chain, jet_ideal
-from .poly import LOG, ORDINARY, JetMonomial, JetPoly, RingDescriptor, lift_base_vars
+from .jets import derivative_chain
+from .monoid import Face
+from .poly import (ORDINARY, JetMonomial, JetPoly, RingDescriptor,
+                   lift_base_vars)
 
 
 @dataclass(frozen=True)
@@ -26,7 +39,7 @@ class StratumPresentation:
 
     Variables are the chart coordinates x_1..x_n plus the inverse variable
     w (stored as base variable n+1).  Equations may be Laurent; they are
-    cleared at engine ingestion, which the w-equation makes legitimate.
+    cleared by jet_presentation, which the w-equation makes legitimate.
     """
 
     face: object
@@ -35,15 +48,34 @@ class StratumPresentation:
     ring: RingDescriptor
     equations: tuple
 
-    @property
-    def localizing_equation(self):
-        return self.equations[-1]
-
 
 def _chi(chart, ring, point):
     """The monomial chi^point in basis coordinates, lifted to the ring."""
     exps = chart.exponents_of(point)
     return JetPoly.monomial(ring, tuple(exps) + (0,) * (ring.n - len(exps)))
+
+
+def _stratum(chart, face):
+    n = chart.ambient_rank
+    ring = RingDescriptor(n + 1, 0, ORDINARY)
+    eqs = [lift_base_vars(f, ring) for f in chart.equations]
+    seen = set()
+    for gi, g in enumerate(chart.monoid.generators):
+        if gi in face.generator_indices:
+            continue
+        mono = _chi(chart, ring, g)
+        key = mono.render()
+        if key not in seen:
+            seen.add(key)
+            eqs.append(mono)
+    p_f = tuple(
+        sum(chart.monoid.generators[gi][k] for gi in face.generator_indices)
+        for k in range(n))
+    w = JetPoly.base_var(ring, n + 1)
+    eqs.append(w * _chi(chart, ring, p_f) - 1)
+    names = tuple(f"x{i}" for i in range(1, n + 1)) + ("w",)
+    return StratumPresentation(face, face.stratum_index, names, ring,
+                               tuple(eqs))
 
 
 def stratify(chart):
@@ -52,130 +84,80 @@ def stratify(chart):
         raise ModeMismatchError(
             "stratification needs a monoid chart; an ordinary chart is a "
             "single stratum (the whole variety)")
-    n = chart.ambient_rank
-    ring = RingDescriptor(n + 1, 0, ORDINARY)
-    names = tuple(f"x{i}" for i in range(1, n + 1)) + ("w",)
-    out = []
-    for face in chart.monoid.faces():
-        eqs = [lift_base_vars(f, ring) for f in chart.equations]
-        seen = set()
-        for gi, g in enumerate(chart.monoid.generators):
-            if gi in face.generator_indices:
-                continue
-            mono = _chi(chart, ring, g)
-            key = mono.render()
-            if key not in seen:
-                seen.add(key)
-                eqs.append(mono)
-        p_f = tuple(
-            sum(chart.monoid.generators[gi][k]
-                for gi in face.generator_indices)
-            for k in range(n))
-        w = JetPoly.base_var(ring, n + 1)
-        eqs.append(w * _chi(chart, ring, p_f) - 1)
-        out.append(StratumPresentation(face, face.stratum_index, names,
-                                       ring, tuple(eqs)))
-    return tuple(out)
+    return tuple(_stratum(chart, face) for face in chart.monoid.faces())
 
 
-def _presentation_terms(polys, ring):
-    return [{mono.exponent_vector(ring): c
-             for mono, c in g.term_map().items()} for g in polys]
+def open_stratum(chart):
+    """The l = 0 stratum: the chart inside the torus.
+
+    Its face is the whole monoid, which lies on no facet and has stratum
+    index 0 because the chart basis makes the monoid full rank.
+    """
+    whole = Face(tuple(range(len(chart.monoid.generators))), (), 0)
+    return _stratum(chart, whole)
+
+
+def _cleared(f, ring):
+    """f times the smallest monomial that makes its base exponents
+    nonnegative, in ring."""
+    terms = f.term_map()
+    low = [min(0, *column) for column in zip(*[mono.base for mono in terms])]
+    return JetPoly(ring, {JetMonomial([a - b for a, b in zip(mono.base, low)]):
+                          c for mono, c in terms.items()})
+
+
+def _jet_names(base_names, ring):
+    """Variable names matching JetMonomial.exponent_vector's column order."""
+    return tuple(base_names) + tuple(f"{base_names[i - 1]}({j})"
+                                     for i, j in ring.jet_positions())
+
+
+def jet_presentation(variables, system, m, provenance, localized=False,
+                     constraints=()):
+    """J_m of a base system as dimension-engine input.
+
+    Every polynomial of system, written in the given base variables, is
+    jetted with the ordinary derivation up to order m; every polynomial of
+    constraints, in the same or a leading subset of them, is added as it
+    is.  The presentation's variables are the base variables followed by
+    their jets.  A localized system may be Laurent: clearing does not
+    commute with the derivation, so each polynomial is cleared before it is
+    jetted.  At m = 0 from_terms clears it instead, and records the shift
+    in the presentation.
+    """
+    ring = RingDescriptor(len(variables), m, ORDINARY)
+    polys = []
+    for f in system:
+        f = _cleared(f, ring) if localized and m else f.with_ring(ring)
+        polys.extend(derivative_chain(f))
+    polys.extend(lift_base_vars(g, ring) for g in constraints)
+    terms = [{mono.exponent_vector(ring): c
+              for mono, c in g.term_map().items()} for g in polys]
+    return IdealPresentation.from_terms(
+        _jet_names(variables, ring), terms, provenance=provenance,
+        localized=localized, jet_order=m)
 
 
 def base_presentation(stratum, provenance=None):
     """The stratum itself (jet order 0) as dimension-engine input."""
-    terms = _presentation_terms(stratum.equations, stratum.ring)
-    return IdealPresentation.from_terms(
-        stratum.variables, terms,
-        provenance=provenance or f"stratum l={stratum.index} "
-                                 f"{stratum.face.generator_indices}",
+    return jet_presentation(
+        stratum.variables, stratum.equations, 0,
+        provenance or f"stratum l={stratum.index} "
+                      f"{stratum.face.generator_indices}",
         localized=True)
 
 
 def stratum_jet_presentation(stratum, m):
     """Ordinary jet ideal of the stratum presentation, for dim J_m(X_l).
 
-    The cleared polynomial system is jetted with the ordinary derivation,
-    treating w like any other coordinate; the w-jets are determined by the
-    base locus, so the dimension is that of the jets of the open stratum.
+    The jetted localization fixes the jets of w, so the dimension is that
+    of the jets of the locally closed stratum X_l.
     """
-    cleared = base_presentation(stratum)
-    ring = RingDescriptor(stratum.ring.n, m, ORDINARY)
-    polys = []
-    for gen in cleared.generators:
-        terms = {JetMonomial(mono): c for mono, c in gen}
-        polys.extend(derivative_chain(JetPoly(ring, terms)))
-    names = _jet_names_ordered(stratum.variables, ring)
-    raw = _presentation_terms(polys, ring)
-    return IdealPresentation.from_terms(
-        names, raw,
-        provenance=f"J_{m} of stratum l={stratum.index} "
-                   f"{stratum.face.generator_indices}",
-        localized=True, jet_order=m)
-
-
-def _jet_names_ordered(base_names, ring):
-    """Variable names matching JetMonomial.exponent_vector's column order."""
-    names = list(base_names)
-    for i, j in ring.jet_positions():
-        names.append(f"{base_names[i - 1]}({j})")
-    return tuple(names)
-
-
-def log_jet_stratum_presentation(chart, face, m):
-    """Log jets of the chart restricted over one stratum.
-
-    Variables: x_1..x_n, w, and the log jet coordinates u_{i,j}.  The
-    generators are the log jet ideal of the chart plus the stratum's
-    monomial equations and the localization; by the bundle property its
-    dimension equals dim J_m(X_l) + m*l on nonempty strata.
-    """
-    if chart.monoid is None:
-        raise ModeMismatchError("log jets need a monoid chart")
-    n = chart.ambient_rank
-    wide = RingDescriptor(n + 1, m, LOG)
-    ideal = jet_ideal(chart, m, LOG)
-    eqs = [lift_base_vars(g, wide) for g in ideal.flat()]
-    seen = set()
-    for gi, g in enumerate(chart.monoid.generators):
-        if gi in face.generator_indices:
-            continue
-        mono = _chi(chart, wide, g)
-        key = mono.render()
-        if key not in seen:
-            seen.add(key)
-            eqs.append(mono)
-    p_f = tuple(sum(chart.monoid.generators[gi][k]
-                    for gi in face.generator_indices) for k in range(n))
-    w = JetPoly.base_var(wide, n + 1)
-    eqs.append(w * _chi(chart, wide, p_f) - 1)
-
-    base_names = tuple(f"x{i}" for i in range(1, n + 1)) + ("w",)
-    names = list(base_names)
-    columns = list(range(n + 1))
-    col = n + 1
-    for i, j in wide.jet_positions():
-        if i <= n:
-            names.append(f"u[{i},{j}]")
-            columns.append(col)
-        col += 1
-    raw = []
-    for g in eqs:
-        terms = {}
-        for mono, c in g.term_map().items():
-            vec = mono.exponent_vector(wide)
-            dropped = [vec[k] for k in range(len(vec)) if k not in columns]
-            if any(dropped):
-                raise ModeMismatchError(
-                    "unexpected jet variable for the auxiliary coordinate")
-            terms[tuple(vec[k] for k in columns)] = c
-        raw.append(terms)
-    return IdealPresentation.from_terms(
-        tuple(names), raw,
-        provenance=f"log jets over stratum l={face.stratum_index} "
-                   f"{face.generator_indices}, m={m}",
-        localized=True, jet_order=m)
+    return jet_presentation(
+        stratum.variables, stratum.equations, m,
+        f"J_{m} of stratum l={stratum.index} "
+        f"{stratum.face.generator_indices}",
+        localized=True)
 
 
 @dataclass(frozen=True)

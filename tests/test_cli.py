@@ -1,0 +1,75 @@
+import json
+
+import pytest
+
+from logjet.cli import main
+
+CONE = {"format": "logjet-chart/1", "ambient_rank": 2,
+        "monoid_generators": [[1, 0], [1, 1], [1, 2]],
+        "equations": ["x1 + x2 - 1"]}
+N2_HYPERPLANE = {"format": "logjet-chart/1", "ambient_rank": 2,
+                 "monoid_generators": [[1, 0], [0, 1]],
+                 "equations": ["x1 + x2 - 1"]}
+CUSP = {"format": "logjet-chart/1", "ambient_rank": 2,
+        "equations": ["x1^2 - x2^3"]}
+
+# (l, face, equations) of `logjet strata` on CONE; variables are x1 x2 w.
+CONE_STRATA = (
+    (0, [0, 1, 2], ["x1 + x2 - 1", "x2^3*w - 1"]),
+    (1, [0], ["x1 + x2 - 1", "x2", "x1^-1*x2^2", "x1*w - 1"]),
+    (1, [2], ["x1 + x2 - 1", "x1", "x2", "x1^-1*x2^2*w - 1"]),
+    (2, [], ["x1 + x2 - 1", "x1", "x2", "x1^-1*x2^2", "w - 1"]),
+)
+
+
+@pytest.fixture
+def chart_file(tmp_path):
+    def write(doc):
+        path = tmp_path / "chart.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return str(path)
+    return write
+
+
+def _strata_lines():
+    lines = []
+    for l, face, eqs in CONE_STRATA:
+        lines.append(f"stratum l={l} face generators {tuple(face)}:")
+        lines.append("  variables: x1 x2 w")
+        lines.extend(f"  equation: {eq}" for eq in eqs)
+    return lines
+
+
+def test_strata_table(chart_file, capsys):
+    assert main(["strata", chart_file(CONE)]) == 0
+    assert capsys.readouterr().out == "\n".join(_strata_lines()) + "\n"
+
+
+def test_strata_json(chart_file, capsys):
+    assert main(["--format", "json", "strata", chart_file(CONE)]) == 0
+    strata = [{"l": l, "face": face, "variables": ["x1", "x2", "w"],
+               "equations": eqs} for l, face, eqs in CONE_STRATA]
+    expected = {"schema": "logjet-strata/1", "strata": strata,
+                "lines": _strata_lines()}
+    assert capsys.readouterr().out == json.dumps(
+        expected, indent=2, sort_keys=True) + "\n"
+
+
+def test_dim_of_one_stratum(chart_file, capsys):
+    assert main(["dim", "--stratum", "1", "--order", "1",
+                 chart_file(CONE)]) == 0
+    assert capsys.readouterr().out == (
+        "l=1 face (0,): dim = 0 (groebner)\n"
+        "l=1 face (2,): dim = EMPTY (groebner)\n")
+
+
+@pytest.mark.parametrize("doc, code", [(N2_HYPERPLANE, 0), (CUSP, 10)])
+def test_analyze_exit_codes(chart_file, capsys, doc, code):
+    assert main(["analyze", "--max-order", "1", chart_file(doc)]) == code
+    verdict = "NO_OBSTRUCTION_UP_TO_M" if code == 0 else "REDUCIBLE"
+    assert verdict in capsys.readouterr().out
+
+
+def test_analyze_missing_file(tmp_path, capsys):
+    assert main(["analyze", str(tmp_path / "absent.json")]) == 1
+    assert "logjet: error: cannot read" in capsys.readouterr().err
