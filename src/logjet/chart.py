@@ -81,10 +81,8 @@ class Chart:
             if intlinalg.det([list(b) for b in basis]) not in (1, -1):
                 raise MonoidError("basis is not unimodular")
             for b in basis:
-                if not monoid.contains(b):
-                    raise MonoidError(
-                        f"basis vector {b} is not in the monoid "
-                        "(bounded membership)")
+                if not monoid.membership(b):
+                    raise MonoidError(f"basis vector {b} is not in the monoid")
             chart = cls(ambient_rank, tuple(polys), monoid, basis)
             for idx, eq in enumerate(polys):
                 bad = chart.support_violation(eq)
@@ -116,7 +114,7 @@ class Chart:
         """First (exponent vector, lattice point) outside the monoid, if any."""
         for vec in poly.base_exponent_vectors():
             point = self.lattice_point(vec)
-            if not self.monoid.contains(point):
+            if not self.monoid.membership(point):
                 return vec, point
         return None
 

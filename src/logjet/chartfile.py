@@ -9,7 +9,6 @@ Schema "logjet-chart/1":
       "basis": [0, 1],                          // optional generator indices
       "equations": ["x1 + x2 - 1"],
       "mode": "log",                            // optional, validated
-      "membership_cap": 20,                     // optional
       "budgets": {"pairs": 50000, "degree": 40} // optional
     }
 """
@@ -74,7 +73,6 @@ def load_chart(path):
     monoid = None
     basis = None
     if raw_gens is not None:
-        cap = _field(doc, "membership_cap", int, default=20)
         for gi, g in enumerate(raw_gens):
             if (not isinstance(g, list)
                     or any(not isinstance(x, int) or isinstance(x, bool)
@@ -82,7 +80,7 @@ def load_chart(path):
                 raise ChartParseError(
                     f"monoid_generators[{gi}] must be a list of integers")
         try:
-            monoid = AffineMonoid(n, raw_gens, membership_cap=cap)
+            monoid = AffineMonoid(n, raw_gens)
         except MonoidError as exc:
             raise MonoidError(f"{path}: {exc}") from exc
         basis_idx = _field(doc, "basis", list)

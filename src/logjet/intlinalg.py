@@ -35,31 +35,30 @@ def det(rows):
     return sign * a[n - 1][n - 1]
 
 
+def _reduce(rows, ncols):
+    """Reduced row echelon form over Q: (rows of Fractions, pivot columns)."""
+    a = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return a, pivots
+
+
 def rank(rows):
     """Rank of an integer matrix (exact Gaussian elimination over Q)."""
     if not rows:
         return 0
-    a = [[Fraction(x) for x in r] for r in rows]
-    nrows, ncols = len(a), len(a[0])
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if a[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        pr = a[r]
-        for i in range(r + 1, nrows):
-            if a[i][c] != 0:
-                f = a[i][c] / pr[c]
-                a[i] = [x - f * y for x, y in zip(a[i], pr)]
-        r += 1
-        if r == nrows:
-            break
-    return r
+    return len(_reduce(rows, len(rows[0]))[1])
 
 
 def lattice_row_basis(rows):
@@ -118,27 +117,7 @@ def kernel_vector(rows, ncols):
     rows may be empty (ncols must then be 1 for a unique kernel direction).
     Returns None when the kernel dimension is not exactly 1.
     """
-    if rank(rows) != ncols - 1:
-        return None
-    a = [[Fraction(x) for x in r] for r in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(a)):
-            if a[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        a[r] = [x / a[r][c] for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
+    a, pivots = _reduce(rows, ncols)
     free = [c for c in range(ncols) if c not in pivots]
     if len(free) != 1:
         return None
@@ -157,35 +136,29 @@ def kernel_vector(rows, ncols):
     return [x // g for x in ints]
 
 
+def solve_rational(columns, v):
+    """Solve E a = v over Q, where E has the given integer columns.
+
+    E must be square and nonsingular, so the solution is unique; returns a
+    list of Fractions.  Raises ValueError otherwise.
+    """
+    n = len(columns)
+    if len(v) != n or any(len(c) != n for c in columns):
+        raise ValueError("dimension mismatch")
+    a, pivots = _reduce([[columns[j][i] for j in range(n)] + [v[i]]
+                         for i in range(n)], n + 1)
+    if pivots[:n] != list(range(n)):
+        raise ValueError("singular matrix")
+    return [row[n] for row in a]
+
+
 def solve_unimodular(columns, v):
     """Solve E a = v for integer a, where E has the given integer columns.
 
     E must be square with determinant +-1, so the solution is integral and
     unique. Raises ValueError otherwise.
     """
-    n = len(columns)
-    if len(v) != n or any(len(c) != n for c in columns):
-        raise ValueError("dimension mismatch")
-    a = [[Fraction(columns[j][i]) for j in range(n)] + [Fraction(v[i])]
-         for i in range(n)]
-    for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if a[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            raise ValueError("singular matrix")
-        a[c], a[pivot] = a[pivot], a[c]
-        a[c] = [x / a[c][c] for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    out = []
-    for i in range(n):
-        x = a[i][n]
-        if x.denominator != 1:
-            raise ValueError("system has no integer solution")
-        out.append(int(x))
-    return out
+    out = solve_rational(columns, v)
+    if any(x.denominator != 1 for x in out):
+        raise ValueError("system has no integer solution")
+    return [int(x) for x in out]

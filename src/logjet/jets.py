@@ -314,10 +314,10 @@ def refinement_pullback_check(chart, refined, m):
             f"ambient ranks differ: {chart.ambient_rank} vs "
             f"{refined.ambient_rank}")
     for g in chart.monoid.generators:
-        if not refined.contains(g):
+        if not refined.membership(g):
             raise NotARefinementError(
                 f"generator {g} of the chart monoid is not in the "
-                "refined monoid (bounded membership)")
+                "refined monoid")
     refined_chart = Chart.build(
         monoid=refined,
         equations=chart.equations,

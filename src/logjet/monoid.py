@@ -1,7 +1,12 @@
-"""Fine saturated affine monoids: membership, units, faces, basis selection.
+"""Fine saturated affine monoids: exact membership, units, faces, basis.
 
 A monoid P is given by finitely many generators in Z^n whose group span is
 all of Z^n (so P^gp = Z^n after normalization, which is the caller's job).
+Construction proves that P is saturated and generated by those vectors, so
+P = cone ∩ Z^n and membership is decided exactly by the facet inequalities
+(Bruns & Ichim, "Normaliz: algorithms for affine monoids and rational
+cones", J. Algebra 2010; Cox-Little-Schenck, Toric Varieties, ch. 1).
+
 Faces of the rational cone spanned by the generators correspond to torus
 orbits of Spec k[P]; stratum_index of a face is n minus the rank of its
 generator set.
@@ -12,9 +17,17 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import intlinalg
-from .errors import MonoidError, NoUnimodularSubsetError, RankTooLargeError
+from .errors import (MonoidError, NoUnimodularSubsetError, RankTooLargeError,
+                     ResourceLimitError)
 
 MAX_FACE_RANK = 6
+# Lattice points over all fundamental parallelepipeds that the saturation
+# proof may enumerate (the sum of |det S| over nonsingular n-subsets S).
+MAX_PARALLELEPIPED_POINTS = 20000
+
+
+def _pairing(u, v):
+    return sum(a * b for a, b in zip(u, v))
 
 
 @dataclass(frozen=True)
@@ -26,28 +39,20 @@ class Face:
     stratum_index: int
 
 
-@dataclass(frozen=True)
-class Membership:
-    found: bool
-    witness: tuple | None
-    cap_hit: bool
-
-
 class AffineMonoid:
-    """Submonoid of Z^n spanned by explicit generators, P^gp = Z^n.
+    """Fine saturated submonoid of Z^n spanned by explicit generators.
 
-    membership_cap bounds the coefficient search in contains(); the search
-    is complete whenever some representation uses coefficients <= cap, and
-    results are flagged when the cap was the reason for a failure.
-
-    Saturation is verified heuristically at construction: every lattice
-    point of the cone inside the box [0, B]^n (B = largest generator
-    absolute coordinate sum) must be reachable by the membership search.
-    Full saturation remains the caller's contract.
+    The constructor proves exactly that the generators span Z^n as a group
+    and that every lattice point of their cone is an N-combination of them,
+    or raises MonoidError naming a missing point.  For every n-subset S of
+    the generators with det S != 0 it checks the |det S| lattice points of
+    the half-open parallelepiped of S, which with S generate the lattice
+    points of cone(S); these cones cover the cone.  Over
+    MAX_PARALLELEPIPED_POINTS points in all, ResourceLimitError is raised
+    before any is enumerated.  So P = cone ∩ Z^n and membership() is exact.
     """
 
-    def __init__(self, ambient_rank, generators, membership_cap=20,
-                 verify_saturation=True, saturation_budget=20000):
+    def __init__(self, ambient_rank, generators):
         if ambient_rank < 1:
             raise MonoidError("ambient rank must be at least 1")
         gens = tuple(tuple(int(x) for x in g) for g in generators)
@@ -59,20 +64,15 @@ class AffineMonoid:
                     f"generator {g} has length {len(g)}, expected {ambient_rank}")
             if all(x == 0 for x in g):
                 raise MonoidError("zero vector is not allowed as a generator")
-        if membership_cap < 1:
-            raise MonoidError("membership cap must be positive")
         self.ambient_rank = ambient_rank
         self.generators = gens
-        self.membership_cap = membership_cap
-        self.saturation_note = None
 
         basis = intlinalg.lattice_row_basis([list(g) for g in gens])
         if len(basis) != ambient_rank or intlinalg.det(basis) not in (1, -1):
             raise MonoidError(
                 "generators do not span Z^n as a group "
                 f"(rank-{ambient_rank} unimodular lattice expected)")
-        if verify_saturation:
-            self._verify_saturation(saturation_budget)
+        self._prove_saturation()
 
     # -- membership ---------------------------------------------------------
 
@@ -91,95 +91,40 @@ class AffineMonoid:
             u = intlinalg.kernel_vector(rows, n)
             if u is None:
                 continue
-            vals = [sum(a * b for a, b in zip(u, g)) for g in gens]
+            vals = [_pairing(u, g) for g in gens]
             if all(v >= 0 for v in vals):
                 forms.add(tuple(u))
             elif all(v <= 0 for v in vals):
                 forms.add(tuple(-x for x in u))
         return tuple(sorted(forms))
 
-    @cached_property
-    def _suffix_lattices(self):
-        """Echelon bases of the lattices spanned by generator suffixes."""
-        out = []
-        for start in range(len(self.generators) + 1):
-            rows = [list(g) for g in self.generators[start:]]
-            out.append(intlinalg.lattice_row_basis(rows))
-        return out
-
-    def in_cone(self, v):
-        """Is v in the rational cone spanned by the generators?"""
-        if len(v) != self.ambient_rank:
-            raise MonoidError(f"vector {v} has wrong length")
-        return all(sum(a * b for a, b in zip(u, v)) >= 0
-                   for u in self.facet_forms)
-
     def membership(self, v):
-        """Bounded search for v as an N-combination of generators.
-
-        Complete whenever some representation has all coefficients <= cap;
-        cap_hit reports whether the cap cut off an otherwise live branch.
-        """
-        v = tuple(int(x) for x in v)
+        """Is the lattice point v in P?  Exact: P = cone ∩ Z^n."""
         if len(v) != self.ambient_rank:
             raise MonoidError(f"vector {v} has wrong length")
-        gens = self.generators
-        cap = self.membership_cap
-        suffix = self._suffix_lattices
-        state = {"cap_hit": False}
-
-        def feasible(rem, idx):
-            # necessary conditions for the remainder at generator index idx
-            if not intlinalg.lattice_contains(suffix[idx], list(rem)):
-                return False
-            return self.in_cone(rem)
-
-        def search(rem, idx):
-            if all(x == 0 for x in rem):
-                return ()
-            if idx == len(gens):
-                return None
-            if not feasible(rem, idx):
-                return None
-            g = gens[idx]
-            for c in range(cap + 1):
-                nxt = tuple(r - c * x for r, x in zip(rem, g))
-                tail = search(nxt, idx + 1)
-                if tail is not None:
-                    return (c,) + tail
-            # was the cap the binding constraint on this branch?
-            over = tuple(r - (cap + 1) * x for r, x in zip(rem, g))
-            if feasible(over, idx):
-                state["cap_hit"] = True
-            return None
-
-        witness = search(v, 0)
-        return Membership(witness is not None, witness, state["cap_hit"])
-
-    def contains(self, v):
-        return self.membership(v).found
+        return all(_pairing(u, v) >= 0 for u in self.facet_forms)
 
     # -- structure ----------------------------------------------------------
 
     def units(self):
         """Basis of the unit sublattice {g in P : -g in P}.
 
-        Generators whose negation is in P generate the whole unit group,
-        so a lattice basis of those suffices.
+        It is spanned by the generators on which every facet form vanishes,
+        the generators in the cone's lineality space.
         """
-        unit_gens = [g for g in self.generators
-                     if self.membership(tuple(-x for x in g)).found]
-        basis = intlinalg.lattice_row_basis([list(g) for g in unit_gens])
+        basis = intlinalg.lattice_row_basis(
+            [list(g) for g in self.generators
+             if not any(_pairing(u, g) for u in self.facet_forms)])
         return tuple(tuple(row) for row in basis)
 
     def is_group(self):
         return len(self.units()) == self.ambient_rank
 
     def faces(self):
-        """Complete face lattice as intersections of facets.
+        """Complete face lattice, walked by intersecting faces with facets.
 
-        Includes the whole cone (empty facet set) and the minimal face.
-        Faces are deduplicated by generator subset and sorted by
+        Starts from the whole cone; the minimal face is included.  Faces
+        are deduplicated by generator subset and sorted by
         (stratum_index, generator_indices).
         """
         n = self.ambient_rank
@@ -189,20 +134,18 @@ class AffineMonoid:
         gens = self.generators
         forms = self.facet_forms
         seen = {}
-        for k in range(len(forms) + 1):
-            for chosen in itertools.combinations(range(len(forms)), k):
-                idxs = tuple(
-                    gi for gi, g in enumerate(gens)
-                    if all(sum(a * b for a, b in zip(forms[f], g)) == 0
-                           for f in chosen))
-                if idxs in seen:
-                    continue
-                support = tuple(
-                    u for u in forms
-                    if all(sum(a * b for a, b in zip(u, gens[gi])) == 0
-                           for gi in idxs))
-                face_rank = intlinalg.rank([list(gens[gi]) for gi in idxs])
-                seen[idxs] = Face(idxs, support, n - face_rank)
+        todo = [tuple(range(len(gens)))]
+        while todo:
+            idxs = todo.pop()
+            if idxs in seen:
+                continue
+            support = tuple(u for u in forms
+                            if all(_pairing(u, gens[gi]) == 0 for gi in idxs))
+            face_rank = intlinalg.rank([list(gens[gi]) for gi in idxs])
+            seen[idxs] = Face(idxs, support, n - face_rank)
+            todo.extend(
+                tuple(gi for gi in idxs if _pairing(u, gens[gi]) == 0)
+                for u in forms)
         return tuple(sorted(seen.values(),
                             key=lambda f: (f.stratum_index,
                                            f.generator_indices)))
@@ -218,28 +161,86 @@ class AffineMonoid:
             "no generator subset is a Z-basis of Z^n; "
             "choose different generators or supply an explicit basis")
 
-    # -- saturation heuristic -------------------------------------------------
+    # -- saturation proof ----------------------------------------------------
 
-    def _verify_saturation(self, budget):
+    def _prove_saturation(self):
         n = self.ambient_rank
-        b = max(1, max(sum(abs(x) for x in g) for g in self.generators))
-        npoints = (b + 1) ** n
-        if npoints > budget:
-            self.saturation_note = (
-                f"saturation box [0,{b}]^{n} has {npoints} points, "
-                f"over budget {budget}; check skipped")
-            return
-        for point in itertools.product(range(b + 1), repeat=n):
-            if not self.in_cone(point):
-                continue
-            res = self.membership(point)
-            if not res.found:
-                hint = " (membership cap reached)" if res.cap_hit else ""
-                raise MonoidError(
-                    f"cone point {point} is not an N-combination of the "
-                    f"generators within the verification box{hint}; "
-                    "the monoid is not saturated or not fully generated")
+        simplices = []
+        total = 0
+        for simplex in itertools.combinations(self.generators, n):
+            d = abs(intlinalg.det([list(s) for s in simplex]))
+            if d:
+                simplices.append(simplex)
+                total += d
+        if total > MAX_PARALLELEPIPED_POINTS:
+            raise ResourceLimitError(
+                f"saturation check needs {total} parallelepiped points, "
+                f"over the limit of {MAX_PARALLELEPIPED_POINTS}")
+        forms = self.facet_forms
+        units = self.units()
+        steps = [g for g in self.generators
+                 if any(_pairing(u, g) for u in forms)]
+        spanned = {}
+
+        # Descent along h = sum of the facet forms, a nonnegative integer on
+        # the cone that every non-unit generator raises by at least 1.  A
+        # cone point q with h(q) = 0 lies in the lineality space and is
+        # spanned iff it is in the unit lattice (the N-span of the units is
+        # a group); otherwise q is spanned iff q - g is a spanned cone point
+        # for some non-unit generator g.
+        def spanned_at(q):
+            # spanned[q], decided outright when h(q) = 0; None while q
+            # still needs a descent
+            if q not in spanned and not any(_pairing(u, q) for u in forms):
+                spanned[q] = intlinalg.lattice_contains(units, q)
+            return spanned.get(q)
+
+        def in_span(p):
+            # an explicit stack: descents can outrun the recursion limit
+            path = [(p, iter(steps))] if spanned_at(p) is None else []
+            while path:
+                q, moves = path[-1]
+                for g in moves:
+                    r = tuple(a - b for a, b in zip(q, g))
+                    if not self.membership(r):
+                        continue
+                    known = spanned_at(r)
+                    if known is None:
+                        path.append((r, iter(steps)))
+                        break
+                    if known:
+                        spanned.update((s, True) for s, _ in path)
+                        return True
+                else:
+                    spanned[q] = False
+                    path.pop()
+            return spanned[p]
+
+        for simplex in simplices:
+            for point in _parallelepiped_points(simplex):
+                if not in_span(point):
+                    raise MonoidError(
+                        f"cone point {point} is not an N-combination of the "
+                        "generators; the monoid is not saturated or not "
+                        "fully generated")
 
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.generators)
         return f"AffineMonoid(rank={self.ambient_rank}, generators=[{gens}])"
+
+
+def _parallelepiped_points(simplex):
+    """Lattice points of {sum lam_i s_i : 0 <= lam_i < 1}.
+
+    The echelon basis of the simplex's lattice has pivots d_i; the vectors
+    with 0 <= a_i < d_i represent each of its |det| cosets once, and the
+    fractional parts of their coordinates in the simplex fold them into the
+    parallelepiped.
+    """
+    rows = [list(s) for s in simplex]
+    pivots = [next(x for x in row if x)
+              for row in intlinalg.lattice_row_basis(rows)]
+    for rep in itertools.product(*(range(d) for d in pivots)):
+        lam = intlinalg.solve_rational(rows, rep)
+        yield tuple(int(sum((c % 1) * s[k] for c, s in zip(lam, simplex)))
+                    for k in range(len(rep)))

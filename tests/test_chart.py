@@ -82,3 +82,9 @@ def test_lattice_coordinates_round_trip():
 def test_zero_equation_rejected():
     with pytest.raises(SupportError):
         Chart.build(ambient_rank=2, equations=["x1 - x1"])
+
+
+def test_support_beyond_any_coefficient_cap():
+    # (25, 0) = 25 * (1, 0): a capped coefficient search rejected this chart
+    chart = Chart.build(monoid=N2, equations=["x1^25 - x2"])
+    assert chart.support_violation(chart.equations[0]) is None

@@ -1,0 +1,68 @@
+"""Chart files: every rejection path of load_chart, and the options block."""
+
+import json
+
+import pytest
+
+from logjet.chartfile import load_chart
+from logjet.dimension import Budgets
+from logjet.errors import ChartParseError, MonoidError
+
+N2_DOC = {"format": "logjet-chart/1", "ambient_rank": 2,
+          "monoid_generators": [[1, 0], [0, 1]],
+          "equations": ["x1 + x2 - 1"]}
+
+
+def write(tmp_path, doc):
+    path = tmp_path / "chart.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    return path
+
+
+def test_loads_a_log_chart(tmp_path):
+    chart, options = load_chart(write(tmp_path, N2_DOC))
+    assert chart.is_log and chart.codim == 1
+    assert options.mode == "log" and options.budgets is None
+
+
+def test_ignored_membership_cap_field(tmp_path):
+    # a capped coefficient search with cap 2 rejected x1^3 as outside N^2;
+    # the field is now an unknown key like any other
+    doc = dict(N2_DOC, membership_cap=2, equations=["x1^3 - x2"])
+    chart, _ = load_chart(write(tmp_path, doc))
+    assert chart.support_violation(chart.equations[0]) is None
+
+
+@pytest.mark.parametrize("doc", [
+    "{not json",
+    {k: v for k, v in N2_DOC.items() if k != "ambient_rank"},
+    dict(N2_DOC, monoid_generators=[[1, 0], [0, 1.5]]),
+    dict(N2_DOC, basis=[0, 2]),
+    dict(N2_DOC, mode="ordinary"),
+    dict(N2_DOC, equations=["x1 + * x2"]),
+], ids=["invalid-json", "missing-ambient-rank", "non-integer-generator",
+        "basis-index-out-of-range", "mode-contradicts-monoid",
+        "bad-equation"])
+def test_chart_parse_errors(tmp_path, doc):
+    with pytest.raises(ChartParseError):
+        load_chart(write(tmp_path, doc))
+
+
+def test_unsaturated_monoid_error_names_the_file(tmp_path):
+    path = write(tmp_path, dict(
+        N2_DOC, monoid_generators=[[2, 0], [3, 0], [0, 1], [1, 1]]))
+    with pytest.raises(MonoidError) as err:
+        load_chart(path)
+    assert str(err.value).startswith(f"{path}: ")
+    assert "(1, 0)" in str(err.value)
+
+
+def test_budgets_block_reaches_options(tmp_path):
+    doc = dict(N2_DOC, budgets={"pairs": 8, "degree": 12, "variables": 10,
+                                "fp_nodes": 1000})
+    _, options = load_chart(write(tmp_path, doc))
+    base = Budgets()
+    assert options.budgets == Budgets(max_pairs=8, max_degree=12,
+                                      max_groebner_vars=10,
+                                      fp_max_vars=base.fp_max_vars,
+                                      fp_node_budget=1000)

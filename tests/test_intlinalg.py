@@ -1,5 +1,8 @@
 import itertools
 import random
+from fractions import Fraction
+
+import pytest
 
 from logjet import intlinalg
 
@@ -80,3 +83,14 @@ def test_solve_unimodular():
     assert intlinalg.solve_unimodular(cols, [3, 2]) == [1, 2]
     cols = [[2, 1], [1, 1]]  # det 1
     assert intlinalg.solve_unimodular(cols, [2, 1]) == [1, 0]
+
+
+def test_solve_rational():
+    # (1, 0) = 1/2 (1, 1) + 1/2 (1, -1)
+    cols = [[1, 1], [1, -1]]
+    assert intlinalg.solve_rational(cols, [1, 0]) == [Fraction(1, 2),
+                                                      Fraction(1, 2)]
+    with pytest.raises(ValueError, match="no integer solution"):
+        intlinalg.solve_unimodular(cols, [1, 0])
+    with pytest.raises(ValueError, match="singular"):
+        intlinalg.solve_rational([[1, 2], [2, 4]], [1, 0])

@@ -1,15 +1,46 @@
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 
 from logjet import intlinalg
 from logjet.errors import (MonoidError, NoUnimodularSubsetError,
-                           RankTooLargeError)
-from logjet.monoid import AffineMonoid
+                           RankTooLargeError, ResourceLimitError)
+from logjet.monoid import MAX_PARALLELEPIPED_POINTS, AffineMonoid
 
 N2 = AffineMonoid(2, [(1, 0), (0, 1)])
 CONE3 = AffineMonoid(2, [(1, 0), (1, 1), (1, 2)])
 Z1 = AffineMonoid(1, [(1,), (-1,)])
+# cone over the lattice hexagon with vertices (+-1, 0), (0, +-1), (1, -1),
+# (-1, 1), plus its interior point
+HEXAGON = [(1, 0, 1), (0, 1, 1), (-1, 1, 1), (-1, 0, 1), (0, -1, 1),
+           (1, -1, 1), (0, 0, 1)]
+BENCH_CHARTS = Path(__file__).resolve().parents[1] / "bench" / "charts"
+
+
+def reach_set(gens, window):
+    """Independent oracle: the N-combinations of gens in [-window, window]^n.
+
+    Sums are built one generator at a time inside a larger box.  By the
+    Steinitz lemma (constant at most the rank n), any representation of a
+    window point can be ordered so that every partial sum stays within
+    n * (max|g| + window) of the segment from 0 to the point, so the box
+    below loses no window point.
+    """
+    n = len(gens[0])
+    box = window + n * (max(abs(x) for g in gens for x in g) + window)
+    origin = (0,) * n
+    reached = {origin}
+    frontier = [origin]
+    while frontier:
+        v = frontier.pop()
+        for g in gens:
+            w = tuple(a + b for a, b in zip(v, g))
+            if w not in reached and all(abs(x) <= box for x in w):
+                reached.add(w)
+                frontier.append(w)
+    return {v for v in reached if all(abs(x) <= window for x in v)}
 
 
 def brute_force_faces(gens, bound=5):
@@ -71,34 +102,29 @@ def test_no_unimodular_subset():
 
 
 def test_contains_basic():
-    assert N2.contains((2, 3))
-    assert not N2.contains((-1, 0))
-    assert N2.contains((0, 0))
+    assert N2.membership((2, 3)) is True
+    assert N2.membership((-1, 0)) is False
+    assert N2.membership((0, 0))
     for g in N2.generators:
-        assert N2.contains(g)
+        assert N2.membership(g)
+    with pytest.raises(MonoidError):
+        N2.membership((1, 0, 0))
 
 
-def test_contains_with_witness():
-    # oracle: brute-force coefficient search
-    target = (2, 2)
-    found = []
-    for coeffs in itertools.product(range(5), repeat=3):
-        v = tuple(sum(c * g[k] for c, g in zip(coeffs, CONE3.generators))
-                  for k in range(2))
-        if v == target:
-            found.append(coeffs)
-    assert found  # e.g. (1,0,1): (1,0) + (1,2)
-    res = CONE3.membership(target)
-    assert res.found
-    recomputed = tuple(
-        sum(c * g[k] for c, g in zip(res.witness, CONE3.generators))
-        for k in range(2))
-    assert recomputed == target
+@pytest.mark.parametrize("monoid", [N2, CONE3, Z1],
+                         ids=["N2", "CONE3", "Z1"])
+def test_membership_matches_oracle_grid(monoid):
+    window = 4
+    reached = reach_set(monoid.generators, window)
+    grid = itertools.product(range(-window, window + 1),
+                             repeat=monoid.ambient_rank)
+    for v in grid:
+        assert monoid.membership(v) == (v in reached), v
 
 
 def test_contains_outside_cone():
-    assert not CONE3.contains((1, -1))
-    assert not CONE3.contains((-1, 0))
+    assert not CONE3.membership((1, -1))
+    assert not CONE3.membership((-1, 0))
 
 
 def test_faces_n2():
@@ -150,9 +176,21 @@ def test_stratum_index_formula():
         assert face.stratum_index == 2 - intlinalg.rank(rows)
 
 
+def test_faces_hexagon_cone_walks_the_lattice():
+    monoid = AffineMonoid(3, HEXAGON)
+    assert len(monoid.facet_forms) == 6
+    faces = monoid.faces()
+    assert len(faces) == 14
+    assert brute_force_faces(HEXAGON) == {f.generator_indices for f in faces}
+    assert sorted(f.stratum_index for f in faces) == \
+        [0] + [1] * 6 + [2] * 6 + [3]
+    assert faces == tuple(sorted(faces, key=lambda f: (f.stratum_index,
+                                                       f.generator_indices)))
+
+
 def test_rank_too_large():
     gens = [tuple(1 if i == j else 0 for j in range(7)) for i in range(7)]
-    monoid = AffineMonoid(7, gens, verify_saturation=False)
+    monoid = AffineMonoid(7, gens)
     with pytest.raises(RankTooLargeError):
         monoid.faces()
 
@@ -174,9 +212,37 @@ def test_units_mixed_lattice():
     assert not intlinalg.lattice_contains(basis, [1, 0])
 
 
+def bench_chart_monoids():
+    for path in sorted(BENCH_CHARTS.glob("*.json")):
+        doc = json.loads(path.read_text())
+        if doc.get("monoid_generators") is not None:
+            yield doc["ambient_rank"], doc["monoid_generators"]
+
+
 def test_saturation_check_passes_desk_charts():
-    for m in (N2, CONE3, Z1):
-        assert m.saturation_note is None
+    desk = [(2, N2.generators), (2, CONE3.generators), (1, Z1.generators),
+            (1, [(2,), (-3,)]), (2, [(1, 0), (-1, 0), (0, 1)]),
+            (3, HEXAGON)]
+    bench = list(bench_chart_monoids())
+    assert bench
+    for rank, gens in desk + bench:
+        monoid = AffineMonoid(rank, gens)
+        assert monoid.generators == tuple(tuple(g) for g in gens)
+
+
+def test_saturation_descent_deeper_than_recursion_limit():
+    # the parallelepiped of (1,0), (1,1500) holds (1, 1499), whose only
+    # representation (1,0) + 1499 * (0,1) is a 1500-step descent
+    monoid = AffineMonoid(2, [(0, 1), (1, 0), (1, 1500)])
+    assert monoid.membership((1, 1499))
+
+
+def test_saturation_limit_is_checked_before_enumeration():
+    # sum of |det| over the 2-subsets: 1 + 20000 + 19999
+    with pytest.raises(ResourceLimitError) as err:
+        AffineMonoid(2, [(1, 0), (1, 1), (1, 20000)])
+    assert "40000" in str(err.value)
+    assert str(MAX_PARALLELEPIPED_POINTS) in str(err.value)
 
 
 def test_saturation_check_rejects_unsaturated():
@@ -184,13 +250,26 @@ def test_saturation_check_rejects_unsaturated():
     # points like (1,1) (fine) but (2,2) needs... use a genuinely
     # non-saturated monoid: <(2,0),(3,0),(0,1),(1,1)> misses (1,0) which
     # lies in the cone and the group span.
-    with pytest.raises(MonoidError):
+    with pytest.raises(MonoidError, match=r"\(1, 0\)"):
         AffineMonoid(2, [(2, 0), (3, 0), (0, 1), (1, 1)])
+
+
+def test_saturation_check_rejects_unsaturated_mirror_image():
+    # the mirror image of the monoid above misses (-1, 0); a box check in
+    # the nonnegative orthant never looked there
+    with pytest.raises(MonoidError, match=r"\(-1, 0\)"):
+        AffineMonoid(2, [(-2, 0), (-3, 0), (0, -1), (-1, -1)])
+
+
+def test_saturation_check_rejects_ungenerated_cone_point():
+    # spans Z^2, but (1, 2) lies in the cone and is not generated
+    with pytest.raises(MonoidError, match=r"\(1, 2\)"):
+        AffineMonoid(2, [(1, 0), (1, 1), (1, 3)])
 
 
 def test_refinement_monoid_q():
     q = AffineMonoid(2, [(1, 0), (-1, 1)])
-    assert q.contains((0, 1))   # (0,1) = (1,0) + (-1,1)
-    assert q.contains((1, 0))
-    assert not q.contains((0, -1))
+    assert q.membership((0, 1))   # (0,1) = (1,0) + (-1,1)
+    assert q.membership((1, 0))
+    assert not q.membership((0, -1))
     assert len(q.faces()) == 4
