@@ -9,8 +9,8 @@ Schema "logjet-chart/1":
       "basis": [0, 1],                          // optional generator indices
       "equations": ["x1 + x2 - 1"],
       "mode": "log",                            // optional, validated
-      "budgets": {"pairs": 50000, "degree": 40} // optional
-    }
+      "budgets": {"pairs": 50000, "degree": 40} // optional; also "variables"
+    }                                           // and "fp_nodes", all > 0
 """
 
 import json
@@ -24,11 +24,21 @@ from .monoid import AffineMonoid
 
 FORMAT = "logjet-chart/1"
 
+# chart-file budget keys and the Budgets fields they set
+_BUDGET_FIELDS = {"pairs": "max_pairs", "degree": "max_degree",
+                 "variables": "max_groebner_vars",
+                 "fp_nodes": "fp_node_budget"}
+
 
 @dataclass(frozen=True)
 class ChartFileOptions:
     budgets: object = None      # Budgets or None
     mode: str = None
+
+
+def _is_int(value):
+    """A JSON integer; booleans are ints in Python but not here."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _field(doc, name, kind, required=False, default=None):
@@ -37,7 +47,7 @@ def _field(doc, name, kind, required=False, default=None):
             raise ChartParseError(f"missing field {name!r}")
         return default
     value = doc[name]
-    if kind is int and (not isinstance(value, int) or isinstance(value, bool)):
+    if kind is int and not _is_int(value):
         raise ChartParseError(f"field {name!r} must be an integer")
     if kind is list and not isinstance(value, list):
         raise ChartParseError(f"field {name!r} must be a list")
@@ -74,9 +84,7 @@ def load_chart(path):
     basis = None
     if raw_gens is not None:
         for gi, g in enumerate(raw_gens):
-            if (not isinstance(g, list)
-                    or any(not isinstance(x, int) or isinstance(x, bool)
-                           for x in g)):
+            if not isinstance(g, list) or not all(map(_is_int, g)):
                 raise ChartParseError(
                     f"monoid_generators[{gi}] must be a list of integers")
         try:
@@ -86,8 +94,7 @@ def load_chart(path):
         basis_idx = _field(doc, "basis", list)
         if basis_idx is not None:
             for bi in basis_idx:
-                if not isinstance(bi, int) or not (
-                        0 <= bi < len(monoid.generators)):
+                if not _is_int(bi) or not 0 <= bi < len(monoid.generators):
                     raise ChartParseError(
                         f"basis index {bi!r} out of range")
             basis = tuple(monoid.generators[bi] for bi in basis_idx)
@@ -102,14 +109,16 @@ def load_chart(path):
     budgets = None
     raw_budgets = _field(doc, "budgets", dict)
     if raw_budgets is not None:
-        base = Budgets()
-        budgets = Budgets(
-            max_pairs=raw_budgets.get("pairs", base.max_pairs),
-            max_degree=raw_budgets.get("degree", base.max_degree),
-            max_groebner_vars=raw_budgets.get("variables",
-                                              base.max_groebner_vars),
-            fp_max_vars=base.fp_max_vars,
-            fp_node_budget=raw_budgets.get("fp_nodes", base.fp_node_budget))
+        fields = {}
+        for key, name in _BUDGET_FIELDS.items():
+            if key in raw_budgets:
+                value = raw_budgets[key]
+                if not _is_int(value) or value < 1:
+                    raise ChartParseError(
+                        f"{path}: budgets[{key!r}] must be a positive "
+                        f"integer, got {value!r}")
+                fields[name] = value
+        budgets = Budgets(**fields)
 
     try:
         chart = Chart.build(ambient_rank=n, equations=equations,

@@ -38,11 +38,12 @@ def test_ignored_membership_cap_field(tmp_path):
     {k: v for k, v in N2_DOC.items() if k != "ambient_rank"},
     dict(N2_DOC, monoid_generators=[[1, 0], [0, 1.5]]),
     dict(N2_DOC, basis=[0, 2]),
+    dict(N2_DOC, basis=[True, 0]),
     dict(N2_DOC, mode="ordinary"),
     dict(N2_DOC, equations=["x1 + * x2"]),
 ], ids=["invalid-json", "missing-ambient-rank", "non-integer-generator",
-        "basis-index-out-of-range", "mode-contradicts-monoid",
-        "bad-equation"])
+        "basis-index-out-of-range", "boolean-basis-index",
+        "mode-contradicts-monoid", "bad-equation"])
 def test_chart_parse_errors(tmp_path, doc):
     with pytest.raises(ChartParseError):
         load_chart(write(tmp_path, doc))
@@ -66,3 +67,19 @@ def test_budgets_block_reaches_options(tmp_path):
                                       max_groebner_vars=10,
                                       fp_max_vars=base.fp_max_vars,
                                       fp_node_budget=1000)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("pairs", "many"), ("degree", 0), ("variables", True), ("fp_nodes", -3),
+    ("pairs", 2.5), ("degree", None)])
+def test_bad_budget_is_a_parse_error_naming_the_key(tmp_path, key, value):
+    doc = dict(N2_DOC, budgets={key: value})
+    with pytest.raises(ChartParseError) as err:
+        load_chart(write(tmp_path, doc))
+    assert repr(key) in str(err.value)
+
+
+def test_partial_budgets_keep_the_defaults(tmp_path):
+    _, options = load_chart(write(tmp_path, dict(N2_DOC,
+                                                 budgets={"pairs": 8})))
+    assert options.budgets == Budgets(max_pairs=8)

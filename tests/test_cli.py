@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -61,6 +62,20 @@ def test_dim_of_one_stratum(chart_file, capsys):
     assert capsys.readouterr().out == (
         "l=1 face (0,): dim = 0 (groebner)\n"
         "l=1 face (2,): dim = EMPTY (groebner)\n")
+
+
+def test_dim_certificates_through_the_cli(capsys):
+    chart = Path(__file__).resolve().parents[1] / "bench" / "charts" / \
+        "n3_hyperplane.json"
+    assert main(["--verbose", "dim", "--stratum", "1", "--order", "3",
+                 str(chart)]) == 0
+    assert capsys.readouterr().out == (
+        "l=1 face (0, 1): dim = 4 (groebner)\n"
+        "  certificate: ('x2', 'x2(1)', 'x2(2)', 'x2(3)')\n"
+        "l=1 face (0, 2): dim = 4 (groebner)\n"
+        "  certificate: ('x3', 'x3(1)', 'x3(2)', 'x3(3)')\n"
+        "l=1 face (1, 2): dim = 4 (groebner)\n"
+        "  certificate: ('x3', 'x3(1)', 'x3(2)', 'x3(3)')\n")
 
 
 @pytest.mark.parametrize("doc, code", [(N2_HYPERPLANE, 0), (CUSP, 10)])

@@ -1,12 +1,13 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from logjet.dimension import (EMPTY, Budgets, IdealPresentation,
-                              dimension_of, fp_count_points,
-                              fp_dimension_estimate, groebner_basis,
-                              groebner_dimension, krull_dim)
+from logjet.dimension import (EMPTY, Budgets, DimResult, GroebnerResult,
+                              IdealPresentation, dimension_of,
+                              fp_count_points, fp_dimension_estimate,
+                              groebner_basis, groebner_dimension, krull_dim)
 from logjet.errors import (PrimeTooSmallError, ResourceLimitError,
                            TooManyVariablesError, UnlocalizedLaurentError)
 
@@ -156,6 +157,50 @@ def test_laurent_cleared_with_localization():
     assert p.cleared == ((0, (1, 0)),)
     # cleared generator is 1 + x; with w*x = 1 the zero set is x = -1, w = -1
     assert groebner_dimension(p).dimension == 0
+
+
+# -- the independent-set search ------------------------------------------------
+
+
+def scan_krull_dim(gb):
+    """Reference: every variable subset, largest first, in combination
+    order; the first one holding no leading support is the certificate."""
+    if gb.is_unit_ideal:
+        return DimResult(EMPTY, "groebner", certificate=())
+    lead_masks = [sum(1 << k for k, e in enumerate(lm) if e)
+                  for lm in gb.leading_monomials()]
+    nvars = len(gb.variables)
+    for size in range(nvars, -1, -1):
+        for combo in itertools.combinations(range(nvars), size):
+            mask = sum(1 << k for k in combo)
+            if all(lm & ~mask for lm in lead_masks):
+                names = tuple(gb.variables[k] for k in combo)
+                return DimResult(size, "groebner", certificate=names)
+
+
+def leads_only(variables, leading_monomials):
+    """A GroebnerResult whose elements are just the given monomials."""
+    return GroebnerResult(tuple(variables),
+                          tuple(((m, F(1)),) for m in leading_monomials), 0)
+
+
+def test_search_certificate_is_the_first_largest_set():
+    # supports {a,b}, {b,c}, {c,d}: the largest independent sets are
+    # {a,c}, {a,d} and {b,d}, and {a,c} comes first in combination order
+    gb = leads_only("abcd", [(1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1)])
+    res = krull_dim(gb)
+    assert (res.dimension, res.certificate) == (2, ("a", "c"))
+    assert res == scan_krull_dim(gb)
+
+
+def test_search_at_the_variable_cap():
+    # 18 linear leading terms: dimension 0, the old scan's worst case
+    names = [f"v{i}" for i in range(18)]
+    gens = [{tuple(int(j == i) for j in range(18)): F(1),
+             tuple([0] * 18): F(-i)} for i in range(18)]
+    gb = groebner_basis(pres(names, gens))
+    assert len(gb.basis) == 18
+    assert krull_dim(gb) == DimResult(0, "groebner", certificate=())
 
 
 # -- F_p counting -----------------------------------------------------------------
