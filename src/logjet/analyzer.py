@@ -37,17 +37,20 @@ from .strata import (base_presentation, check_assumption, jet_presentation,
 
 @dataclass(frozen=True)
 class AnalysisConfig:
+    """Settings of one analysis.
+
+    Every row comes from the exact Groebner path under budgets; F_p counts
+    (over dimension.DEFAULT_PRIMES) only recheck a REDUCIBLE witness.
+    verify_jets cross-checks the log jet generators against substitution.
+    """
+
     max_order: int = 2
-    method: str = "groebner"        # groebner | fp | both
     budgets: Budgets = field(default_factory=Budgets)
-    fp_primes: tuple = (101, 103, 107)
     verify_jets: bool = False
 
     def __post_init__(self):
         if self.max_order < 1:
             raise ValueError("max order must be at least 1")
-        if self.method not in ("groebner", "fp", "both"):
-            raise ValueError(f"unknown method {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -204,7 +207,7 @@ def _divisors_of(k):
 
 
 def _dim(pres, cfg):
-    return dimension_of(pres, cfg.method, cfg.budgets, cfg.fp_primes)
+    return dimension_of(pres, budgets=cfg.budgets)
 
 
 def irreducibility_rows(chart, m, cfg, strata=None, d=None):
@@ -270,7 +273,7 @@ def _confirm_witness(chart, row, cfg, strata):
                            if s.index == row.l and
                            f"face {s.face.generator_indices}" == row.note)
             pres = stratum_jet_presentation(stratum, row.m)
-        fp = fp_dimension_estimate(pres, cfg.fp_primes, cfg.budgets)
+        fp = fp_dimension_estimate(pres, budgets=cfg.budgets)
     except LogjetError as exc:
         return WitnessConfirmation(True, None, note=f"fp check unavailable: {exc}")
     if fp.dimension == EMPTY:
@@ -316,7 +319,7 @@ def analyze(chart, cfg=None):
         "basis": list(map(list, chart.basis)) if is_log else None,
         "equations": [f.render() for f in chart.equations],
         "max_order": cfg.max_order,
-        "method": cfg.method,
+        "method": "groebner",
     }
 
     if dim_x == EMPTY:

@@ -69,8 +69,6 @@ def _build_parser():
 
     p_an = sub.add_parser("analyze", help="full singularity analysis")
     p_an.add_argument("--max-order", type=int, default=2)
-    p_an.add_argument("--method", choices=("groebner", "fp", "both"),
-                      default="groebner")
     p_an.add_argument("file")
     return parser
 
@@ -176,8 +174,8 @@ def _cmd_check_refinement(args):
 def _cmd_analyze(args, fmt, verbose):
     chart, opts = load_chart(args.file)
     budgets = _budgets_from_env(opts.budgets) or Budgets()
-    cfg = AnalysisConfig(max_order=args.max_order, method=args.method,
-                         budgets=budgets, verify_jets=verbose)
+    cfg = AnalysisConfig(max_order=args.max_order, budgets=budgets,
+                         verify_jets=verbose)
     report = analyze(chart, cfg)
     sys.stdout.write(emit_report(report, fmt))
     return report.exit_code

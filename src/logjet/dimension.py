@@ -31,7 +31,6 @@ except ImportError:  # pragma: no cover
     _mpq = Fraction
 
 DEFAULT_PRIMES = (101, 103, 107)
-PRIME_POOL = (101, 103, 107, 109)
 
 EMPTY = "EMPTY"
 
@@ -63,49 +62,44 @@ class Budgets:
 class IdealPresentation:
     """Variables plus generating polynomials with nonnegative exponents.
 
-    generators: tuple of term tuples ((exponents, Fraction), ...).
-    Laurent input must be cleared before construction; see from_terms.
+    generators: tuple of primitive integer polynomials, each a sorted tuple
+    ((exponents, int), ...) with content 1 and a positive degrevlex leading
+    coefficient.  This is the form the Groebner engine and the F_p counter
+    consume; build it with from_terms.
     """
 
     variables: tuple
     generators: tuple
     provenance: str = ""
-    localized: bool = False
     jet_order: int = 0
-    cleared: tuple = ()
 
     @classmethod
     def from_terms(cls, variables, raw_generators, provenance="",
-                   localized=False, jet_order=0):
-        """Build a presentation, clearing Laurent exponents if allowed.
+                   jet_order=0):
+        """Build a presentation from raw generators.
 
-        Each raw generator is a mapping exponent-tuple -> coefficient.
-        Negative exponents are cleared by the minimal monomial, but only on
-        localized presentations (a Rabinowitsch variable is present);
-        otherwise UnlocalizedLaurentError is raised.
+        Each raw generator is a mapping exponent-tuple -> coefficient (an
+        int or a Fraction).  It is stored in its primitive integer form (no
+        denominators, content 1, positive leading coefficient); zero
+        generators are dropped.  Laurent input must be cleared by the
+        caller (strata.jet_presentation does it against the inverted
+        locus): a negative exponent raises UnlocalizedLaurentError.
         """
         variables = tuple(variables)
-        nvars = len(variables)
         gens = []
-        cleared = []
         for gi, raw in enumerate(raw_generators):
-            items = list(raw.items() if isinstance(raw, dict) else raw)
-            items = [(tuple(e), Fraction(c)) for e, c in items if c != 0]
-            if not items:
+            terms = {e: c for e, c in raw.items() if c != 0}
+            if not terms:
                 continue
-            mins = [min(e[k] for e, _c in items) for k in range(nvars)]
-            shift = tuple(-m if m < 0 else 0 for m in mins)
-            if any(shift):
-                if not localized:
-                    raise UnlocalizedLaurentError(
-                        f"generator {gi} of {provenance or 'presentation'} "
-                        "has negative exponents and no inversion is present")
-                cleared.append((gi, shift))
-                items = [(tuple(a + s for a, s in zip(e, shift)), c)
-                         for e, c in items]
-            gens.append(tuple(sorted(items)))
-        return cls(variables, tuple(gens), provenance, localized, jet_order,
-                   tuple(cleared))
+            if any(min(e, default=0) < 0 for e in terms):
+                raise UnlocalizedLaurentError(
+                    f"generator {gi} of {provenance or 'presentation'} "
+                    "has negative exponents and no inversion is present")
+            denom = math.lcm(*(c.denominator for c in terms.values()))
+            terms = _normalize({e: c.numerator * (denom // c.denominator)
+                                for e, c in terms.items()})
+            gens.append(tuple(sorted(terms.items())))
+        return cls(variables, tuple(gens), provenance, jet_order)
 
 
 # -- internal integer polynomials --------------------------------------------
@@ -295,20 +289,6 @@ class GroebnerResult:
         return any(len(g) == 1 and sum(g[0][0]) == 0 for g in self.basis)
 
 
-def _ingest(pres):
-    """Fraction generators -> primitive integer polynomials."""
-    polys = []
-    for gen in pres.generators:
-        denom = 1
-        for _m, c in gen:
-            denom = denom * c.denominator // gcd(denom, c.denominator)
-        terms = {tuple(m): int(c * denom) for m, c in gen}
-        terms = _normalize({m: c for m, c in terms.items() if c != 0})
-        if terms:
-            polys.append(terms)
-    return polys
-
-
 def groebner_basis(pres, budgets=None):
     """Reduced degrevlex Groebner basis of the presentation's ideal.
 
@@ -363,8 +343,8 @@ def groebner_basis(pres, budgets=None):
             pairs[(g, t)] = lcm_g
             heapq.heappush(heap, (_key(lcm_g), g, t))
 
-    for p in _ingest(pres):
-        add_element(p)
+    for gen in pres.generators:
+        add_element(dict(gen))
 
     shift_cache = {}
     pairs_processed = 0
@@ -499,30 +479,21 @@ def groebner_dimension(pres, budgets=None):
 
 
 def _fp_reduce(pres, p):
-    """Generators modulo p; PrimeTooSmall when p meets a cleared coefficient."""
+    """Generators modulo p.
+
+    PrimeTooSmall when p does not exceed the jet order (the derivation's
+    factorials) or divides a coefficient of a primitive generator: such a
+    prime can change the variety (101*x + y at p = 101), so it is refused.
+    """
+    if p <= pres.jet_order:
+        raise PrimeTooSmallError(
+            f"prime {p} does not exceed the jet order {pres.jet_order}")
     polys = []
     for gi, gen in enumerate(pres.generators):
-        denom = 1
-        for _m, c in gen:
-            denom = denom * c.denominator // gcd(denom, c.denominator)
-        if denom % p == 0:
+        if any(c % p == 0 for _m, c in gen):
             raise PrimeTooSmallError(
-                f"prime {p} divides the cleared denominator of generator {gi}")
-        ints = {m: int(c * denom) for m, c in gen}
-        content = 0
-        for c in ints.values():
-            content = gcd(content, abs(c))
-        if content % p == 0:
-            raise PrimeTooSmallError(
-                f"prime {p} divides the content of generator {gi}")
-        terms = {m: c % p for m, c in ints.items() if c % p != 0}
-        if terms:
-            polys.append(terms)
-        else:
-            # all terms vanished mod p individually: cannot happen since
-            # content is nonzero mod p, but keep the guard honest
-            raise PrimeTooSmallError(
-                f"prime {p} annihilates generator {gi}")
+                f"prime {p} divides a coefficient of generator {gi}")
+        polys.append({m: c % p for m, c in gen})
     return polys
 
 
@@ -670,7 +641,8 @@ def fp_dimension_estimate(pres, primes=None, budgets=None):
     """Majority-of-primes dimension estimate from exact point counts.
 
     Each prime must exceed the presentation's jet order (factorials in
-    characteristic zero) and must not divide any cleared coefficient.
+    characteristic zero) and must not divide any coefficient of a
+    generator; see _fp_reduce.
     """
     budgets = budgets or Budgets()
     primes = tuple(primes or DEFAULT_PRIMES)
@@ -682,9 +654,6 @@ def fp_dimension_estimate(pres, primes=None, budgets=None):
     estimates = {}
     table = {}
     for p in primes:
-        if p <= pres.jet_order:
-            raise PrimeTooSmallError(
-                f"prime {p} does not exceed the jet order {pres.jet_order}")
         count = fp_count_points(pres, p, budgets)
         table[p] = count
         est = EMPTY if count == 0 else round(math.log(count, p))
@@ -697,15 +666,19 @@ def fp_dimension_estimate(pres, primes=None, budgets=None):
                      unreliable=unreliable)
 
 
-def dimension_of(pres, method="groebner", budgets=None, primes=None):
-    """Dimension by the requested method; 'both' cross-checks fp vs exact."""
+def dimension_of(pres, method="groebner", budgets=None):
+    """Dimension by the requested method; 'both' cross-checks fp vs exact.
+
+    Only 'groebner' is exact.  'fp' and 'both' count points over
+    DEFAULT_PRIMES; they serve `logjet dim --method`, never the analyzer.
+    """
     if method == "groebner":
         return groebner_dimension(pres, budgets)
     if method == "fp":
-        return fp_dimension_estimate(pres, primes, budgets)
+        return fp_dimension_estimate(pres, budgets=budgets)
     if method == "both":
         exact = groebner_dimension(pres, budgets)
-        check = fp_dimension_estimate(pres, primes, budgets)
+        check = fp_dimension_estimate(pres, budgets=budgets)
         agreement = (exact.dimension == check.dimension
                      and not check.unreliable)
         return DimResult(exact.dimension, "groebner",

@@ -54,7 +54,7 @@ class ResourceLimitError(LogjetError):
 
 
 class PrimeTooSmallError(LogjetError):
-    """Prime does not exceed the jet order or divides a cleared coefficient."""
+    """Prime does not exceed the jet order or divides a generator coefficient."""
 
 
 class TooManyVariablesError(LogjetError):

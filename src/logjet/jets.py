@@ -150,9 +150,6 @@ class _Series:
         return _Series(self.ring,
                        [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
-    def scaled(self, c):
-        return _Series(self.ring, [x * c for x in self.coeffs])
-
     def inverse(self):
         """Invert when the t^0 coefficient is a single Laurent term."""
         lead = self.coeffs[0]
@@ -244,9 +241,6 @@ class JetIdeal:
 
     def flat(self):
         return [g for row in self.rows for g in row]
-
-    def generator(self, i, j):
-        return self.rows[i][j]
 
 
 def jet_ideal(chart, m, mode, verify=False):

@@ -98,12 +98,14 @@ def open_stratum(chart):
 
 
 def _cleared(f, ring):
-    """f times the smallest monomial that makes its base exponents
-    nonnegative, in ring."""
+    """f, lifted to ring like lift_base_vars, times the smallest monomial
+    that makes its base exponents nonnegative."""
     terms = f.term_map()
     low = [min(0, *column) for column in zip(*[mono.base for mono in terms])]
-    return JetPoly(ring, {JetMonomial([a - b for a, b in zip(mono.base, low)]):
-                          c for mono, c in terms.items()})
+    pad = [0] * (ring.n - f.ring.n)
+    return JetPoly(ring, {JetMonomial([a - b for a, b in zip(mono.base, low)]
+                                      + pad, mono.jets): c
+                          for mono, c in terms.items()})
 
 
 def _jet_names(base_names, ring):
@@ -120,22 +122,23 @@ def jet_presentation(variables, system, m, provenance, localized=False,
     jetted with the ordinary derivation up to order m; every polynomial of
     constraints, in the same or a leading subset of them, is added as it
     is.  The presentation's variables are the base variables followed by
-    their jets.  A localized system may be Laurent: clearing does not
-    commute with the derivation, so each polynomial is cleared before it is
-    jetted.  At m = 0 from_terms clears it instead, and records the shift
-    in the presentation.
+    their jets.  A localized system may be Laurent: every system polynomial
+    (at every m, m = 0 included) and every constraint is cleared here, once,
+    by the smallest monomial that makes its exponents nonnegative; clearing
+    does not commute with the derivation, so it happens before jetting.
+    This is the only place where Laurent polynomials are cleared.
     """
     ring = RingDescriptor(len(variables), m, ORDINARY)
+    lift = _cleared if localized else lift_base_vars
     polys = []
     for f in system:
-        f = _cleared(f, ring) if localized and m else f.with_ring(ring)
-        polys.extend(derivative_chain(f))
-    polys.extend(lift_base_vars(g, ring) for g in constraints)
+        polys.extend(derivative_chain(lift(f, ring)))
+    polys.extend(lift(g, ring) for g in constraints)
     terms = [{mono.exponent_vector(ring): c
               for mono, c in g.term_map().items()} for g in polys]
     return IdealPresentation.from_terms(
         _jet_names(variables, ring), terms, provenance=provenance,
-        localized=localized, jet_order=m)
+        jet_order=m)
 
 
 def base_presentation(stratum, provenance=None):

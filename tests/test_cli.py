@@ -88,3 +88,45 @@ def test_analyze_exit_codes(chart_file, capsys, doc, code):
 def test_analyze_missing_file(tmp_path, capsys):
     assert main(["analyze", str(tmp_path / "absent.json")]) == 1
     assert "logjet: error: cannot read" in capsys.readouterr().err
+
+
+BENCH_CHARTS = Path(__file__).resolve().parents[1] / "bench" / "charts"
+
+
+def test_budget_override_from_the_environment(chart_file, capsys,
+                                              monkeypatch):
+    """LOGJET_BUDGET=8,40 on the N^2 hyperplane gives the report of the
+    chart file that sets {"pairs": 8} itself."""
+    monkeypatch.delenv("LOGJET_BUDGET", raising=False)
+    pairs8 = str(BENCH_CHARTS / "n2_hyperplane_pairs8.json")
+    assert main(["analyze", "--max-order", "3", pairs8]) == 30
+    expected = capsys.readouterr().out
+    assert "INCONCLUSIVE" in expected
+    monkeypatch.setenv("LOGJET_BUDGET", "8,40")
+    assert main(["analyze", "--max-order", "3",
+                 chart_file(N2_HYPERPLANE)]) == 30
+    assert capsys.readouterr().out == expected
+
+
+def test_malformed_budget_override(chart_file, capsys, monkeypatch):
+    monkeypatch.setenv("LOGJET_BUDGET", "8")
+    assert main(["analyze", "--max-order", "1",
+                 chart_file(N2_HYPERPLANE)]) == 1
+    assert "budget override must be 'pairs,degree'" in capsys.readouterr().err
+
+
+def test_analyze_has_no_method_option(chart_file, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["analyze", "--method", "fp", chart_file(CUSP)])
+    assert exit_info.value.code == 1
+    assert "unrecognized arguments: --method" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method, line", [
+    ("fp", "X: dim = 2 (fp_count)"),
+    ("both", "X: dim = 2 (groebner)"),
+])
+def test_dim_methods(chart_file, capsys, method, line):
+    assert main(["dim", "--order", "1", "--method", method,
+                 chart_file(CUSP)]) == 0
+    assert capsys.readouterr().out == line + "\n"

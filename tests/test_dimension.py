@@ -10,6 +10,8 @@ from logjet.dimension import (EMPTY, Budgets, DimResult, GroebnerResult,
                               groebner_basis, groebner_dimension, krull_dim)
 from logjet.errors import (PrimeTooSmallError, ResourceLimitError,
                            TooManyVariablesError, UnlocalizedLaurentError)
+from logjet.poly import JetPoly, RingDescriptor
+from logjet.strata import jet_presentation
 
 
 def pres(variables, gens, **kw):
@@ -151,12 +153,22 @@ def test_laurent_refused_without_localization():
 
 
 def test_laurent_cleared_with_localization():
-    p = pres(["x", "w"], [{(-1, 0): F(1), (0, 0): F(1)},
-                          {(1, 1): F(1), (0, 0): F(-1)}],
-             localized=True)
-    assert p.cleared == ((0, (1, 0)),)
+    ring = RingDescriptor(2)
+    system = [JetPoly.monomial(ring, (-1, 0)) + 1,
+              JetPoly.monomial(ring, (1, 1)) - 1]
+    p = jet_presentation(("x", "w"), system, 0, "x^-1 + 1 with w*x = 1",
+                         localized=True)
     # cleared generator is 1 + x; with w*x = 1 the zero set is x = -1, w = -1
+    assert dict(p.generators[0]) == {(0, 0): 1, (1, 0): 1}
     assert groebner_dimension(p).dimension == 0
+
+
+def test_generators_stored_primitive():
+    # -3/2 x + 3 y  ->  x - 2 y: no denominators, content 1, positive lead
+    p = pres(["x", "y"], [{(1, 0): Fraction(-3, 2), (0, 1): F(3)},
+                          {(0, 0): F(0)}])
+    assert p.generators == ((((0, 1), -2), ((1, 0), 1)),)
+    assert all(type(c) is int for g in p.generators for _m, c in g)
 
 
 # -- the independent-set search ------------------------------------------------
@@ -240,9 +252,25 @@ def test_fp_prime_too_small():
     p = pres(["x"], [{(1,): F(1)}], jet_order=5)
     with pytest.raises(PrimeTooSmallError):
         fp_dimension_estimate(p, primes=(5,))
-    half = pres(["x"], [{(1,): Fraction(1, 101)}])
+
+
+def test_fp_bad_reduction_refused():
+    # (101x + y, y) = (x, y) is a point, but mod 101 it reduces to (y), a line
+    p = pres(["x", "y"], [{(1, 0): F(101), (0, 1): F(1)}, {(0, 1): F(1)}])
+    assert groebner_dimension(p).dimension == 0
+    with pytest.raises(PrimeTooSmallError, match="generator 0"):
+        fp_count_points(p, 101)
     with pytest.raises(PrimeTooSmallError):
-        fp_dimension_estimate(half, primes=(101,))
+        fp_dimension_estimate(p, primes=(101,))
+    assert fp_dimension_estimate(p, primes=(103,)).dimension == 0
+
+
+@pytest.mark.parametrize("coeff", [Fraction(1, 101), F(101)])
+def test_fp_prime_judged_on_the_primitive_generator(coeff):
+    # x/101 and 101x both generate (x): the prime 101 is as good as any
+    p = pres(["x"], [{(1,): coeff}])
+    res = fp_dimension_estimate(p, primes=(101,))
+    assert res == DimResult(0, "fp_count", certificate={101: 1})
 
 
 def test_fp_too_many_variables():

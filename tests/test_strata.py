@@ -30,7 +30,6 @@ def test_laurent_monomial_cleared_and_recorded(cone):
     # chi^(1,2) = x1^-1 x2^2 in basis coordinates
     assert s.equations[2].render(s.variables) == "x1^-1*x2^2"
     pres = base_presentation(s)
-    assert pres.cleared == ((2, (1, 0, 0)),)
     assert dict(pres.generators[2]) == {(0, 2, 0): 1}
 
 
@@ -59,11 +58,26 @@ def test_stratum_jet_presentation_pinned(cone):
         {(0, 1, 0, 0, 0, 0): 1},                              # x2
         {(0, 0, 0, 0, 1, 0): 1},
         {(0, 2, 0, 0, 0, 0): 1},                              # x2^2, cleared
-        {(0, 1, 0, 0, 1, 0): 2},
+        {(0, 1, 0, 0, 1, 0): 1},                              # 2 x2 x2(1)
         {(0, 0, 0, 0, 0, 0): -1, (1, 0, 1, 0, 0, 0): 1},      # x1 w - 1
         {(0, 0, 1, 1, 0, 0): 1, (1, 0, 0, 0, 0, 1): 1},
     ]
-    assert pres.localized and pres.jet_order == 1 and pres.cleared == ()
+    assert pres.jet_order == 1
+
+
+def test_laurent_constraints_cleared():
+    """The Jacobian minors of x1^-1*x2^2 - x2 - 1 are Laurent:
+    -x1^-2*x2^2 and 2*x1^-1*x2 - 1.  The open row clears them to x2^2
+    and x1 - 2*x2 at every order."""
+    chart = Chart.build(monoid=AffineMonoid(2, [(1, 0), (1, 1), (1, 2)]),
+                        equations=["x1^-1*x2^2 - x2 - 1"])
+    for m in (0, 1):
+        pres = open_part_jet_presentation(chart, m)
+        pad = (0,) * (3 * m + 1)            # w and the jets stay out
+        assert [dict(g) for g in pres.generators[-2:]] == [
+            {(0, 2) + pad: 1},
+            {(0, 1) + pad: -2, (1, 0) + pad: 1},
+        ]
 
 
 def test_check_assumption_fail():
