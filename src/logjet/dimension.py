@@ -1,7 +1,8 @@
 """Exact Krull dimension of polynomial ideals, plus an F_p counting check.
 
 The main path is Buchberger's algorithm (degrevlex, product and chain
-criteria, normal selection) over exact rationals, followed by the standard
+criteria, normal selection) on primitive integer polynomials, reducing by
+integer pseudo-division (no rational arithmetic), followed by the standard
 combinatorial dimension count: dim V(I) is the number of variables minus a
 minimum hitting set of the minimal leading-term supports.  A pruned
 depth-first search over the variables finds it (at most 2^(nvars+1) nodes,
@@ -22,13 +23,8 @@ from fractions import Fraction
 from math import gcd
 from operator import add as _add, le as _le, sub as _sub
 
-from .errors import (PrimeTooSmallError, ResourceLimitError,
+from .errors import (LogjetError, PrimeTooSmallError, ResourceLimitError,
                      TooManyVariablesError, UnlocalizedLaurentError)
-
-try:  # fast exact rationals for the reduction inner loop
-    from gmpy2 import mpq as _mpq
-except ImportError:  # pragma: no cover
-    _mpq = Fraction
 
 DEFAULT_PRIMES = (101, 103, 107)
 
@@ -174,34 +170,19 @@ def _mono_lcm(a, b):
     return tuple(map(max, a, b))
 
 
-def _sub_scaled(target, cf, mono, source, cg):
-    """target := cg*target - cf*(mono * source), in place on a fresh dict."""
-    out = {}
-    for m, c in target.items():
-        out[m] = c * cg
-    for m, c in source.items():
-        mm = _mono_mul(m, mono)
-        s = out.get(mm, 0) - cf * c
-        if s == 0:
-            out.pop(mm, None)
-        else:
-            out[mm] = s
-    return out
-
-
 class _Reductor:
-    """Monic reduction data for one basis element."""
+    """Integer reduction data for one basis element: its leading monomial,
+    leading coefficient lc and the other terms, all with int coefficients."""
 
-    __slots__ = ("lead", "degree", "mask", "tail", "alive")
+    __slots__ = ("lead", "lc", "degree", "mask", "tail", "alive")
 
     def __init__(self, terms):
         lead = _lead(terms)
-        lc = _mpq(terms[lead])
         self.lead = lead
+        self.lc = terms[lead]
         self.degree = sum(lead)
         self.mask = _support_mask(lead)
-        self.tail = [(m, _mpq(c) / lc) for m, c in terms.items()
-                     if m != lead]
+        self.tail = [(m, c) for m, c in terms.items() if m != lead]
         self.alive = True
 
 
@@ -210,26 +191,26 @@ def _heap_key(mono):
     return (-sum(mono), tuple(reversed(mono)))
 
 
-def _normal_form(p, reductors, shift_cache=None):
-    """Full normal form of p modulo the reductor list.
+def _normal_form(p, reductors):
+    """Full normal form of the integer polynomial p modulo the reductors.
 
-    Works over exact rationals against monic reductors (no global
-    rescaling).  The current polynomial is a coefficient dict plus a lazy
-    max-heap of its monomials, so each step costs O(tail * log) rather
-    than O(size).  Shifted reductor tails are memoized across calls via
-    shift_cache.  The result is converted back to a primitive integer
-    polynomial.
+    Integer pseudo-reduction: to cancel a term c*lm against a reductor with
+    leading coefficient L, g = gcd(c, L), the pending terms and the terms
+    already moved to the result are multiplied by L/g, and (c/g) times the
+    shifted reductor tail is subtracted.  That is the rational normal form
+    times a nonzero integer, so the primitive result with positive leading
+    coefficient equals the primitive form of the rational normal form.  The
+    pending polynomial is a coefficient dict plus a lazy max-heap of its
+    monomials.
     """
-    if shift_cache is None:
-        shift_cache = {}
-    val = {m: _mpq(c) for m, c in p.items()}
+    val = dict(p)
     heap = [(_heap_key(m), m) for m in val]
     heapq.heapify(heap)
     result = {}
     while heap:
         _hk, lm = heapq.heappop(heap)
         cf = val.pop(lm, None)
-        if cf is None or cf == 0:
+        if cf is None:
             continue  # stale entry
         deg = sum(lm)
         mask = _support_mask(lm)
@@ -244,15 +225,16 @@ def _normal_form(p, reductors, shift_cache=None):
         if hit is None:
             result[lm] = cf
             continue
-        ck = (id(hit), lm)
-        shifted = shift_cache.get(ck)
-        if shifted is None:
-            shift = _mono_div(lm, hit.lead)
-            shifted = [(_mono_mul(bm, shift), bc) for bm, bc in hit.tail]
-            if len(shift_cache) < 300_000:
-                shift_cache[ck] = shifted
+        g = gcd(cf, hit.lc)
+        scale = hit.lc // g
+        if scale != 1:
+            val = {m: c * scale for m, c in val.items()}
+            result = {m: c * scale for m, c in result.items()}
+        cf //= g
+        shift = _mono_div(lm, hit.lead)
         # tail monomials are strictly below lm, hence never already final
-        for mm, bc in shifted:
+        for bm, bc in hit.tail:
+            mm = _mono_mul(bm, shift)
             old = val.get(mm)
             if old is None:
                 val[mm] = -cf * bc
@@ -263,13 +245,7 @@ def _normal_form(p, reductors, shift_cache=None):
                     del val[mm]
                 else:
                     val[mm] = s
-    if not result:
-        return {}
-    denom = 1
-    for c in result.values():
-        d = int(c.denominator)
-        denom = denom * d // gcd(denom, d)
-    return _normalize({m: int(c * denom) for m, c in result.items()})
+    return _normalize(result)
 
 
 @dataclass
@@ -346,7 +322,6 @@ def groebner_basis(pres, budgets=None):
     for gen in pres.generators:
         add_element(dict(gen))
 
-    shift_cache = {}
     pairs_processed = 0
     while pairs:
         key, i, j = heapq.heappop(heap)
@@ -361,16 +336,22 @@ def groebner_basis(pres, budgets=None):
         lmi, fi = basis[i]
         lmj, fj = basis[j]
         lcm = _mono_lcm(lmi, lmj)
+        # S-polynomial ai*(lcm/lmi)*fi - aj*(lcm/lmj)*fj, d = gcd(ci, cj)
         ci, cj = fi[lmi], fj[lmj]
         d = gcd(ci, cj)
-        spoly = _sub_scaled(
-            {_mono_mul(m, _mono_div(lcm, lmi)): c * (cj // d)
-             for m, c in fi.items()},
-            ci // d, _mono_div(lcm, lmj), fj, 1)
-        spoly = _normalize({m: c for m, c in spoly.items() if c != 0})
+        ai, aj = cj // d, ci // d
+        si, sj = _mono_div(lcm, lmi), _mono_div(lcm, lmj)
+        spoly = {_mono_mul(m, si): c * ai for m, c in fi.items()}
+        for m, c in fj.items():
+            mm = _mono_mul(m, sj)
+            s = spoly.get(mm, 0) - c * aj
+            if s == 0:
+                spoly.pop(mm, None)
+            else:
+                spoly[mm] = s
         if not spoly:
             continue
-        reduced = _normal_form(spoly, reductors, shift_cache)
+        reduced = _normal_form(_normalize(spoly), reductors)
         if not reduced:
             continue
         lm = _lead(reduced)
@@ -671,6 +652,8 @@ def dimension_of(pres, method="groebner", budgets=None):
 
     Only 'groebner' is exact.  'fp' and 'both' count points over
     DEFAULT_PRIMES; they serve `logjet dim --method`, never the analyzer.
+    When the F_p count cannot run, 'both' still returns the exact answer,
+    with fp_counts and fp_agrees None and the reason in fp_note.
     """
     if method == "groebner":
         return groebner_dimension(pres, budgets)
@@ -678,12 +661,15 @@ def dimension_of(pres, method="groebner", budgets=None):
         return fp_dimension_estimate(pres, budgets=budgets)
     if method == "both":
         exact = groebner_dimension(pres, budgets)
-        check = fp_dimension_estimate(pres, budgets=budgets)
-        agreement = (exact.dimension == check.dimension
-                     and not check.unreliable)
-        return DimResult(exact.dimension, "groebner",
-                         certificate={"independent_set": exact.certificate,
-                                      "fp_counts": check.certificate,
-                                      "fp_agrees": agreement},
-                         unreliable=False)
+        certificate = {"independent_set": exact.certificate}
+        try:
+            check = fp_dimension_estimate(pres, budgets=budgets)
+        except LogjetError as exc:
+            certificate.update(fp_counts=None, fp_agrees=None,
+                               fp_note=f"fp check unavailable: {exc}")
+        else:
+            agrees = (exact.dimension == check.dimension
+                      and not check.unreliable)
+            certificate.update(fp_counts=check.certificate, fp_agrees=agrees)
+        return DimResult(exact.dimension, "groebner", certificate=certificate)
     raise ValueError(f"unknown method {method!r}")

@@ -130,3 +130,18 @@ def test_dim_methods(chart_file, capsys, method, line):
     assert main(["dim", "--order", "1", "--method", method,
                  chart_file(CUSP)]) == 0
     assert capsys.readouterr().out == line + "\n"
+
+
+def test_dim_both_keeps_the_exact_answer_when_fp_cannot_run(capsys):
+    """J_2 of A1 has 9 variables, over the F_p bound 8: the exact dimension
+    is still printed, and --verbose says why F_p did not run."""
+    a1 = str(BENCH_CHARTS / "a1.json")
+    assert main(["dim", "--order", "2", "--method", "both", a1]) == 0
+    assert capsys.readouterr().out == "X: dim = 6 (groebner)\n"
+    assert main(["--verbose", "dim", "--order", "2", "--method", "both",
+                 a1]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("X: dim = 6 (groebner)\n  certificate: ")
+    assert "'fp_agrees': None" in out
+    assert ("'fp_note': 'fp check unavailable: 9 variables exceeds the F_p "
+            "brute-force bound 8'") in out

@@ -1,17 +1,28 @@
+import hashlib
+import heapq
 import itertools
+import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from logjet.analyzer import ordinary_jet_presentation
+from logjet.chartfile import load_chart
 from logjet.dimension import (EMPTY, Budgets, DimResult, GroebnerResult,
-                              IdealPresentation, dimension_of,
-                              fp_count_points, fp_dimension_estimate,
-                              groebner_basis, groebner_dimension, krull_dim)
+                              IdealPresentation, _heap_key, _lead,
+                              _mono_div, _mono_divides, _mono_mul,
+                              _normal_form, _normalize, _Reductor,
+                              dimension_of, fp_count_points,
+                              fp_dimension_estimate, groebner_basis,
+                              groebner_dimension, krull_dim)
 from logjet.errors import (PrimeTooSmallError, ResourceLimitError,
                            TooManyVariablesError, UnlocalizedLaurentError)
 from logjet.poly import JetPoly, RingDescriptor
 from logjet.strata import jet_presentation
+
+BENCH_CHARTS = Path(__file__).resolve().parents[1] / "bench" / "charts"
 
 
 def pres(variables, gens, **kw):
@@ -171,6 +182,90 @@ def test_generators_stored_primitive():
     assert all(type(c) is int for g in p.generators for _m, c in g)
 
 
+# -- integer pseudo-reduction -------------------------------------------------
+
+
+def fraction_normal_form(p, reductors):
+    """Reference: the reduction over Fraction against monic reductors that
+    the engine used before integer pseudo-reduction.
+
+    p and each reductor are integer term dicts; the first reductor whose
+    leading monomial divides the current leading term reduces it, as in
+    _normal_form.  Returns the primitive integer form of the remainder.
+    """
+    monic = []
+    for terms in reductors:
+        lead = _lead(terms)
+        lc = Fraction(terms[lead])
+        monic.append((lead, [(m, Fraction(c) / lc)
+                             for m, c in terms.items() if m != lead]))
+    val = {m: Fraction(c) for m, c in p.items()}
+    heap = [(_heap_key(m), m) for m in val]
+    heapq.heapify(heap)
+    result = {}
+    while heap:
+        _hk, lm = heapq.heappop(heap)
+        cf = val.pop(lm, None)
+        if cf is None or cf == 0:
+            continue  # stale entry or cancelled term
+        hit = next(((lead, tail) for lead, tail in monic
+                    if _mono_divides(lead, lm)), None)
+        if hit is None:
+            result[lm] = cf
+            continue
+        shift = _mono_div(lm, hit[0])
+        for bm, bc in hit[1]:
+            mm = _mono_mul(bm, shift)
+            if mm not in val:
+                heapq.heappush(heap, (_heap_key(mm), mm))
+            val[mm] = val.get(mm, 0) - cf * bc
+    denom = math.lcm(*(c.denominator for c in result.values()))
+    return _normalize({m: int(c * denom) for m, c in result.items()})
+
+
+def integer_normal_form(p, reductors):
+    return _normal_form(p, [_Reductor(terms) for terms in reductors])
+
+
+def test_pseudo_reduction_scales_the_result_too():
+    # x + y mod 2y - 1 is x + 1/2, primitive 2x + 1; leaving the term x
+    # already in the result unscaled would give x + 1
+    p = {(1, 0): 1, (0, 1): 1}
+    red = {(0, 1): 2, (0, 0): -1}
+    assert integer_normal_form(p, [red]) == {(1, 0): 2, (0, 0): 1}
+    assert fraction_normal_form(p, [red]) == {(1, 0): 2, (0, 0): 1}
+
+
+def test_pseudo_reduction_cancels_by_the_gcd():
+    # 6x^2 mod 4x - 2: 6x^2 -> 3x -> 3/2, primitive 1
+    assert integer_normal_form({(2,): 6}, [{(1,): 4, (0,): -2}]) == \
+        {(0,): 1}
+    # a negative leading coefficient: x*y + 1 mod -3x + y
+    p, red = {(1, 1): 1, (0, 0): 1}, {(1, 0): -3, (0, 1): 1}
+    assert integer_normal_form(p, [red]) == fraction_normal_form(p, [red])
+    assert integer_normal_form(p, [red]) == {(0, 2): 1, (0, 0): 3}
+
+
+def test_normal_form_of_zero_and_of_a_multiple():
+    red = {(1, 1): 3, (0, 0): 5}
+    assert integer_normal_form({}, [red]) == {}
+    assert integer_normal_form({(1, 1): 6, (0, 0): 10}, [red]) == {}
+
+
+def test_cusp_third_jets_large_coefficients():
+    """Regression pin: the reduced basis of J_3 of x1^2 - x2^3, whose
+    monic coefficients reach 2032 and 1/20655."""
+    chart, _opts = load_chart(BENCH_CHARTS / "cusp.json")
+    gb = groebner_basis(ordinary_jet_presentation(chart, 3))
+    coeffs = [c for g in gb.basis for _m, c in g]
+    assert (gb.pairs_processed, len(gb.basis)) == (176, 45)
+    assert max(abs(c.numerator) for c in coeffs) == 2032
+    assert max(c.denominator for c in coeffs) == 20655
+    assert hashlib.sha256(repr(gb.basis).encode()).hexdigest() == (
+        "7406100b90960e743cc77f1fffacd877006d1dfd43259c20591cfa05580e5009")
+    assert krull_dim(gb).dimension == 4
+
+
 # -- the independent-set search ------------------------------------------------
 
 
@@ -295,3 +390,17 @@ def test_dimension_of_both_records_agreement():
     res = dimension_of(p, method="both")
     assert res.dimension == 1
     assert res.certificate["fp_agrees"] is True
+    assert "fp_note" not in res.certificate
+
+
+def test_dimension_of_both_keeps_the_exact_answer_without_fp():
+    names = [f"v{i}" for i in range(9)]
+    p = pres(names, [{tuple([1] + [0] * 8): F(1)}])
+    res = dimension_of(p, method="both")
+    assert (res.dimension, res.method, res.unreliable) == (8, "groebner",
+                                                           False)
+    assert res.certificate["fp_counts"] is None
+    assert res.certificate["fp_agrees"] is None
+    assert res.certificate["fp_note"] == (
+        "fp check unavailable: 9 variables exceeds the F_p brute-force "
+        "bound 8")

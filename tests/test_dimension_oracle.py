@@ -1,5 +1,6 @@
 """Random inputs for the dimension engine against independent oracles: the
-2^n subset scan for krull_dim, and sympy for groebner_basis."""
+2^n subset scan for krull_dim, reduction over Fraction for _normal_form,
+and sympy for groebner_basis."""
 
 from fractions import Fraction
 
@@ -11,7 +12,8 @@ st = hypothesis.strategies
 from logjet.dimension import (IdealPresentation, groebner_basis,  # noqa: E402
                               krull_dim)
 
-from test_dimension import leads_only, scan_krull_dim  # noqa: E402
+from test_dimension import (fraction_normal_form,  # noqa: E402
+                            integer_normal_form, leads_only, scan_krull_dim)
 
 
 @st.composite
@@ -34,21 +36,47 @@ def test_search_matches_the_subset_scan(hypergraph):
                                                 ref.certificate)
 
 
+def polynomials(nvars, max_degree, bound, max_terms):
+    """Integer term dicts: exponents of total degree <= max_degree,
+    nonzero coefficients in [-bound, bound]."""
+    exponent = st.lists(st.integers(0, max_degree), min_size=nvars,
+                        max_size=nvars).map(tuple).filter(
+                            lambda e: sum(e) <= max_degree)
+    coeff = st.integers(-bound, bound).filter(bool)
+    return st.dictionaries(exponent, coeff, min_size=1, max_size=max_terms)
+
+
+@st.composite
+def reductions(draw):
+    """A polynomial and up to 3 reductors whose coefficients, leading
+    ones included, range over [-7, 7]."""
+    nvars = draw(st.integers(1, 3))
+    p = draw(polynomials(nvars, 4, 7, 6))
+    reductors = draw(st.lists(polynomials(nvars, 2, 7, 3), min_size=1,
+                              max_size=3))
+    return p, reductors
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(reductions())
+def test_pseudo_reduction_matches_fraction_reduction(reduction):
+    p, reductors = reduction
+    assert integer_normal_form(p, reductors) == \
+        fraction_normal_form(p, reductors)
+
+
 @pytest.fixture(scope="module")
 def sympy():
     return pytest.importorskip("sympy")
 
 
 @st.composite
-def small_ideals(draw):
-    """Up to 3 generators in up to 3 variables, degree <= 3, |coeff| <= 3."""
-    nvars = draw(st.integers(1, 3))
-    exponent = st.lists(st.integers(0, 3), min_size=nvars,
-                        max_size=nvars).filter(lambda e: sum(e) <= 3)
-    term = st.tuples(exponent.map(tuple),
-                     st.integers(-3, 3).filter(bool))
-    generator = st.lists(term, min_size=1, max_size=3).map(dict)
-    gens = draw(st.lists(generator, min_size=1, max_size=3))
+def small_ideals(draw, max_vars=3, max_degree=3, bound=3):
+    """Up to 3 generators of up to 3 terms in up to max_vars variables,
+    degree <= max_degree, nonzero coefficients in [-bound, bound]."""
+    nvars = draw(st.integers(1, max_vars))
+    gens = draw(st.lists(polynomials(nvars, max_degree, bound, 3),
+                         min_size=1, max_size=3))
     return nvars, gens
 
 
@@ -56,14 +84,7 @@ def monic_basis(gb):
     return sorted(tuple(sorted(g)) for g in gb.basis)
 
 
-@hypothesis.settings(max_examples=60, deadline=None)
-@hypothesis.given(small_ideals())
-# degrevlex puts x2^2 above x1 (lex does not) and x2^2*x3 above x1*x3^2
-# (deglex does not)
-@hypothesis.example(ideal=(2, [{(1, 0): 1, (0, 2): -1}]))
-@hypothesis.example(ideal=(3, [{(0, 2, 1): -1, (1, 0, 2): 1},
-                               {(1, 1, 0): 2, (0, 0, 1): 1}]))
-def test_groebner_basis_matches_sympy(sympy, ideal):
+def assert_matches_sympy(sympy, ideal):
     nvars, gens = ideal
     names = [f"x{k + 1}" for k in range(nvars)]
     pres = IdealPresentation.from_terms(
@@ -78,3 +99,24 @@ def test_groebner_basis_matches_sympy(sympy, ideal):
         for p in (sympy.Poly(q, *symbols, domain="QQ") for q in ref.exprs)
         if not p.is_zero)
     assert mine == theirs
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(small_ideals())
+# degrevlex puts x2^2 above x1 (lex does not) and x2^2*x3 above x1*x3^2
+# (deglex does not)
+@hypothesis.example(ideal=(2, [{(1, 0): 1, (0, 2): -1}]))
+@hypothesis.example(ideal=(3, [{(0, 2, 1): -1, (1, 0, 2): 1},
+                               {(1, 1, 0): 2, (0, 0, 1): 1}]))
+def test_groebner_basis_matches_sympy(sympy, ideal):
+    assert_matches_sympy(sympy, ideal)
+
+
+@hypothesis.settings(max_examples=40, deadline=None)
+@hypothesis.given(small_ideals(max_vars=4, max_degree=2, bound=7))
+@hypothesis.example(ideal=(4, [{(1, 1, 0, 0): 7, (0, 0, 1, 0): -5},
+                               {(0, 1, 1, 0): -6, (0, 0, 0, 1): 4},
+                               {(1, 0, 0, 1): 3, (0, 0, 0, 0): 2}]))
+def test_groebner_basis_matches_sympy_four_variables(sympy, ideal):
+    """Leading coefficients in [-7, 7], so reductions scale often."""
+    assert_matches_sympy(sympy, ideal)
