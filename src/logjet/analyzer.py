@@ -210,17 +210,11 @@ def _dim(pres, cfg):
     return dimension_of(pres, budgets=cfg.budgets)
 
 
-def irreducibility_rows(chart, m, cfg, strata=None, d=None):
-    """Inequality rows for one jet order; see the module docstring."""
+def irreducibility_rows(chart, m, cfg, strata, d):
+    """Inequality rows for one jet order: one per stratum (none on an
+    ordinary chart, whose strata are ()), then the open row; see the module
+    docstring."""
     rows = []
-    if chart.monoid is None:
-        d = chart.ambient_rank - chart.codim if d is None else d
-        pres = open_part_jet_presentation(chart, m)
-        rows.append(_open_row(pres, m, d, cfg))
-        return tuple(rows)
-    strata = strata if strata is not None else stratify(chart)
-    if d is None:
-        raise ValueError("d (dim X) required for monoid charts")
     bound = d * (m + 1)
     for s in strata:
         if s.index == 0:
@@ -303,7 +297,7 @@ def analyze(chart, cfg=None):
         assumption = check_assumption(chart, dims)
         dim_x = assumption.dim_x
     else:
-        strata = None
+        strata = ()
         assumption = None
         if chart.equations:
             dim_x = _dim(ordinary_jet_presentation(chart, 0), cfg).dimension
@@ -385,7 +379,7 @@ def analyze(chart, cfg=None):
     unknown = [r for r in rows if r.status == "UNKNOWN"]
     if violated:
         w = min(violated, key=lambda r: (r.m, r.l))
-        confirmation = _confirm_witness(chart, w, cfg, strata or ())
+        confirmation = _confirm_witness(chart, w, cfg, strata)
         conclusion = (
             f"dim J_{w.m}(X_{w.l}) {'+ ' + str(w.added) + ' ' if w.added else ''}"
             f"= {w.total} >= {w.bound} = d*(m+1): the "

@@ -74,6 +74,10 @@ def load_chart(path):
         raise ChartParseError(f"{path}: unsupported format {fmt!r}")
 
     n = _field(doc, "ambient_rank", int, required=True)
+    if n < 1:
+        raise ChartParseError(
+            f"{path}: field 'ambient_rank' must be a positive integer, "
+            f"got {n!r}")
     raw_gens = _field(doc, "monoid_generators", list)
     equations = _field(doc, "equations", list, default=[])
     for idx, eq in enumerate(equations):

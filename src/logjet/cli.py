@@ -73,11 +73,12 @@ def _build_parser():
     return parser
 
 
-def _budgets_from_env(base):
+def _budgets(opts):
+    """The chart file's budgets (or the defaults), with the pairs and degree
+    of LOGJET_BUDGET on top when it is set."""
+    base = opts.budgets or Budgets()
     text = os.environ.get("LOGJET_BUDGET")
-    if not text:
-        return base
-    return Budgets.from_env_string(text, base or Budgets())
+    return Budgets.from_env_string(text, base) if text else base
 
 
 def _emit(payload, fmt):
@@ -122,9 +123,9 @@ def _cmd_strata(args):
     return 0
 
 
-def _cmd_dim(args, budgets):
+def _cmd_dim(args):
     chart, opts = load_chart(args.file)
-    budgets = _budgets_from_env(opts.budgets or budgets)
+    budgets = _budgets(opts)
     results = []
     if args.stratum is None:
         from .analyzer import ordinary_jet_presentation
@@ -173,8 +174,7 @@ def _cmd_check_refinement(args):
 
 def _cmd_analyze(args, fmt, verbose):
     chart, opts = load_chart(args.file)
-    budgets = _budgets_from_env(opts.budgets) or Budgets()
-    cfg = AnalysisConfig(max_order=args.max_order, budgets=budgets,
+    cfg = AnalysisConfig(max_order=args.max_order, budgets=_budgets(opts),
                          verify_jets=verbose)
     report = analyze(chart, cfg)
     sys.stdout.write(emit_report(report, fmt))
@@ -190,7 +190,7 @@ def main(argv=None):
         if args.command == "strata":
             return _cmd_strata(args)
         if args.command == "dim":
-            return _cmd_dim(args, _budgets_from_env(None))
+            return _cmd_dim(args)
         if args.command == "check-refinement":
             return _cmd_check_refinement(args)
         if args.command == "analyze":

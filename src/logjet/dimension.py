@@ -45,9 +45,11 @@ class Budgets:
     def from_env_string(cls, text, base=None):
         base = base or cls()
         parts = [p.strip() for p in text.split(",")]
-        if len(parts) != 2 or not all(p.isdigit() for p in parts):
+        if (len(parts) != 2 or not all(p.isdigit() for p in parts)
+                or min(map(int, parts)) < 1):
             raise ValueError(
-                f"budget override must be 'pairs,degree', got {text!r}")
+                f"budget override must be 'pairs,degree' with positive "
+                f"integers, got {text!r}")
         return cls(max_pairs=int(parts[0]), max_degree=int(parts[1]),
                    max_groebner_vars=base.max_groebner_vars,
                    fp_max_vars=base.fp_max_vars,
@@ -84,7 +86,9 @@ class IdealPresentation:
         variables = tuple(variables)
         gens = []
         for gi, raw in enumerate(raw_generators):
-            terms = {e: c for e, c in raw.items() if c != 0}
+            lead_first = sorted(raw.items(), key=lambda t: _key(t[0]),
+                                reverse=True)
+            terms = {e: c for e, c in lead_first if c != 0}
             if not terms:
                 continue
             if any(min(e, default=0) < 0 for e in terms):
@@ -102,35 +106,23 @@ class IdealPresentation:
 #
 # A polynomial is a dict exponent-tuple -> int, content-free with positive
 # leading coefficient.  Degrevlex order key: (total degree, reversed negated
-# exponents), so bigger key = bigger monomial.  Keys are memoized: the same
-# exponent tuples recur constantly during a Groebner run.
-
-_key_cache = {}
+# exponents), so bigger key = bigger monomial.  Every polynomial the engine
+# builds is lead-first: its first key is its leading monomial.  from_terms
+# orders each generator that way before normalizing it, and _normal_form
+# moves terms to its result in descending order, so _normalize reads the
+# sign from the first term.  Only _Reductor searches for a lead, once per
+# basis element.
 
 
 def _key(mono):
-    k = _key_cache.get(mono)
-    if k is None:
-        k = (sum(mono), tuple(-e for e in reversed(mono)))
-        _key_cache[mono] = k
-        if len(_key_cache) > 400_000:
-            _key_cache.clear()
-    return k
-
-
-_mask_cache = {}
+    return (sum(mono), tuple(-e for e in reversed(mono)))
 
 
 def _support_mask(mono):
-    mask = _mask_cache.get(mono)
-    if mask is None:
-        mask = 0
-        for k, e in enumerate(mono):
-            if e:
-                mask |= 1 << k
-        _mask_cache[mono] = mask
-        if len(_mask_cache) > 400_000:
-            _mask_cache.clear()
+    mask = 0
+    for k, e in enumerate(mono):
+        if e:
+            mask |= 1 << k
     return mask
 
 
@@ -139,19 +131,16 @@ def _lead(terms):
 
 
 def _normalize(terms):
-    """Strip integer content and force a positive leading coefficient."""
+    """Strip integer content and force a positive leading coefficient on a
+    lead-first polynomial."""
     if not terms:
         return terms
-    g = 0
-    for c in terms.values():
-        g = gcd(g, abs(c))
-        if g == 1:
-            break
-    lm = _lead(terms)
-    sign = -1 if terms[lm] < 0 else 1
+    g = gcd(*terms.values())
+    sign = -1 if next(iter(terms.values())) < 0 else 1
     if g == 1 and sign == 1:
         return terms
-    return {m: sign * (c // g) for m, c in terms.items()}
+    g *= sign
+    return {m: c // g for m, c in terms.items()}
 
 
 def _mono_mul(a, b):
@@ -171,8 +160,11 @@ def _mono_lcm(a, b):
 
 
 class _Reductor:
-    """Integer reduction data for one basis element: its leading monomial,
-    leading coefficient lc and the other terms, all with int coefficients."""
+    """One basis element as reduction data: its leading monomial, leading
+    coefficient lc and the other terms (the tail), all with int
+    coefficients.  The lead is found by one search over the terms, so any
+    term dict will do.  Only alive elements reduce; groebner_basis keeps
+    the alive leads exactly the minimal leading monomials."""
 
     __slots__ = ("lead", "lc", "degree", "mask", "tail", "alive")
 
@@ -270,6 +262,13 @@ def groebner_basis(pres, budgets=None):
 
     Buchberger with the Gebauer-Moeller pair update (product and chain
     criteria applied eagerly) and normal selection (smallest lcm first).
+    Every generator and every nonzero remainder becomes an element of one
+    list, which the pairs index.  The alive elements are exactly the
+    minimal leading monomials: a new element is born dead when an alive
+    lead divides its lead (a generator is not reduced on entry, so this
+    can happen), and otherwise it retires the alive elements whose leads
+    its own lead divides.  The reduced basis is each alive element reduced
+    by the others.
     """
     budgets = budgets or Budgets()
     nvars = len(pres.variables)
@@ -277,19 +276,18 @@ def groebner_basis(pres, budgets=None):
         raise ResourceLimitError(
             f"{nvars} variables exceeds the Groebner bound "
             f"{budgets.max_groebner_vars} ({pres.provenance})")
-    basis = []            # list of (lead, terms)
-    reductors = []        # parallel _Reductor list; redundant ones retired
+    elements = []         # _Reductor per generator and remainder, in order
     pairs = {}            # (i, j) -> lcm monomial, i < j
     heap = []             # (lcm key, i, j) with lazy deletion
 
     def coprime(a, b):
         return all(x == 0 or y == 0 for x, y in zip(a, b))
 
-    def add_element(terms):
+    def add_element(new):
         """Gebauer-Moeller update of the pair set for one new element."""
-        t = len(basis)
-        lmt = _lead(terms)
-        cand = {g: _mono_lcm(basis[g][0], lmt) for g in range(t)}
+        t = len(elements)
+        lmt = new.lead
+        cand = {g: _mono_lcm(e.lead, lmt) for g, e in enumerate(elements)}
         # scan candidates by increasing lcm; a kept candidate whose lcm
         # divides a later one (equality included) eliminates it.  Coprime
         # candidates are kept only as pruners and never become pairs.
@@ -304,45 +302,44 @@ def groebner_basis(pres, budgets=None):
         for (i, j) in list(pairs):
             lcm_ij = pairs[(i, j)]
             if (_mono_divides(lmt, lcm_ij)
-                    and _mono_lcm(basis[i][0], lmt) != lcm_ij
-                    and _mono_lcm(basis[j][0], lmt) != lcm_ij):
+                    and _mono_lcm(elements[i].lead, lmt) != lcm_ij
+                    and _mono_lcm(elements[j].lead, lmt) != lcm_ij):
                 del pairs[(i, j)]
-        basis.append((lmt, terms))
-        new_red = _Reductor(terms)
-        for red in reductors:
-            if red.alive and _mono_divides(lmt, red.lead):
-                red.alive = False  # anything it reduces, the new one does
-        reductors.append(new_red)
+        new.alive = not any(e.alive and _mono_divides(e.lead, lmt)
+                            for e in elements)
+        if new.alive:
+            for e in elements:
+                if e.alive and _mono_divides(lmt, e.lead):
+                    e.alive = False  # anything it reduces, the new one does
+        elements.append(new)
         for lcm_g, g in kept:
-            if coprime(basis[g][0], lmt):
+            if coprime(elements[g].lead, lmt):
                 continue
             pairs[(g, t)] = lcm_g
             heapq.heappush(heap, (_key(lcm_g), g, t))
 
     for gen in pres.generators:
-        add_element(dict(gen))
+        add_element(_Reductor(dict(gen)))
 
     pairs_processed = 0
     while pairs:
-        key, i, j = heapq.heappop(heap)
-        if (i, j) not in pairs:
+        _lcm_key, i, j = heapq.heappop(heap)
+        lcm = pairs.pop((i, j), None)
+        if lcm is None:
             continue  # stale heap entry
-        del pairs[(i, j)]
         pairs_processed += 1
         if pairs_processed > budgets.max_pairs:
             raise ResourceLimitError(
                 f"S-pair budget {budgets.max_pairs} exceeded "
                 f"({pres.provenance})")
-        lmi, fi = basis[i]
-        lmj, fj = basis[j]
-        lcm = _mono_lcm(lmi, lmj)
-        # S-polynomial ai*(lcm/lmi)*fi - aj*(lcm/lmj)*fj, d = gcd(ci, cj)
-        ci, cj = fi[lmi], fj[lmj]
-        d = gcd(ci, cj)
-        ai, aj = cj // d, ci // d
-        si, sj = _mono_div(lcm, lmi), _mono_div(lcm, lmj)
-        spoly = {_mono_mul(m, si): c * ai for m, c in fi.items()}
-        for m, c in fj.items():
+        # S-polynomial ai*(lcm/lmi)*fi - aj*(lcm/lmj)*fj, d = gcd(ci, cj);
+        # the leading terms cancel, so only the tails contribute
+        ei, ej = elements[i], elements[j]
+        d = gcd(ei.lc, ej.lc)
+        ai, aj = ej.lc // d, ei.lc // d
+        si, sj = _mono_div(lcm, ei.lead), _mono_div(lcm, ej.lead)
+        spoly = {_mono_mul(m, si): c * ai for m, c in ei.tail}
+        for m, c in ej.tail:
             mm = _mono_mul(m, sj)
             s = spoly.get(mm, 0) - c * aj
             if s == 0:
@@ -351,48 +348,31 @@ def groebner_basis(pres, budgets=None):
                 spoly[mm] = s
         if not spoly:
             continue
-        reduced = _normal_form(_normalize(spoly), reductors)
+        # strip the content; _normal_form's final _normalize fixes the sign
+        content = gcd(*spoly.values())
+        if content != 1:
+            spoly = {m: c // content for m, c in spoly.items()}
+        reduced = _normal_form(spoly, elements)
         if not reduced:
             continue
-        lm = _lead(reduced)
-        if sum(lm) > budgets.max_degree:
+        new = _Reductor(reduced)
+        if new.degree > budgets.max_degree:
             raise ResourceLimitError(
                 f"degree budget {budgets.max_degree} exceeded with leading "
-                f"degree {sum(lm)} ({pres.provenance})")
-        add_element(reduced)
+                f"degree {new.degree} ({pres.provenance})")
+        add_element(new)
 
-    reduced_basis = _interreduce([terms for _lm, terms in basis])
+    alive = sorted((e for e in elements if e.alive),
+                   key=lambda e: _key(e.lead))
     monic = []
-    for terms in reduced_basis:
-        lc = Fraction(terms[_lead(terms)])
+    for e in alive:
+        others = [o for o in alive if o is not e]
+        terms = _normal_form({e.lead: e.lc, **dict(e.tail)}, others)
+        lc = terms[e.lead]
         monic.append(tuple(sorted(
-            (m, Fraction(c) / lc) for m, c in terms.items())))
-    monic.sort(key=lambda g: _key(max((m for m, _c in g), key=_key)))
+            (m, Fraction(c, lc)) for m, c in terms.items())))
     return GroebnerResult(pres.variables, tuple(monic), pairs_processed,
                           pres.provenance)
-
-
-def _interreduce(polys):
-    """Turn a Groebner generating set into the reduced basis."""
-    polys = [p for p in polys if p]
-    # drop elements whose leading monomial is divisible by another's
-    polys.sort(key=lambda p: _key(_lead(p)))
-    kept = []
-    for p in polys:
-        lm = _lead(p)
-        if any(_mono_divides(_lead(q), lm) for q in kept):
-            continue
-        kept.append(p)
-    # fully reduce each against the others
-    reds = [_Reductor(q) for q in kept]
-    out = []
-    for idx, p in enumerate(kept):
-        reds[idx].alive = False
-        r = _normal_form(p, reds)
-        reds[idx].alive = True
-        if r:
-            out.append(r)
-    return out
 
 
 @dataclass(frozen=True)
@@ -408,10 +388,6 @@ class DimResult:
     method: str
     certificate: object = None
     unreliable: bool = False
-
-    @property
-    def is_empty(self):
-        return self.dimension == EMPTY
 
 
 def krull_dim(gb):
@@ -576,13 +552,10 @@ class _FpCounter:
             return p ** len(unassigned)
         if all(all(sum(mono) <= 1 for mono in poly) for poly in live):
             return _linear_count(live, unassigned, p)
+        supports = [{k for mono in poly for k, e in enumerate(mono) if e}
+                    for poly in live]
         # univariate generator: branch on its roots only
-        for poly in live:
-            support = set()
-            for mono in poly:
-                for k, e in enumerate(mono):
-                    if e:
-                        support.add(k)
+        for poly, support in zip(live, supports):
             if len(support) == 1:
                 var = support.pop()
                 total = 0
@@ -591,17 +564,8 @@ class _FpCounter:
                     total += self.count(nxt, unassigned - {var})
                 return total
         # branch on a variable from the generator with smallest support
-        def support_of(poly):
-            s = set()
-            for mono in poly:
-                for k, e in enumerate(mono):
-                    if e:
-                        s.add(k)
-            return s
-
-        target = min(live, key=lambda q: (len(support_of(q)),
-                                          sorted(support_of(q))))
-        var = min(support_of(target))
+        target = min(supports, key=lambda s: (len(s), sorted(s)))
+        var = min(target)
         total = 0
         for value in range(p):
             nxt = [_substitute(q, var, value, p) for q in live]
@@ -613,9 +577,8 @@ def fp_count_points(pres, p, budgets=None):
     """Exact number of F_p points of V(I)."""
     budgets = budgets or Budgets()
     polys = _fp_reduce(pres, p)
-    unassigned = frozenset(range(len(pres.variables)))
     counter = _FpCounter(p, budgets.fp_node_budget)
-    return counter.count(polys, set(unassigned))
+    return counter.count(polys, set(range(len(pres.variables))))
 
 
 def fp_dimension_estimate(pres, primes=None, budgets=None):

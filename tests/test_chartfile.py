@@ -49,6 +49,15 @@ def test_chart_parse_errors(tmp_path, doc):
         load_chart(write(tmp_path, doc))
 
 
+@pytest.mark.parametrize("rank", [0, -2])
+def test_non_positive_ambient_rank_is_a_parse_error(tmp_path, rank):
+    path = write(tmp_path, {"ambient_rank": rank, "equations": []})
+    with pytest.raises(ChartParseError) as err:
+        load_chart(path)
+    assert str(err.value) == (f"{path}: field 'ambient_rank' must be a "
+                              f"positive integer, got {rank}")
+
+
 def test_unsaturated_monoid_error_names_the_file(tmp_path):
     path = write(tmp_path, dict(
         N2_DOC, monoid_generators=[[2, 0], [3, 0], [0, 1], [1, 1]]))

@@ -115,6 +115,30 @@ def test_malformed_budget_override(chart_file, capsys, monkeypatch):
     assert "budget override must be 'pairs,degree'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["0,40", "8,0"])
+def test_non_positive_budget_override(chart_file, capsys, monkeypatch, text):
+    monkeypatch.setenv("LOGJET_BUDGET", text)
+    assert main(["analyze", "--max-order", "1",
+                 chart_file(N2_HYPERPLANE)]) == 1
+    err = capsys.readouterr().err
+    assert "budget override must be 'pairs,degree'" in err
+    assert repr(text) in err
+
+
+def test_dim_budget_override_matches_the_chart_budget(chart_file, capsys,
+                                                      monkeypatch):
+    """dim applies LOGJET_BUDGET once, on top of the chart file's budgets,
+    as analyze does."""
+    monkeypatch.delenv("LOGJET_BUDGET", raising=False)
+    args = ["dim", "--stratum", "1", "--order", "3"]
+    assert main(args + [str(BENCH_CHARTS / "n2_hyperplane_pairs8.json")]) == 1
+    expected = capsys.readouterr().err
+    assert "S-pair budget 8 exceeded" in expected
+    monkeypatch.setenv("LOGJET_BUDGET", "8,40")
+    assert main(args + [chart_file(N2_HYPERPLANE)]) == 1
+    assert capsys.readouterr().err == expected
+
+
 def test_analyze_has_no_method_option(chart_file, capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["analyze", "--method", "fp", chart_file(CUSP)])

@@ -246,6 +246,14 @@ def test_pseudo_reduction_cancels_by_the_gcd():
     assert integer_normal_form(p, [red]) == {(0, 2): 1, (0, 0): 3}
 
 
+def test_reductor_finds_a_lead_that_is_not_its_first_key():
+    # 2y - 1 written constant first: the reductor must still reduce by y
+    red = _Reductor({(0, 0): -1, (0, 1): 2})
+    assert (red.lead, red.lc) == ((0, 1), 2)
+    assert _normal_form({(1, 0): 1, (0, 1): 1}, [red]) == \
+        {(1, 0): 2, (0, 0): 1}
+
+
 def test_normal_form_of_zero_and_of_a_multiple():
     red = {(1, 1): 3, (0, 0): 5}
     assert integer_normal_form({}, [red]) == {}

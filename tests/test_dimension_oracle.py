@@ -84,12 +84,16 @@ def monic_basis(gb):
     return sorted(tuple(sorted(g)) for g in gb.basis)
 
 
+def presentation(nvars, gens):
+    return IdealPresentation.from_terms(
+        [f"x{k + 1}" for k in range(nvars)],
+        [{e: Fraction(c) for e, c in g.items()} for g in gens])
+
+
 def assert_matches_sympy(sympy, ideal):
     nvars, gens = ideal
     names = [f"x{k + 1}" for k in range(nvars)]
-    pres = IdealPresentation.from_terms(
-        names, [{e: Fraction(c) for e, c in g.items()} for g in gens])
-    mine = monic_basis(groebner_basis(pres))
+    mine = monic_basis(groebner_basis(presentation(nvars, gens)))
     symbols = sympy.symbols(names)
     polys = [sympy.Poly.from_dict(g, *symbols, domain="QQ").as_expr()
              for g in gens]
@@ -120,3 +124,17 @@ def test_groebner_basis_matches_sympy(sympy, ideal):
 def test_groebner_basis_matches_sympy_four_variables(sympy, ideal):
     """Leading coefficients in [-7, 7], so reductions scale often."""
     assert_matches_sympy(sympy, ideal)
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(small_ideals())
+def test_redundant_generators_leave_the_basis_unchanged(ideal):
+    """Reversed generators plus a duplicate of the first and x1 times it:
+    generators whose leads an earlier lead divides must not stay in the
+    basis."""
+    nvars, gens = ideal
+    first = gens[0]
+    shifted = {(e[0] + 1,) + e[1:]: c for e, c in first.items()}
+    padded = gens[::-1] + [first, shifted]
+    assert groebner_basis(presentation(nvars, padded)).basis == \
+        groebner_basis(presentation(nvars, gens)).basis
