@@ -2,7 +2,7 @@
 
 from .analyzer import (AnalysisConfig, AnalysisReport, analyze, estimate_lct,
                        open_part_jet_presentation, ordinary_jet_presentation)
-from .chart import Chart, support_in_monoid
+from .chart import Chart
 from .chartfile import load_chart
 from .dimension import (EMPTY, Budgets, DimResult, IdealPresentation,
                         dimension_of, fp_count_points, fp_dimension_estimate,
@@ -29,5 +29,4 @@ __all__ = [
     "open_part_jet_presentation", "ordinary_jet_presentation", "parse_poly",
     "refinement_pullback_check", "report_from_dict", "report_to_dict",
     "specialize_log_to_ordinary", "stratify", "stratum_jet_presentation",
-    "support_in_monoid",
 ]

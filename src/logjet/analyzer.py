@@ -19,7 +19,12 @@ Per-stratum log canonical threshold estimates use
 
 reported for every computed m (the paper guarantees equality for m+1
 large and divisible enough); ordinary charts use the ambient convention
-n - dim J_m(X) / (m+1).
+n - dim J_m(X) / (m+1), the same number since d + c = n.  Every estimate
+is an upper bound (lct = n - max_m dim J_m / (m+1), Mustata 2002), so the
+row marked best for each l is the smallest.
+
+A REDUCIBLE witness is rechecked by counting points of its own
+presentation over F_p.
 """
 
 import itertools
@@ -153,11 +158,8 @@ def _jacobian_minors(chart):
                 terms[key] = terms.get(key, Fraction(0)) + coeff * a
             row.append(JetPoly(ring, terms))
         partials.append(row)
-    minors = []
-    for cols in itertools.combinations(range(n), c):
-        minors.append(_det_polys(
-            [[partials[i][k] for k in cols] for i in range(c)], ring))
-    return minors
+    return [_det_polys([[row[k] for k in cols] for row in partials], ring)
+            for cols in itertools.combinations(range(n), c)]
 
 
 def _det_polys(matrix, ring):
@@ -202,80 +204,64 @@ def estimate_lct(d, c, dim_jets, m):
     return Fraction(d + c) - Fraction(dim_jets, m + 1)
 
 
-def _divisors_of(k):
-    return tuple(t for t in range(2, 7) if k % t == 0)
+def _presentations(chart, max_order, strata):
+    """(presentation, kind, l, m, note) of every inequality row, built one
+    at a time: per order m, one per stratum of index l > 0 (an ordinary
+    chart has none), then the open row."""
+    for m in range(1, max_order + 1):
+        for s in strata:
+            if s.index:
+                yield (stratum_jet_presentation(s, m), "stratum", s.index, m,
+                       f"face {s.face.generator_indices}")
+        yield (open_part_jet_presentation(chart, m), "open", 0, m,
+               "jets over the singular locus")
 
 
-def _dim(pres, cfg):
-    return dimension_of(pres, budgets=cfg.budgets)
-
-
-def irreducibility_rows(chart, m, cfg, strata, d):
-    """Inequality rows for one jet order: one per stratum (none on an
-    ordinary chart, whose strata are ()), then the open row; see the module
-    docstring."""
-    rows = []
-    bound = d * (m + 1)
-    for s in strata:
-        if s.index == 0:
-            continue
-        try:
-            res = _dim(stratum_jet_presentation(s, m), cfg)
-            dim_jets = res.dimension
-        except ResourceLimitError as exc:
-            rows.append(InequalityRow(s.index, m, "stratum", None, m * s.index,
-                                      bound, "UNKNOWN", str(exc)))
-            continue
-        if dim_jets == EMPTY:
-            status = "EMPTY"
-        elif dim_jets + m * s.index < bound:
-            status = "OK"
-        else:
-            status = "VIOLATED"
-        rows.append(InequalityRow(
-            s.index, m, "stratum", dim_jets, m * s.index, bound, status,
-            f"face {s.face.generator_indices}"))
-    rows.append(_open_row(open_part_jet_presentation(chart, m), m, d, cfg))
-    return tuple(rows)
-
-
-def _open_row(pres, m, d, cfg):
-    bound = d * (m + 1)
+def _row(pres, kind, l, m, d, cfg, note):
+    """The row of one presentation: dim J_m + m*l against d*(m+1), or
+    UNKNOWN when a budget trips; see the module docstring."""
+    added, bound = m * l, d * (m + 1)
     try:
-        res = _dim(pres, cfg)
-        dim_jets = res.dimension
+        dim_jets = dimension_of(pres, budgets=cfg.budgets).dimension
     except ResourceLimitError as exc:
-        return InequalityRow(0, m, "open", None, 0, bound, "UNKNOWN",
+        return InequalityRow(l, m, kind, None, added, bound, "UNKNOWN",
                              str(exc))
     if dim_jets == EMPTY:
         status = "EMPTY"
-    elif dim_jets < bound:
+    elif dim_jets + added < bound:
         status = "OK"
     else:
         status = "VIOLATED"
-    return InequalityRow(0, m, "open", dim_jets, 0, bound, status,
-                         "jets over the singular locus")
+    return InequalityRow(l, m, kind, dim_jets, added, bound, status, note)
 
 
-def _confirm_witness(chart, row, cfg, strata):
-    """Recompute a violated row's dimension over F_p and recheck it."""
+def _confirm_witness(row, pres, cfg):
+    """Recount a violated row's own presentation over F_p and recheck it."""
     try:
-        if row.kind == "open":
-            pres = open_part_jet_presentation(chart, row.m)
-        else:
-            stratum = next(s for s in strata
-                           if s.index == row.l and
-                           f"face {s.face.generator_indices}" == row.note)
-            pres = stratum_jet_presentation(stratum, row.m)
         fp = fp_dimension_estimate(pres, budgets=cfg.budgets)
     except LogjetError as exc:
-        return WitnessConfirmation(True, None, note=f"fp check unavailable: {exc}")
+        return WitnessConfirmation(True, None,
+                                   note=f"fp check unavailable: {exc}")
     if fp.dimension == EMPTY:
         return WitnessConfirmation(True, False, fp.certificate,
                                    "fp count found no points")
-    confirmed = fp.dimension + row.added >= row.bound
-    return WitnessConfirmation(True, bool(confirmed), fp.certificate,
+    return WitnessConfirmation(True, fp.dimension + row.added >= row.bound,
+                               fp.certificate,
                                "unreliable majority" if fp.unreliable else "")
+
+
+def _lct_rows(sources, d, c, convention):
+    """One LctRow per (l, m, dim J_m); per l the smallest estimate, the
+    tightest upper bound on the lct, is marked best."""
+    values = [estimate_lct(d, c, dim_jets, m) for _l, m, dim_jets in sources]
+    best = {}
+    for (l, _m, _dim), value in zip(sources, values):
+        if value is not None:
+            best[l] = min(best.get(l, value), value)
+    return tuple(LctRow(l, m, dim_jets, value, convention,
+                        tuple(t for t in range(2, 7) if (m + 1) % t == 0),
+                        value is not None and best[l] == value)
+                 for (l, m, dim_jets), value in zip(sources, values))
 
 
 def analyze(chart, cfg=None):
@@ -291,18 +277,17 @@ def analyze(chart, cfg=None):
 
     if is_log:
         strata = stratify(chart)
-        dims = {}
-        for s in strata:
-            dims[s] = _dim(base_presentation(s), cfg).dimension
-        assumption = check_assumption(chart, dims)
-        dim_x = assumption.dim_x
+        assumption = check_assumption(chart, {
+            s: dimension_of(base_presentation(s),
+                            budgets=cfg.budgets).dimension
+            for s in strata})
+        d = assumption.dim_x
     else:
         strata = ()
         assumption = None
-        if chart.equations:
-            dim_x = _dim(ordinary_jet_presentation(chart, 0), cfg).dimension
-        else:
-            dim_x = n
+        d = (dimension_of(ordinary_jet_presentation(chart, 0),
+                          budgets=cfg.budgets).dimension
+             if chart.equations else n)
 
     summary = {
         "ambient_rank": n,
@@ -316,86 +301,70 @@ def analyze(chart, cfg=None):
         "method": "groebner",
     }
 
-    if dim_x == EMPTY:
+    if d == EMPTY:
         raise CompleteIntersectionError("the chart cuts out an empty scheme")
-    if dim_x != n - c:
+    if d != n - c:
         raise CompleteIntersectionError(
-            f"not a complete intersection: dim X = {dim_x}, expected "
+            f"not a complete intersection: dim X = {d}, expected "
             f"{n} - {c} = {n - c}")
-    d = dim_x
 
+    rows, lct_rows, witness, confirmation = (), (), None, None
     if is_log and not assumption.passed:
         failing = assumption.failing[0]
-        reducible = assumption.x0_nonempty
+        verdict, not_canonical = "ASSUMPTION_FAIL", assumption.x0_nonempty
         conclusion = (
             f"stratum l={failing.index} has codimension {failing.codim} < "
             f"{failing.index}"
             + ("; the open stratum is nonempty, so the log jet schemes are "
                "reducible and the chart is NOT canonical"
-               if reducible else
+               if not_canonical else
                "; the open stratum is empty, no reducibility conclusion"))
-        return AnalysisReport(summary, d, c, assumption, (), (),
-                              "ASSUMPTION_FAIL", None, None,
-                              reducible, conclusion, cfg.max_order,
-                              tuple(notes))
-
-    rows = []
-    lct_rows = []
-    for m in range(1, cfg.max_order + 1):
-        rows.extend(irreducibility_rows(chart, m, cfg, strata, d))
-    rows = tuple(rows)
-
-    if is_log:
-        lct_sources = [(r.l, r.m, r.dim_jets) for r in rows
-                       if r.kind == "stratum" and r.status != "UNKNOWN"]
-        convention = "stratum: d+c-dimJ/(m+1)"
     else:
-        lct_sources = []
-        for m in range(1, cfg.max_order + 1):
-            try:
-                res = _dim(ordinary_jet_presentation(chart, m), cfg)
-                lct_sources.append(("X", m, res.dimension))
-            except ResourceLimitError as exc:
-                notes.append(f"lct at order {m} skipped: {exc}")
-        convention = "ambient: n-dimJ/(m+1)"
-    best = {}
-    raw_rows = []
-    for l, m, dim_jets in lct_sources:
-        value = (estimate_lct(d, c, dim_jets, m) if is_log
-                 else (None if dim_jets == EMPTY
-                       else Fraction(n) - Fraction(dim_jets, m + 1)))
-        raw_rows.append((l, m, dim_jets, value))
-        if value is not None:
-            cur = best.get(l)
-            if cur is None or value > cur:
-                best[l] = value
-    for l, m, dim_jets, value in raw_rows:
-        lct_rows.append(LctRow(l, m, dim_jets, value, convention,
-                               _divisors_of(m + 1),
-                               value is not None and best.get(l) == value))
-    lct_rows = tuple(lct_rows)
+        rows, w = [], None      # w: the violated row of least (m, l)
+        for pres, kind, l, m, note in _presentations(chart, cfg.max_order,
+                                                     strata):
+            rows.append(_row(pres, kind, l, m, d, cfg, note))
+            if rows[-1].status == "VIOLATED" and (
+                    w is None or (m, l) < (w.m, w.l)):
+                w, w_pres = rows[-1], pres
+        rows = tuple(rows)
 
-    violated = [r for r in rows if r.status == "VIOLATED"]
-    unknown = [r for r in rows if r.status == "UNKNOWN"]
-    if violated:
-        w = min(violated, key=lambda r: (r.m, r.l))
-        confirmation = _confirm_witness(chart, w, cfg, strata)
-        conclusion = (
-            f"dim J_{w.m}(X_{w.l}) {'+ ' + str(w.added) + ' ' if w.added else ''}"
-            f"= {w.total} >= {w.bound} = d*(m+1): the "
-            f"{'log ' if is_log else ''}jet scheme at order {w.m} is "
-            "reducible, so the chart is NOT canonical")
-        return AnalysisReport(summary, d, c, assumption, rows, lct_rows,
-                              "REDUCIBLE", (w.l, w.m), confirmation, True,
-                              conclusion, cfg.max_order, tuple(notes))
-    if unknown:
-        return AnalysisReport(summary, d, c, assumption, rows, lct_rows,
-                              "INCONCLUSIVE", None, None, False,
-                              "some rows exceeded computation budgets",
-                              cfg.max_order, tuple(notes))
-    conclusion = (
-        f"all irreducibility inequalities strict for m <= {cfg.max_order}; "
-        "no obstruction found (canonicity would need all orders m)")
-    return AnalysisReport(summary, d, c, assumption, rows, lct_rows,
-                          "NO_OBSTRUCTION_UP_TO_M", None, None, False,
-                          conclusion, cfg.max_order, tuple(notes))
+        if is_log:
+            lct_sources = [(r.l, r.m, r.dim_jets) for r in rows
+                           if r.kind == "stratum" and r.status != "UNKNOWN"]
+            convention = "stratum: d+c-dimJ/(m+1)"
+        else:
+            lct_sources = []
+            for m in range(1, cfg.max_order + 1):
+                try:
+                    lct_sources.append(("X", m, dimension_of(
+                        ordinary_jet_presentation(chart, m),
+                        budgets=cfg.budgets).dimension))
+                except ResourceLimitError as exc:
+                    notes.append(f"lct at order {m} skipped: {exc}")
+            convention = "ambient: n-dimJ/(m+1)"
+        lct_rows = _lct_rows(lct_sources, d, c, convention)
+
+        not_canonical = w is not None
+        if not_canonical:
+            witness = (w.l, w.m)
+            confirmation = _confirm_witness(w, w_pres, cfg)
+            verdict = "REDUCIBLE"
+            conclusion = (
+                f"dim J_{w.m}(X_{w.l}) "
+                f"{'+ ' + str(w.added) + ' ' if w.added else ''}"
+                f"= {w.total} >= {w.bound} = d*(m+1): the "
+                f"{'log ' if is_log else ''}jet scheme at order {w.m} is "
+                "reducible, so the chart is NOT canonical")
+        elif any(r.status == "UNKNOWN" for r in rows):
+            verdict = "INCONCLUSIVE"
+            conclusion = "some rows exceeded computation budgets"
+        else:
+            verdict = "NO_OBSTRUCTION_UP_TO_M"
+            conclusion = (
+                f"all irreducibility inequalities strict for m <= "
+                f"{cfg.max_order}; no obstruction found (canonicity would "
+                "need all orders m)")
+    return AnalysisReport(summary, d, c, assumption, rows, lct_rows, verdict,
+                          witness, confirmation, not_canonical, conclusion,
+                          cfg.max_order, tuple(notes))

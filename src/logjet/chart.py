@@ -123,9 +123,3 @@ class Chart:
         if poly.has_jet_variables():
             raise SupportError("support check expects a base polynomial")
         return self.support_violation(poly) is None
-
-
-def support_in_monoid(poly, monoid, basis=None):
-    """Convenience wrapper: check f in k[P] for a standalone monoid."""
-    chart = Chart.build(monoid=monoid, equations=(), basis=basis)
-    return chart.support_in_monoid(poly)

@@ -33,7 +33,6 @@ _BUDGET_FIELDS = {"pairs": "max_pairs", "degree": "max_degree",
 @dataclass(frozen=True)
 class ChartFileOptions:
     budgets: object = None      # Budgets or None
-    mode: str = None
 
 
 def _is_int(value):
@@ -131,4 +130,4 @@ def load_chart(path):
         raise ChartParseError(f"{path}: bad equation: {exc}") from exc
     except SupportError as exc:
         raise SupportError(f"{path}: {exc}") from exc
-    return chart, ChartFileOptions(budgets=budgets, mode=implied)
+    return chart, ChartFileOptions(budgets=budgets)

@@ -18,15 +18,14 @@ import json
 import os
 import sys
 
-from .analyzer import AnalysisConfig, analyze
+from .analyzer import AnalysisConfig, analyze, ordinary_jet_presentation
 from .chartfile import load_chart
-from .dimension import (EMPTY, Budgets, dimension_of, groebner_basis,
-                        krull_dim)
+from .dimension import Budgets, dimension_of
 from .errors import LogjetError
 from .jets import jet_ideal, refinement_pullback_check
 from .poly import LOG, ORDINARY
 from .report import emit_report
-from .strata import base_presentation, stratify, stratum_jet_presentation
+from .strata import stratify, stratum_jet_presentation
 
 
 class _Parser(argparse.ArgumentParser):
@@ -128,7 +127,6 @@ def _cmd_dim(args):
     budgets = _budgets(opts)
     results = []
     if args.stratum is None:
-        from .analyzer import ordinary_jet_presentation
         pres = ordinary_jet_presentation(chart, args.order)
         res = dimension_of(pres, args.method, budgets)
         results.append(("X", pres.provenance, res))

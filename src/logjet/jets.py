@@ -239,9 +239,6 @@ class JetIdeal:
     ring: RingDescriptor
     rows: tuple
 
-    def flat(self):
-        return [g for row in self.rows for g in row]
-
 
 def jet_ideal(chart, m, mode, verify=False):
     """Jet ideal of a chart: all d^j f_i for 0 <= j <= m.

@@ -117,9 +117,6 @@ class AffineMonoid:
              if not any(_pairing(u, g) for u in self.facet_forms)])
         return tuple(tuple(row) for row in basis)
 
-    def is_group(self):
-        return len(self.units()) == self.ambient_rank
-
     def faces(self):
         """Complete face lattice, walked by intersecting faces with facets.
 

@@ -10,7 +10,6 @@ from fractions import Fraction
 
 from .analyzer import (AnalysisReport, InequalityRow, LctRow,
                        WitnessConfirmation)
-from .dimension import EMPTY
 from .strata import AssumptionReport, StratumStatus
 
 SCHEMA = "logjet-report/1"

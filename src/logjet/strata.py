@@ -141,12 +141,11 @@ def jet_presentation(variables, system, m, provenance, localized=False,
         jet_order=m)
 
 
-def base_presentation(stratum, provenance=None):
+def base_presentation(stratum):
     """The stratum itself (jet order 0) as dimension-engine input."""
     return jet_presentation(
         stratum.variables, stratum.equations, 0,
-        provenance or f"stratum l={stratum.index} "
-                      f"{stratum.face.generator_indices}",
+        f"stratum l={stratum.index} {stratum.face.generator_indices}",
         localized=True)
 
 
@@ -189,39 +188,30 @@ class AssumptionReport:
 def check_assumption(chart, dims):
     """Assumption 1: every nonempty stratum X_l has codimension l in X.
 
-    dims maps each face (or stratum presentation) to its computed
+    dims maps each stratum presentation of stratify(chart) to its computed
     dimension (int or EMPTY) and must cover every face of the chart
     monoid.  Strata sharing an index l are aggregated: dim X_l is the max
-    over its pieces.
+    over its pieces, and dim X the max over all strata.
     """
-    covered = {key.face if isinstance(key, StratumPresentation) else key
-               for key in dims}
+    covered = {s.face for s in dims}
     missing = [f for f in chart.monoid.faces() if f not in covered]
     if missing:
         raise ValueError(
             f"dimension map misses {len(missing)} face(s) of the monoid")
     by_l = {}
-    for key, value in dims.items():
-        face = key.face if isinstance(key, StratumPresentation) else key
-        by_l.setdefault(face.stratum_index, []).append(
-            (face.generator_indices, value))
-    dim_x = EMPTY
-    for pieces in by_l.values():
-        for _f, d in pieces:
-            if d != EMPTY and (dim_x == EMPTY or d > dim_x):
-                dim_x = d
+    for s, value in dims.items():
+        by_l.setdefault(s.index, []).append((s.face.generator_indices, value))
+    dim_x = max((d for d in dims.values() if d != EMPTY), default=EMPTY)
     rows = []
     for l in sorted(by_l):
         pieces = tuple(sorted(by_l[l]))
-        dims_l = [d for _f, d in pieces if d != EMPTY]
-        if not dims_l:
+        dim_l = max((d for _f, d in pieces if d != EMPTY), default=EMPTY)
+        if dim_l == EMPTY:
             rows.append(StratumStatus(l, pieces, EMPTY, EMPTY, "EMPTY"))
-            continue
-        dim_l = max(dims_l)
-        codim = dim_x - dim_l if dim_x != EMPTY else EMPTY
-        status = "PASS" if codim == l else "FAIL"
-        rows.append(StratumStatus(l, pieces, dim_l, codim, status))
-    x0 = next((r for r in rows if r.index == 0), None)
-    x0_nonempty = x0 is not None and x0.status != "EMPTY"
+        else:
+            codim = dim_x - dim_l
+            rows.append(StratumStatus(l, pieces, dim_l, codim,
+                                      "PASS" if codim == l else "FAIL"))
+    x0_nonempty = any(r.index == 0 and r.status != "EMPTY" for r in rows)
     passed = all(r.status != "FAIL" for r in rows)
     return AssumptionReport(tuple(rows), dim_x, x0_nonempty, passed)

@@ -1,6 +1,6 @@
 import pytest
 
-from logjet.chart import Chart, support_in_monoid
+from logjet.chart import Chart
 from logjet.errors import MonoidError, SupportError
 from logjet.monoid import AffineMonoid
 from logjet.parse import parse_poly
@@ -50,11 +50,6 @@ def test_support_positive_cases():
     # third generator of CONE3 in basis coordinates: (1,2) = -e1 + 2 e2
     chart3 = Chart.build(monoid=CONE3, equations=[])
     assert chart3.support_in_monoid(parse_poly("x1^-1*x2^2", R2))
-
-
-def test_support_in_monoid_wrapper():
-    assert support_in_monoid(parse_poly("x1*x2", R2), N2)
-    assert not support_in_monoid(parse_poly("x1^-1", R2), N2)
 
 
 def test_product_support_closed():

@@ -22,7 +22,7 @@ def write(tmp_path, doc):
 def test_loads_a_log_chart(tmp_path):
     chart, options = load_chart(write(tmp_path, N2_DOC))
     assert chart.is_log and chart.codim == 1
-    assert options.mode == "log" and options.budgets is None
+    assert options.budgets is None
 
 
 def test_ignored_membership_cap_field(tmp_path):

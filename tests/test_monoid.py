@@ -201,7 +201,6 @@ def test_units():
     units = m.units()
     assert len(units) == 1 and units[0] in ((1, 0), (-1, 0))
     assert Z1.units() == ((1,),)
-    assert Z1.is_group()
 
 
 def test_units_mixed_lattice():
