@@ -298,7 +298,6 @@ def analyze(chart, cfg=None):
         "basis": list(map(list, chart.basis)) if is_log else None,
         "equations": [f.render() for f in chart.equations],
         "max_order": cfg.max_order,
-        "method": "groebner",
     }
 
     if d == EMPTY:

@@ -29,10 +29,6 @@ class Chart:
         """Claimed codimension: the number of defining equations."""
         return len(self.equations)
 
-    @property
-    def is_log(self):
-        return self.monoid is not None
-
     @classmethod
     def build(cls, *, ambient_rank=None, equations=(), monoid=None,
               basis=None):

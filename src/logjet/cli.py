@@ -3,7 +3,7 @@
 Commands:
     jets --order M [--log] FILE          print jet ideal generators
     strata FILE                          print stratum presentations
-    dim --order M [--stratum L] [--method groebner|fp|both] FILE
+    dim --order M [--stratum L] FILE
     check-refinement FILE QFILE --order M
     analyze --max-order M FILE
 
@@ -56,8 +56,6 @@ def _build_parser():
     p_dim = sub.add_parser("dim", help="jet scheme dimensions")
     p_dim.add_argument("--order", type=int, required=True)
     p_dim.add_argument("--stratum", type=int, default=None)
-    p_dim.add_argument("--method", choices=("groebner", "fp", "both"),
-                       default="groebner")
     p_dim.add_argument("file")
 
     p_ref = sub.add_parser("check-refinement",
@@ -128,21 +126,20 @@ def _cmd_dim(args):
     results = []
     if args.stratum is None:
         pres = ordinary_jet_presentation(chart, args.order)
-        res = dimension_of(pres, args.method, budgets)
-        results.append(("X", pres.provenance, res))
+        res = dimension_of(pres, budgets)
+        results.append(("X", res))
     else:
         found = [s for s in stratify(chart) if s.index == args.stratum]
         if not found:
             raise LogjetError(f"no stratum with index {args.stratum}")
         for s in found:
             pres = stratum_jet_presentation(s, args.order)
-            res = dimension_of(pres, args.method, budgets)
+            res = dimension_of(pres, budgets)
             results.append((f"l={s.index} face "
-                            f"{s.face.generator_indices}",
-                            pres.provenance, res))
+                            f"{s.face.generator_indices}", res))
     lines = []
     payload = []
-    for label, prov, res in results:
+    for label, res in results:
         lines.append(f"{label}: dim = {res.dimension} ({res.method})")
         if args.verbose and res.certificate is not None:
             lines.append(f"  certificate: {res.certificate}")

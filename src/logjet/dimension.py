@@ -1,4 +1,4 @@
-"""Exact Krull dimension of polynomial ideals, plus an F_p counting check.
+"""Exact Krull dimension of polynomial ideals, plus an F_p witness recheck.
 
 The main path is Buchberger's algorithm (degrevlex, product and chain
 criteria, normal selection) on primitive integer polynomials, reducing by
@@ -10,10 +10,10 @@ bounded by the Groebner variable cap).  Budgets on the S-pair count and the
 total degree turn runaway inputs into ResourceLimit errors, never wrong
 answers.
 
-The independent fast path counts points of V(I) over small prime fields
-exactly (recursive enumeration with closed forms for linear systems and
-univariate factors) and estimates the dimension as round(log_p count).
-F_p results never override the Groebner answer.
+dimension_of is the one dimension entry point, and it is exact.  Exact
+F_p point counts (recursive enumeration with closed forms for linear
+systems and univariate factors) and their estimate round(log_p count) only
+recheck a REDUCIBLE witness; they never answer a dimension query.
 """
 
 import heapq
@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd
 from operator import add as _add, le as _le, sub as _sub
 
-from .errors import (LogjetError, PrimeTooSmallError, ResourceLimitError,
+from .errors import (PrimeTooSmallError, ResourceLimitError,
                      TooManyVariablesError, UnlocalizedLaurentError)
 
 DEFAULT_PRIMES = (101, 103, 107)
@@ -379,9 +379,9 @@ def groebner_basis(pres, budgets=None):
 class DimResult:
     """Dimension answer with its method and certificate.
 
-    dimension is an int or the string EMPTY.  Groebner results are exact;
-    fp results carry unreliable=True when the per-prime estimates disagree
-    and never override a Groebner answer.
+    dimension is an int or the string EMPTY.  Groebner results are exact.
+    fp_count results only recheck a REDUCIBLE witness; they carry
+    unreliable=True when the per-prime estimates disagree.
     """
 
     dimension: object
@@ -428,7 +428,9 @@ def krull_dim(gb):
     return DimResult(size, "groebner", certificate=names)
 
 
-def groebner_dimension(pres, budgets=None):
+def dimension_of(pres, budgets=None):
+    """Exact dim V(I) from its reduced basis; a tripped budget raises
+    ResourceLimitError.  F_p counts only recheck a REDUCIBLE witness."""
     return krull_dim(groebner_basis(pres, budgets))
 
 
@@ -584,7 +586,10 @@ def fp_count_points(pres, p, budgets=None):
 def fp_dimension_estimate(pres, primes=None, budgets=None):
     """Majority-of-primes dimension estimate from exact point counts.
 
-    Each prime must exceed the presentation's jet order (factorials in
+    The estimate is the value most primes give; a tie goes to the value
+    of the earliest tied prime in primes (the smallest, for
+    DEFAULT_PRIMES).  It is unreliable when the primes disagree.  Each
+    prime must exceed the presentation's jet order (factorials in
     characteristic zero) and must not divide any coefficient of a
     generator; see _fp_reduce.
     """
@@ -595,44 +600,8 @@ def fp_dimension_estimate(pres, primes=None, budgets=None):
         raise TooManyVariablesError(
             f"{nvars} variables exceeds the F_p brute-force bound "
             f"{budgets.fp_max_vars}")
-    estimates = {}
-    table = {}
-    for p in primes:
-        count = fp_count_points(pres, p, budgets)
-        table[p] = count
-        est = EMPTY if count == 0 else round(math.log(count, p))
-        estimates[p] = est
-    values = list(estimates.values())
-    majority = max(set(values), key=values.count)
-    unreliable = values.count(majority) <= len(values) // 2 or \
-        len(set(values)) > 1
-    return DimResult(majority, "fp_count", certificate=table,
-                     unreliable=unreliable)
-
-
-def dimension_of(pres, method="groebner", budgets=None):
-    """Dimension by the requested method; 'both' cross-checks fp vs exact.
-
-    Only 'groebner' is exact.  'fp' and 'both' count points over
-    DEFAULT_PRIMES; they serve `logjet dim --method`, never the analyzer.
-    When the F_p count cannot run, 'both' still returns the exact answer,
-    with fp_counts and fp_agrees None and the reason in fp_note.
-    """
-    if method == "groebner":
-        return groebner_dimension(pres, budgets)
-    if method == "fp":
-        return fp_dimension_estimate(pres, budgets=budgets)
-    if method == "both":
-        exact = groebner_dimension(pres, budgets)
-        certificate = {"independent_set": exact.certificate}
-        try:
-            check = fp_dimension_estimate(pres, budgets=budgets)
-        except LogjetError as exc:
-            certificate.update(fp_counts=None, fp_agrees=None,
-                               fp_note=f"fp check unavailable: {exc}")
-        else:
-            agrees = (exact.dimension == check.dimension
-                      and not check.unreliable)
-            certificate.update(fp_counts=check.certificate, fp_agrees=agrees)
-        return DimResult(exact.dimension, "groebner", certificate=certificate)
-    raise ValueError(f"unknown method {method!r}")
+    table = {p: fp_count_points(pres, p, budgets) for p in primes}
+    values = [EMPTY if count == 0 else round(math.log(count, p))
+              for p, count in table.items()]
+    return DimResult(max(values, key=values.count), "fp_count",
+                     certificate=table, unreliable=len(set(values)) > 1)

@@ -204,9 +204,6 @@ class JetPoly:
     def __len__(self):
         return len(self._terms)
 
-    def coefficient(self, mono):
-        return self._terms.get(mono, Fraction(0))
-
     def __eq__(self, other):
         return (isinstance(other, JetPoly) and self.ring == other.ring
                 and self._terms == other._terms)

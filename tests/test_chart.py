@@ -13,13 +13,13 @@ R2 = RingDescriptor(2, 0, ORDINARY)
 
 def test_build_log_chart():
     chart = Chart.build(monoid=N2, equations=["x1 + x2 - 1"])
-    assert chart.is_log and chart.codim == 1
+    assert chart.monoid is not None and chart.codim == 1
     assert chart.basis == ((1, 0), (0, 1))
 
 
 def test_build_ordinary_chart():
     chart = Chart.build(ambient_rank=2, equations=["x1*x2"])
-    assert not chart.is_log and chart.monoid is None
+    assert chart.monoid is None
 
 
 def test_ordinary_chart_rejects_laurent():

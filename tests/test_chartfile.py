@@ -21,7 +21,7 @@ def write(tmp_path, doc):
 
 def test_loads_a_log_chart(tmp_path):
     chart, options = load_chart(write(tmp_path, N2_DOC))
-    assert chart.is_log and chart.codim == 1
+    assert chart.monoid is not None and chart.codim == 1
     assert options.budgets is None
 
 

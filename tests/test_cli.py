@@ -56,6 +56,11 @@ def test_strata_json(chart_file, capsys):
         expected, indent=2, sort_keys=True) + "\n"
 
 
+def test_dim_of_the_whole_chart(chart_file, capsys):
+    assert main(["dim", "--order", "1", chart_file(CUSP)]) == 0
+    assert capsys.readouterr().out == "X: dim = 2 (groebner)\n"
+
+
 def test_dim_of_one_stratum(chart_file, capsys):
     assert main(["dim", "--stratum", "1", "--order", "1",
                  chart_file(CONE)]) == 0
@@ -146,26 +151,8 @@ def test_analyze_has_no_method_option(chart_file, capsys):
     assert "unrecognized arguments: --method" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("method, line", [
-    ("fp", "X: dim = 2 (fp_count)"),
-    ("both", "X: dim = 2 (groebner)"),
-])
-def test_dim_methods(chart_file, capsys, method, line):
-    assert main(["dim", "--order", "1", "--method", method,
-                 chart_file(CUSP)]) == 0
-    assert capsys.readouterr().out == line + "\n"
-
-
-def test_dim_both_keeps_the_exact_answer_when_fp_cannot_run(capsys):
-    """J_2 of A1 has 9 variables, over the F_p bound 8: the exact dimension
-    is still printed, and --verbose says why F_p did not run."""
-    a1 = str(BENCH_CHARTS / "a1.json")
-    assert main(["dim", "--order", "2", "--method", "both", a1]) == 0
-    assert capsys.readouterr().out == "X: dim = 6 (groebner)\n"
-    assert main(["--verbose", "dim", "--order", "2", "--method", "both",
-                 a1]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("X: dim = 6 (groebner)\n  certificate: ")
-    assert "'fp_agrees': None" in out
-    assert ("'fp_note': 'fp check unavailable: 9 variables exceeds the F_p "
-            "brute-force bound 8'") in out
+def test_dim_has_no_method_option(chart_file, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["dim", "--order", "1", "--method", "fp", chart_file(CUSP)])
+    assert exit_info.value.code == 1
+    assert "unrecognized arguments: --method" in capsys.readouterr().err

@@ -16,7 +16,7 @@ from logjet.dimension import (EMPTY, Budgets, DimResult, GroebnerResult,
                               _normal_form, _normalize, _Reductor,
                               dimension_of, fp_count_points,
                               fp_dimension_estimate, groebner_basis,
-                              groebner_dimension, krull_dim)
+                              krull_dim)
 from logjet.errors import (PrimeTooSmallError, ResourceLimitError,
                            TooManyVariablesError, UnlocalizedLaurentError)
 from logjet.poly import JetPoly, RingDescriptor
@@ -103,7 +103,7 @@ def test_a1_jet_ideal_dimension():
     g2 = {(1, 0, 0, 0, 1, 0): F(1), (0, 1, 0, 1, 0, 0): F(1),
           (0, 0, 1, 0, 0, 1): F(-2)}
     p = pres(["x1", "x2", "x3", "y1", "y2", "y3"], [g1, g2])
-    assert groebner_dimension(p).dimension == 4
+    assert dimension_of(p).dimension == 4
 
 
 def test_principal_ideal_codimension_one():
@@ -118,7 +118,7 @@ def test_principal_ideal_codimension_one():
         if not terms or all(sum(m) == 0 for m in terms):
             continue
         p = pres([f"v{i}" for i in range(k)], [terms])
-        assert groebner_dimension(p).dimension == k - 1
+        assert dimension_of(p).dimension == k - 1
 
 
 def test_dimension_monotone_under_new_generators():
@@ -136,7 +136,7 @@ def test_dimension_monotone_under_new_generators():
             if not terms:
                 continue
             gens.append(terms)
-            res = groebner_dimension(pres([f"v{i}" for i in range(k)],
+            res = dimension_of(pres([f"v{i}" for i in range(k)],
                                           list(gens)))
             d = res.dimension
             value = -1 if d == EMPTY else d
@@ -171,7 +171,7 @@ def test_laurent_cleared_with_localization():
                          localized=True)
     # cleared generator is 1 + x; with w*x = 1 the zero set is x = -1, w = -1
     assert dict(p.generators[0]) == {(0, 0): 1, (1, 0): 1}
-    assert groebner_dimension(p).dimension == 0
+    assert dimension_of(p).dimension == 0
 
 
 def test_generators_stored_primitive():
@@ -360,7 +360,7 @@ def test_fp_prime_too_small():
 def test_fp_bad_reduction_refused():
     # (101x + y, y) = (x, y) is a point, but mod 101 it reduces to (y), a line
     p = pres(["x", "y"], [{(1, 0): F(101), (0, 1): F(1)}, {(0, 1): F(1)}])
-    assert groebner_dimension(p).dimension == 0
+    assert dimension_of(p).dimension == 0
     with pytest.raises(PrimeTooSmallError, match="generator 0"):
         fp_count_points(p, 101)
     with pytest.raises(PrimeTooSmallError):
@@ -388,27 +388,20 @@ def test_fp_matches_groebner_on_quadric():
     g2 = {(1, 0, 0, 0, 1, 0): F(1), (0, 1, 0, 1, 0, 0): F(1),
           (0, 0, 1, 0, 0, 1): F(-2)}
     p = pres(["x1", "x2", "x3", "y1", "y2", "y3"], [g1, g2], jet_order=1)
-    exact = groebner_dimension(p).dimension
+    exact = dimension_of(p).dimension
     fp = fp_dimension_estimate(p, primes=(101, 103, 107))
     assert exact == 4 and fp.dimension == 4
 
 
-def test_dimension_of_both_records_agreement():
-    p = pres(["x", "y"], [{(2, 0): F(1), (0, 3): F(-1)}])
-    res = dimension_of(p, method="both")
-    assert res.dimension == 1
-    assert res.certificate["fp_agrees"] is True
-    assert "fp_note" not in res.certificate
-
-
-def test_dimension_of_both_keeps_the_exact_answer_without_fp():
-    names = [f"v{i}" for i in range(9)]
-    p = pres(names, [{tuple([1] + [0] * 8): F(1)}])
-    res = dimension_of(p, method="both")
-    assert (res.dimension, res.method, res.unreliable) == (8, "groebner",
-                                                           False)
-    assert res.certificate["fp_counts"] is None
-    assert res.certificate["fp_agrees"] is None
-    assert res.certificate["fp_note"] == (
-        "fp check unavailable: 9 variables exceeds the F_p brute-force "
-        "bound 8")
+def test_fp_tie_goes_to_the_first_prime():
+    """(s^4+4s^2+3, s^2 z+z) = V(s^2+1) u V(s^2+3, z) in (s, y, z): a plane
+    pair and a line pair.  -1 is a square mod 101 only and -3 mod 103 only,
+    so the three primes read 2, 1 and EMPTY; the tie goes to 101, whatever
+    the hash seed."""
+    p = pres(["s", "y", "z"],
+             [{(4, 0, 0): F(1), (2, 0, 0): F(4), (0, 0, 0): F(3)},
+              {(2, 0, 1): F(1), (0, 0, 1): F(1)}])
+    assert dimension_of(p).dimension == 2
+    res = fp_dimension_estimate(p)
+    assert res.certificate == {101: 20402, 103: 206, 107: 0}
+    assert res.dimension == 2 and res.unreliable is True

@@ -74,38 +74,38 @@ def test_unknown_schema_is_refused():
 PINNED = {
     "cone2_hyperplane": (
         "9effee39b192cbb62bc233ffd479b14445394212fee2f28ee8bdc56a0e21c1e4",
-        "d4d51c8e702d005b50ee74445376b74884d8e610f5cc933998842d5636ae5083"),
+        "41be248284e4332ee2b405d54ee2e7afdd164bbc1da2721d30da2d64f1581a49"),
     "cone3_hyperplane": (
         "2ebe3d91a25155dcc445919c249aac96fad55b72e104772351a03e03365affa4",
-        "b9ff0f328a8ffc0b8b2d36a95a9f43bda9eb6c814492836a699b3eb1c8045d96"),
+        "461e943fd03c52825840a615f1b724cfc71cea604d7bf624466fe6fa7afb0f98"),
     "cone4_hyperplane": (
         "ada4693639ca83f1ef3fb876458cf0ed19ccc70ac8f6874fe3977b8230e79c18",
-        "f16dd88b4bd6905f98fdabba6d8b183d1ac8063cf7fb9995f1a72a2f7007e4ac"),
+        "9858da9ecf09b9ddf9be16b3204c77353f16cfb638f660fda51a20e640a13dd6"),
     "cone5_hyperplane": (
         "7c2496053c8602ae7aaa2f4212257ff9b5136a2bc01e804cf52edbccfdf4732d",
-        "30cae1002d010f2558e1eee57427b159ba531388b9297f67e02dda51fbb0d027"),
+        "4b6f876d1254afa294a4ae0204f09b06ea5570449516ec8fd68f6d35a3251c06"),
     "cone6_hyperplane": (
         "3f58b8b51135bea351705f8956eea494173c6b10e3b5da683c252ed4dfd167bc",
-        "19ee76508ad844e7a41866ced8b11d1156eb448fcfc4eb6ff863e02ea6f89355"),
+        "9429bd4d164649ecca3bb8bc8131c37e09ddb15650cb13d9dfe7c561a63fa413"),
     "cone7_hyperplane": (
         "2094197a074bb54be2ecc5a3653fdcd777a1273e9706aaf088bfdd20502bb73d",
-        "50a80fcd622eb90c842a983a29c842ba0995e16845d917ab52faef2fcc38319d"),
+        "b3ab99c0d585ed01af030467265cee7b562c30f35de7033dce3aa4084104f9fb"),
     "conifold_hyperplane": (
         "46d3dc70bdf9d00e11b9a433b83c50793bf81ec0102a0441b8d2184c98fe1bf9",
-        "c35879eb7cc767e58fd80c0255349b0ec35f28e0857898bac81b0f4b0d6ea978"),
+        "bf15a42162abae586b50299a99e0bdb87b3801e15e3eba8a4bdfff6db0d77b48"),
     "n2_binomial": (
         "33413c03c81fd2baa5fb1b9f4498ec46a3c99a473da35b84a99012367749d7ce",
-        "e64cd61b85ca6235716f8e62d6fa79151d0c856063cf3189810730b2c1642626"),
+        "ccf9fa6cbd427d88a06f5dc99306389a862c6a5d506f61c0cfc9c7a5b59e08ae"),
     "n3_binomial": (
         "e4c17fde6fb6079654a3875e40b8107c620e2786a5f285899c718f3df6d5d456",
-        "b841d9242f5914af98d384c11f240b5670664f6839dd95dc69848a9d96da0106"),
+        "687863aa8b63bc0f0706a85c21cc9bc9bb28dfb29c80dfbba80e6d1ea1ff6260"),
     "cone2_bare": "open-part check needs at least one equation",
     "a1": (
         "ee4d4000b64a822955a8ca1fac7ab781832a7cedcae56f75e44d7c3df069ea80",
-        "24c510a7ca2a4be0a2cf2f3d7d6cb6a9b72fa4e000b5ee4bfb066893bcc2769f"),
+        "b093009e383b2b68d593ab17fe090bc4630798b022203c21bc8f582a51e9d538"),
     "cusp": (
         "913fa69c48b9b55cfc4260a5a120c8953c29e8050d027f4798c7fd6011b7b49d",
-        "8db9a517c31b417071de183114a2052ff2ee86aed3cfa7a42e6cb2e23647f4bc"),
+        "f4ca672d86cfcaf31d431ae970a15160563c5be2d7575bf7ceb658bbe9e77944"),
 }
 
 
