@@ -23,6 +23,14 @@ n - dim J_m(X) / (m+1), the same number since d + c = n.  Every estimate
 is an upper bound (lct = n - max_m dim J_m / (m+1), Mustata 2002), so the
 row marked best for each l is the smallest.
 
+A row whose source is known to be empty is answered EMPTY without
+building its presentation: a stratum X_l whose base (order 0) dimension,
+computed once for the Assumption-1 check, is EMPTY, and the open part at
+every order above one whose row was EMPTY.  This is exact: the order-m
+presentation contains the order-m' generators (m' < m) in the lower
+variables, so V(J_m) projects into V(J_m') = empty.  An UNKNOWN row decides
+nothing and is never propagated.
+
 A REDUCIBLE witness is rechecked by counting points of its own
 presentation over F_p.
 """
@@ -204,17 +212,31 @@ def estimate_lct(d, c, dim_jets, m):
     return Fraction(d + c) - Fraction(dim_jets, m + 1)
 
 
-def _presentations(chart, max_order, strata):
-    """(presentation, kind, l, m, note) of every inequality row, built one
-    at a time: per order m, one per stratum of index l > 0 (an ordinary
-    chart has none), then the open row."""
-    for m in range(1, max_order + 1):
-        for s in strata:
-            if s.index:
-                yield (stratum_jet_presentation(s, m), "stratum", s.index, m,
-                       f"face {s.face.generator_indices}")
-        yield (open_part_jet_presentation(chart, m), "open", 0, m,
-               "jets over the singular locus")
+def _rows(chart, cfg, d, strata, empty):
+    """(row, presentation) of every inequality row: per order m, one per
+    stratum of index l > 0 (an ordinary chart has none), then the open row.
+
+    A row source (a stratum, or "open") in empty is known to be empty, and
+    gets an EMPTY row with no presentation built; a source whose computed
+    row is EMPTY joins empty for the higher orders.  See the module
+    docstring.
+    """
+    empty = set(empty)
+    sources = [(s, "stratum", s.index, f"face {s.face.generator_indices}")
+               for s in strata if s.index]
+    sources.append(("open", "open", 0, "jets over the singular locus"))
+    for m in range(1, cfg.max_order + 1):
+        for source, kind, l, note in sources:
+            if source in empty:
+                yield InequalityRow(l, m, kind, EMPTY, m * l, d * (m + 1),
+                                    "EMPTY", note), None
+                continue
+            pres = (stratum_jet_presentation(source, m) if kind == "stratum"
+                    else open_part_jet_presentation(chart, m))
+            row = _row(pres, kind, l, m, d, cfg, note)
+            if row.status == "EMPTY":
+                empty.add(source)
+            yield row, pres
 
 
 def _row(pres, kind, l, m, d, cfg, note):
@@ -277,13 +299,14 @@ def analyze(chart, cfg=None):
 
     if is_log:
         strata = stratify(chart)
-        assumption = check_assumption(chart, {
-            s: dimension_of(base_presentation(s),
-                            budgets=cfg.budgets).dimension
-            for s in strata})
+        base_dims = {s: dimension_of(base_presentation(s),
+                                     budgets=cfg.budgets).dimension
+                     for s in strata}
+        assumption = check_assumption(chart, base_dims)
         d = assumption.dim_x
+        empty = [s for s, dim in base_dims.items() if dim == EMPTY]
     else:
-        strata = ()
+        strata, empty = (), []
         assumption = None
         d = (dimension_of(ordinary_jet_presentation(chart, 0),
                           budgets=cfg.budgets).dimension
@@ -320,12 +343,11 @@ def analyze(chart, cfg=None):
                "; the open stratum is empty, no reducibility conclusion"))
     else:
         rows, w = [], None      # w: the violated row of least (m, l)
-        for pres, kind, l, m, note in _presentations(chart, cfg.max_order,
-                                                     strata):
-            rows.append(_row(pres, kind, l, m, d, cfg, note))
-            if rows[-1].status == "VIOLATED" and (
-                    w is None or (m, l) < (w.m, w.l)):
-                w, w_pres = rows[-1], pres
+        for row, pres in _rows(chart, cfg, d, strata, empty):
+            rows.append(row)
+            if row.status == "VIOLATED" and (
+                    w is None or (row.m, row.l) < (w.m, w.l)):
+                w, w_pres = row, pres
         rows = tuple(rows)
 
         if is_log:

@@ -140,12 +140,10 @@ def _cmd_dim(args):
     lines = []
     payload = []
     for label, res in results:
-        lines.append(f"{label}: dim = {res.dimension} ({res.method})")
+        lines.append(f"{label}: dim = {res.dimension}")
         if args.verbose and res.certificate is not None:
             lines.append(f"  certificate: {res.certificate}")
-        payload.append({"stratum": label, "dimension": res.dimension,
-                        "method": res.method,
-                        "unreliable": res.unreliable})
+        payload.append({"stratum": label, "dimension": res.dimension})
     _emit({"schema": "logjet-dim/1", "order": args.order,
            "results": payload, "lines": lines}, args.format)
     return 0

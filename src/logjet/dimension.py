@@ -45,7 +45,7 @@ class Budgets:
     def from_env_string(cls, text, base=None):
         base = base or cls()
         parts = [p.strip() for p in text.split(",")]
-        if (len(parts) != 2 or not all(p.isdigit() for p in parts)
+        if (len(parts) != 2 or not all(p.isdecimal() for p in parts)
                 or min(map(int, parts)) < 1):
             raise ValueError(
                 f"budget override must be 'pairs,degree' with positive "

@@ -122,8 +122,13 @@ class AffineMonoid:
 
         Starts from the whole cone; the minimal face is included.  Faces
         are deduplicated by generator subset and sorted by
-        (stratum_index, generator_indices).
+        (stratum_index, generator_indices).  The lattice is computed once
+        per monoid, on the first call, and memoized on it.
         """
+        return self._face_lattice
+
+    @cached_property
+    def _face_lattice(self):
         n = self.ambient_rank
         if n > MAX_FACE_RANK:
             raise RankTooLargeError(

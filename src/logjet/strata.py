@@ -13,7 +13,8 @@ the localization of the torus.
 
 Everything is written in the chart's basis coordinates; monomials of the
 monoid may acquire negative exponents there, which are cleared against the
-inverted locus before the system is jetted.
+inverted locus before the system is jetted.  The exponents of the monoid
+generators are computed once per chart and shared by every face.
 
 Every jet presentation comes from one builder, jet_presentation.  It jets
 every polynomial of a base system with the ordinary derivation, the
@@ -49,52 +50,58 @@ class StratumPresentation:
     equations: tuple
 
 
-def _chi(chart, ring, point):
-    """The monomial chi^point in basis coordinates, lifted to the ring."""
-    exps = chart.exponents_of(point)
+def _monomial(ring, exps):
+    """The monomial with basis-coordinate exponents exps, lifted to ring."""
     return JetPoly.monomial(ring, tuple(exps) + (0,) * (ring.n - len(exps)))
 
 
-def _stratum(chart, face):
+def _stratum(chart, face, off_face, p_f):
+    """The stratum of face, from the basis-coordinate exponents of the
+    generators off the face and of p_F."""
     n = chart.ambient_rank
     ring = RingDescriptor(n + 1, 0, ORDINARY)
     eqs = [lift_base_vars(f, ring) for f in chart.equations]
-    seen = set()
-    for gi, g in enumerate(chart.monoid.generators):
-        if gi in face.generator_indices:
-            continue
-        mono = _chi(chart, ring, g)
-        key = mono.render()
-        if key not in seen:
-            seen.add(key)
-            eqs.append(mono)
-    p_f = tuple(
-        sum(chart.monoid.generators[gi][k] for gi in face.generator_indices)
-        for k in range(n))
+    eqs.extend(_monomial(ring, exps) for exps in dict.fromkeys(off_face))
     w = JetPoly.base_var(ring, n + 1)
-    eqs.append(w * _chi(chart, ring, p_f) - 1)
+    eqs.append(w * _monomial(ring, p_f) - 1)
     names = tuple(f"x{i}" for i in range(1, n + 1)) + ("w",)
     return StratumPresentation(face, face.stratum_index, names, ring,
                                tuple(eqs))
 
 
 def stratify(chart):
-    """One StratumPresentation per face of the chart monoid."""
+    """One StratumPresentation per face of the chart monoid.
+
+    Each generator's exponents are solved for once; the basis-coordinate
+    map is linear, so those of p_F are the sum of its face generators'.
+    """
     if chart.monoid is None:
         raise ModeMismatchError(
             "stratification needs a monoid chart; an ordinary chart is a "
             "single stratum (the whole variety)")
-    return tuple(_stratum(chart, face) for face in chart.monoid.faces())
+    exponents = tuple(chart.exponents_of(g) for g in chart.monoid.generators)
+    strata = []
+    for face in chart.monoid.faces():
+        on = face.generator_indices
+        p_f = tuple(sum(exponents[gi][k] for gi in on)
+                    for k in range(chart.ambient_rank))
+        strata.append(_stratum(
+            chart, face, [e for gi, e in enumerate(exponents) if gi not in on],
+            p_f))
+    return tuple(strata)
 
 
 def open_stratum(chart):
     """The l = 0 stratum: the chart inside the torus.
 
     Its face is the whole monoid, which lies on no facet and has stratum
-    index 0 because the chart basis makes the monoid full rank.
+    index 0 because the chart basis makes the monoid full rank.  No
+    generator is off it, so only p_F needs solving for.
     """
-    whole = Face(tuple(range(len(chart.monoid.generators))), (), 0)
-    return _stratum(chart, whole)
+    gens = chart.monoid.generators
+    whole = Face(tuple(range(len(gens))), (), 0)
+    return _stratum(chart, whole, (),
+                    chart.exponents_of(tuple(map(sum, zip(*gens)))))
 
 
 def _cleared(f, ring):

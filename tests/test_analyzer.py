@@ -1,10 +1,14 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from logjet import AffineMonoid, AnalysisConfig, Chart, analyze, dimension_of
+from logjet import (EMPTY, AffineMonoid, AnalysisConfig, Budgets, Chart,
+                    analyze, dimension_of, load_chart)
+from logjet import analyzer
 from logjet.analyzer import open_part_jet_presentation
 from logjet.report import report_from_dict, report_to_dict
+from logjet.strata import stratify, stratum_jet_presentation
 
 A1 = "(x1-1)^2 + (x2-1)^2 + (x3-1)^2"
 
@@ -63,3 +67,90 @@ def test_witness_on_a_stratum_row_is_rechecked_on_its_presentation():
     assert wc.confirmed is True
     assert wc.counts == {101: 101, 103: 103, 107: 107}
     assert report_from_dict(report_to_dict(report)) == report
+
+
+BENCH_CHARTS = Path(__file__).resolve().parents[1] / "bench" / "charts"
+
+
+def _analyzed(name, max_order):
+    chart, options = load_chart(BENCH_CHARTS / name)
+    return chart, analyze(chart, AnalysisConfig(
+        max_order=max_order, budgets=options.budgets or Budgets()))
+
+
+def _row_status(report, m):
+    return {(r.l, r.note): r.status for r in report.rows if r.m == m}
+
+
+@pytest.mark.parametrize("name, empty_rows", [
+    ("n3_hyperplane.json", [(3, "face ()")]),
+    ("n3_quadric.json", [(2, "face (0,)"), (2, "face (1,)"),
+                         (3, "face ()")]),
+])
+def test_empty_sources_are_answered_past_the_variable_cap(name, empty_rows):
+    """At m = 4 these presentations have 20 variables, over the cap of 18;
+    the strata are empty at order 0 and the open part at m = 1, so their
+    rows are EMPTY and print the note of a computed EMPTY row.  The
+    nonempty strata stay UNKNOWN, so the verdict stays INCONCLUSIVE."""
+    _chart, report = _analyzed(name, 4)
+    at4 = _row_status(report, 4)
+    for key in empty_rows + [(0, "jets over the singular locus")]:
+        assert at4[key] == "EMPTY"
+    assert "UNKNOWN" in at4.values()
+    assert report.verdict == "INCONCLUSIVE"
+
+
+def _recording(monkeypatch):
+    """Patch the analyzer's two row builders to record (source, m)."""
+    built = []
+    stratum_pres = analyzer.stratum_jet_presentation
+    open_pres = analyzer.open_part_jet_presentation
+
+    def stratum(s, m):
+        built.append((s.face.generator_indices, m))
+        return stratum_pres(s, m)
+
+    def open_part(chart, m):
+        built.append(("open", m))
+        return open_pres(chart, m)
+
+    monkeypatch.setattr(analyzer, "stratum_jet_presentation", stratum)
+    monkeypatch.setattr(analyzer, "open_part_jet_presentation", open_part)
+    return built
+
+
+def test_an_empty_stratum_is_never_built(monkeypatch):
+    built = _recording(monkeypatch)
+    _chart, report = _analyzed("n3_hyperplane.json", 2)
+    assert report.verdict == "NO_OBSTRUCTION_UP_TO_M"
+    assert not any(face == () for face, _m in built)
+    assert [key for key in built if key[0] == "open"] == [("open", 1)]
+    assert all(_row_status(report, m)[(3, "face ()")] == "EMPTY"
+               for m in (1, 2))
+
+
+@pytest.mark.parametrize("name", sorted(
+    p.name for p in BENCH_CHARTS.glob("*.json") if p.name != "cone2_bare.json"))
+def test_rows_answered_without_a_build_are_empty(monkeypatch, name):
+    """Every row answered EMPTY without building its presentation reads
+    EMPTY when its own presentation is built and measured.  Rank-5 strata
+    take seconds each at m = 2, so that chart stops at m = 1."""
+    built = _recording(monkeypatch)
+    chart, report = _analyzed(name, 2 if "n5" not in name else 1)
+    monkeypatch.undo()
+    strata = {f"face {s.face.generator_indices}": s
+              for s in stratify(chart)} if chart.monoid else {}
+    for r in report.rows:
+        if r.status == "UNKNOWN":       # a budget tripped on a built row
+            continue
+        if r.kind == "stratum":
+            s = strata[r.note]
+            if (s.face.generator_indices, r.m) in built:
+                continue
+            pres = stratum_jet_presentation(s, r.m)
+        elif ("open", r.m) in built:
+            continue
+        else:
+            pres = open_part_jet_presentation(chart, r.m)
+        assert r.status == "EMPTY"
+        assert dimension_of(pres).dimension == EMPTY

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,15 +61,23 @@ def test_strata_json(chart_file, capsys):
 
 def test_dim_of_the_whole_chart(chart_file, capsys):
     assert main(["dim", "--order", "1", chart_file(CUSP)]) == 0
-    assert capsys.readouterr().out == "X: dim = 2 (groebner)\n"
+    assert capsys.readouterr().out == "X: dim = 2\n"
 
 
 def test_dim_of_one_stratum(chart_file, capsys):
     assert main(["dim", "--stratum", "1", "--order", "1",
                  chart_file(CONE)]) == 0
     assert capsys.readouterr().out == (
-        "l=1 face (0,): dim = 0 (groebner)\n"
-        "l=1 face (2,): dim = EMPTY (groebner)\n")
+        "l=1 face (0,): dim = 0\n"
+        "l=1 face (2,): dim = EMPTY\n")
+
+
+def test_dim_json(chart_file, capsys):
+    assert main(["--format", "json", "dim", "--order", "1",
+                 chart_file(CUSP)]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "schema": "logjet-dim/1", "order": 1, "lines": ["X: dim = 2"],
+        "results": [{"stratum": "X", "dimension": 2}]}
 
 
 def test_dim_certificates_through_the_cli(capsys):
@@ -75,11 +86,11 @@ def test_dim_certificates_through_the_cli(capsys):
     assert main(["--verbose", "dim", "--stratum", "1", "--order", "3",
                  str(chart)]) == 0
     assert capsys.readouterr().out == (
-        "l=1 face (0, 1): dim = 4 (groebner)\n"
+        "l=1 face (0, 1): dim = 4\n"
         "  certificate: ('x2', 'x2(1)', 'x2(2)', 'x2(3)')\n"
-        "l=1 face (0, 2): dim = 4 (groebner)\n"
+        "l=1 face (0, 2): dim = 4\n"
         "  certificate: ('x3', 'x3(1)', 'x3(2)', 'x3(3)')\n"
-        "l=1 face (1, 2): dim = 4 (groebner)\n"
+        "l=1 face (1, 2): dim = 4\n"
         "  certificate: ('x3', 'x3(1)', 'x3(2)', 'x3(3)')\n")
 
 
@@ -130,6 +141,16 @@ def test_non_positive_budget_override(chart_file, capsys, monkeypatch, text):
     assert repr(text) in err
 
 
+def test_superscript_digit_budget_override(chart_file, capsys, monkeypatch):
+    """'²' is a digit to str.isdigit but not a decimal int() can read."""
+    monkeypatch.setenv("LOGJET_BUDGET", "²,40")
+    assert main(["analyze", "--max-order", "1",
+                 chart_file(N2_HYPERPLANE)]) == 1
+    assert capsys.readouterr().err == (
+        "logjet: error: budget override must be 'pairs,degree' with "
+        "positive integers, got '²,40'\n")
+
+
 def test_dim_budget_override_matches_the_chart_budget(chart_file, capsys,
                                                       monkeypatch):
     """dim applies LOGJET_BUDGET once, on top of the chart file's budgets,
@@ -156,3 +177,14 @@ def test_dim_has_no_method_option(chart_file, capsys):
         main(["dim", "--order", "1", "--method", "fp", chart_file(CUSP)])
     assert exit_info.value.code == 1
     assert "unrecognized arguments: --method" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "logjet", "analyze", "--max-order", "1",
+         str(BENCH_CHARTS / "n2_hyperplane.json")],
+        capture_output=True, text=True, env=env, cwd=root, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "verdict: NO_OBSTRUCTION_UP_TO_M" in done.stdout

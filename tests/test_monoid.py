@@ -170,6 +170,11 @@ def test_face_count_simplicial():
     assert len(n3.faces()) == 8
 
 
+def test_face_lattice_is_computed_once():
+    monoid = AffineMonoid(3, HEXAGON)
+    assert monoid.faces() is monoid.faces()
+
+
 def test_stratum_index_formula():
     for face in CONE3.faces():
         rows = [list(CONE3.generators[i]) for i in face.generator_indices]

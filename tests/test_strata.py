@@ -25,6 +25,23 @@ def test_stratify_cone_faces(cone):
     assert all(s.variables == ("x1", "x2", "w") for s in strata)
 
 
+def test_generator_exponents_are_solved_once_per_generator(cone,
+                                                          monkeypatch):
+    """The exponents of p_F are sums of its generators' exponents, so the
+    four faces of the cone solve for each of the three generators once."""
+    solved = []
+    exponents_of = Chart.exponents_of
+
+    def counting(chart, point):
+        solved.append(point)
+        return exponents_of(chart, point)
+
+    before = [s.equations for s in stratify(cone)]
+    monkeypatch.setattr(Chart, "exponents_of", counting)
+    assert [s.equations for s in stratify(cone)] == before
+    assert solved == list(cone.monoid.generators)
+
+
 def test_laurent_monomial_cleared_and_recorded(cone):
     s = _stratum(cone, (0,))
     # chi^(1,2) = x1^-1 x2^2 in basis coordinates
