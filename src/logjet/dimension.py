@@ -377,15 +377,15 @@ def groebner_basis(pres, budgets=None):
 
 @dataclass(frozen=True)
 class DimResult:
-    """Dimension answer with its method and certificate.
+    """Dimension answer with its certificate.
 
-    dimension is an int or the string EMPTY.  Groebner results are exact.
-    fp_count results only recheck a REDUCIBLE witness; they carry
+    dimension is an int or the string EMPTY.  krull_dim results are exact,
+    with the independent variable set as certificate.  F_p estimates carry
+    the per-prime point counts, only recheck a REDUCIBLE witness, and are
     unreliable=True when the per-prime estimates disagree.
     """
 
     dimension: object
-    method: str
     certificate: object = None
     unreliable: bool = False
 
@@ -405,7 +405,7 @@ def krull_dim(gb):
     """
     nvars = len(gb.variables)
     if gb.is_unit_ideal:
-        return DimResult(EMPTY, "groebner", certificate=())
+        return DimResult(EMPTY, certificate=())
     masks = set(map(_support_mask, gb.leading_monomials()))
     minimal = [m for m in masks
                if not any(s != m and not s & ~m for s in masks)]
@@ -425,7 +425,7 @@ def krull_dim(gb):
     search(0, 0, 0)
     size, chosen = best
     names = tuple(v for k, v in enumerate(gb.variables) if chosen >> k & 1)
-    return DimResult(size, "groebner", certificate=names)
+    return DimResult(size, certificate=names)
 
 
 def dimension_of(pres, budgets=None):
@@ -603,5 +603,5 @@ def fp_dimension_estimate(pres, primes=None, budgets=None):
     table = {p: fp_count_points(pres, p, budgets) for p in primes}
     values = [EMPTY if count == 0 else round(math.log(count, p))
               for p, count in table.items()]
-    return DimResult(max(values, key=values.count), "fp_count",
-                     certificate=table, unreliable=len(set(values)) > 1)
+    return DimResult(max(values, key=values.count), certificate=table,
+                     unreliable=len(set(values)) > 1)

@@ -1,10 +1,9 @@
 """Exact integer linear algebra helpers (small dense matrices).
 
-Everything here works on plain Python ints or Fractions, never floats.
-Matrices are lists of rows.
+Plain Python ints only, never Fractions or floats: Bareiss determinants,
+adjugates and integer echelon bases.  Matrices are lists of rows.
 """
 
-from fractions import Fraction
 from math import gcd
 
 
@@ -35,30 +34,22 @@ def det(rows):
     return sign * a[n - 1][n - 1]
 
 
-def _reduce(rows, ncols):
-    """Reduced row echelon form over Q: (rows of Fractions, pivot columns)."""
-    a = [[Fraction(x) for x in r] for r in rows]
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        pivot = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        a[r] = [x / a[r][c] for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-    return a, pivots
+def adjugate(rows):
+    """(det M, adj M) of a square integer matrix M, so M adj M = det M I.
+
+    Entry (i, j) of adj M is the cofactor (-1)^(i+j) times the Bareiss
+    determinant of M without row j and column i.
+    """
+    n = len(rows)
+    adj = [[(-1) ** (i + j) * det([r[:i] + r[i + 1:]
+                                   for k, r in enumerate(rows) if k != j])
+            for j in range(n)] for i in range(n)]
+    return det(rows), adj
 
 
 def rank(rows):
-    """Rank of an integer matrix (exact Gaussian elimination over Q)."""
-    if not rows:
-        return 0
-    return len(_reduce(rows, len(rows[0]))[1])
+    """Rank of an integer matrix: the size of its lattice echelon basis."""
+    return len(lattice_row_basis(rows))
 
 
 def lattice_row_basis(rows):
@@ -112,53 +103,36 @@ def lattice_contains(basis, v):
 
 
 def kernel_vector(rows, ncols):
-    """Primitive integer vector spanning the right kernel, if 1-dimensional.
+    """Primitive integer vector spanning the right kernel of n - 1 rows.
 
-    rows may be empty (ncols must then be 1 for a unique kernel direction).
-    Returns None when the kernel dimension is not exactly 1.
+    rows must be ncols - 1 vectors of length ncols (none when ncols is 1).
+    The kernel is spanned by the signed maximal minors, (-1)^k times the
+    determinant of rows without column k, divided by their gcd.  Returns
+    None when every minor vanishes, that is, when the rows are dependent
+    and the kernel has dimension above 1.
     """
-    a, pivots = _reduce(rows, ncols)
-    free = [c for c in range(ncols) if c not in pivots]
-    if len(free) != 1:
+    if len(rows) != ncols - 1:
+        raise ValueError(f"kernel_vector needs {ncols - 1} rows, "
+                         f"got {len(rows)}")
+    minors = [(-1) ** k * det([r[:k] + r[k + 1:] for r in rows])
+              for k in range(ncols)]
+    g = gcd(*minors)
+    if g == 0:
         return None
-    fc = free[0]
-    vec = [Fraction(0)] * ncols
-    vec[fc] = Fraction(1)
-    for i, c in enumerate(pivots):
-        vec[c] = -a[i][fc]
-    denom = 1
-    for x in vec:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    return [x // g for x in ints]
-
-
-def solve_rational(columns, v):
-    """Solve E a = v over Q, where E has the given integer columns.
-
-    E must be square and nonsingular, so the solution is unique; returns a
-    list of Fractions.  Raises ValueError otherwise.
-    """
-    n = len(columns)
-    if len(v) != n or any(len(c) != n for c in columns):
-        raise ValueError("dimension mismatch")
-    a, pivots = _reduce([[columns[j][i] for j in range(n)] + [v[i]]
-                         for i in range(n)], n + 1)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("singular matrix")
-    return [row[n] for row in a]
+    return [x // g for x in minors]
 
 
 def solve_unimodular(columns, v):
     """Solve E a = v for integer a, where E has the given integer columns.
 
-    E must be square with determinant +-1, so the solution is integral and
-    unique. Raises ValueError otherwise.
+    E must be square with determinant +-1, so that a = det E adj(E) v is
+    integral and unique.  Raises ValueError otherwise.
     """
-    out = solve_rational(columns, v)
-    if any(x.denominator != 1 for x in out):
-        raise ValueError("system has no integer solution")
-    return [int(x) for x in out]
+    n = len(columns)
+    if len(v) != n:
+        raise ValueError("dimension mismatch")
+    # the rows of C = E^T are the columns, and adj(E) v = v adj(C)
+    d, adj = adjugate(columns)
+    if d not in (1, -1):
+        raise ValueError(f"determinant {d} is not +-1")
+    return [d * sum(x * row[j] for x, row in zip(v, adj)) for j in range(n)]

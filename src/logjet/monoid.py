@@ -47,9 +47,11 @@ class AffineMonoid:
     or raises MonoidError naming a missing point.  For every n-subset S of
     the generators with det S != 0 it checks the |det S| lattice points of
     the half-open parallelepiped of S, which with S generate the lattice
-    points of cone(S); these cones cover the cone.  Over
-    MAX_PARALLELEPIPED_POINTS points in all, ResourceLimitError is raised
-    before any is enumerated.  So P = cone ∩ Z^n and membership() is exact.
+    points of cone(S); these cones cover the cone.  Each point is a coset
+    representative of the lattice of S folded into the parallelepiped by
+    the integer adjugate of S.  Over MAX_PARALLELEPIPED_POINTS points in
+    all, ResourceLimitError is raised before any is enumerated.  So
+    P = cone ∩ Z^n and membership() is exact.
     """
 
     def __init__(self, ambient_rank, generators):
@@ -235,14 +237,18 @@ def _parallelepiped_points(simplex):
     """Lattice points of {sum lam_i s_i : 0 <= lam_i < 1}.
 
     The echelon basis of the simplex's lattice has pivots d_i; the vectors
-    with 0 <= a_i < d_i represent each of its |det| cosets once, and the
-    fractional parts of their coordinates in the simplex fold them into the
-    parallelepiped.
+    with 0 <= a_i < d_i represent each of its |det S| cosets once.  A
+    representative r has simplex coordinates lam = r adj / d, where
+    (d, adj) = (det S, adj S).  Its fractional parts fold r into the
+    parallelepiped, in integers: ((r adj) mod d) S / d, since Python's
+    x % d has the sign of d, so (x % d) / d is the fractional part of x / d.
     """
     rows = [list(s) for s in simplex]
+    d, adj = intlinalg.adjugate(rows)
     pivots = [next(x for x in row if x)
               for row in intlinalg.lattice_row_basis(rows)]
-    for rep in itertools.product(*(range(d) for d in pivots)):
-        lam = intlinalg.solve_rational(rows, rep)
-        yield tuple(int(sum((c % 1) * s[k] for c, s in zip(lam, simplex)))
-                    for k in range(len(rep)))
+    for rep in itertools.product(*(range(p) for p in pivots)):
+        lam = [sum(r * a for r, a in zip(rep, col)) % d
+               for col in zip(*adj)]
+        yield tuple(sum(c * s for c, s in zip(lam, col)) // d
+                    for col in zip(*rows))

@@ -281,7 +281,7 @@ def scan_krull_dim(gb):
     """Reference: every variable subset, largest first, in combination
     order; the first one holding no leading support is the certificate."""
     if gb.is_unit_ideal:
-        return DimResult(EMPTY, "groebner", certificate=())
+        return DimResult(EMPTY, certificate=())
     lead_masks = [sum(1 << k for k, e in enumerate(lm) if e)
                   for lm in gb.leading_monomials()]
     nvars = len(gb.variables)
@@ -290,7 +290,7 @@ def scan_krull_dim(gb):
             mask = sum(1 << k for k in combo)
             if all(lm & ~mask for lm in lead_masks):
                 names = tuple(gb.variables[k] for k in combo)
-                return DimResult(size, "groebner", certificate=names)
+                return DimResult(size, certificate=names)
 
 
 def leads_only(variables, leading_monomials):
@@ -315,7 +315,7 @@ def test_search_at_the_variable_cap():
              tuple([0] * 18): F(-i)} for i in range(18)]
     gb = groebner_basis(pres(names, gens))
     assert len(gb.basis) == 18
-    assert krull_dim(gb) == DimResult(0, "groebner", certificate=())
+    assert krull_dim(gb) == DimResult(0, certificate=())
 
 
 # -- F_p counting -----------------------------------------------------------------
@@ -373,7 +373,7 @@ def test_fp_prime_judged_on_the_primitive_generator(coeff):
     # x/101 and 101x both generate (x): the prime 101 is as good as any
     p = pres(["x"], [{(1,): coeff}])
     res = fp_dimension_estimate(p, primes=(101,))
-    assert res == DimResult(0, "fp_count", certificate={101: 1})
+    assert res == DimResult(0, certificate={101: 1})
 
 
 def test_fp_too_many_variables():

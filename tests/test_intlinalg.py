@@ -1,6 +1,5 @@
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -73,9 +72,15 @@ def test_kernel_vector():
     assert u is not None and u[0] == 0 and abs(u[1]) == 1
     u = intlinalg.kernel_vector([[1, 1]], 2)
     assert u is not None and u[0] + u[1] == 0
-    assert intlinalg.kernel_vector([[1, 0], [0, 1]], 2) is None
+    # two dependent rows in three columns: a 2-dimensional kernel
+    assert intlinalg.kernel_vector([[1, 2, 3], [2, 4, 6]], 3) is None
+    # the minors (2, -4, 2) are divided by their gcd
+    u = intlinalg.kernel_vector([[1, 1, 1], [1, 2, 3]], 3)
+    assert u in ([1, -2, 1], [-1, 2, -1])
     # empty row set in rank 1: the kernel is all of Z
     assert intlinalg.kernel_vector([], 1) == [1]
+    with pytest.raises(ValueError, match="needs 1 rows"):
+        intlinalg.kernel_vector([[1, 0], [0, 1]], 2)
 
 
 def test_solve_unimodular():
@@ -83,14 +88,25 @@ def test_solve_unimodular():
     assert intlinalg.solve_unimodular(cols, [3, 2]) == [1, 2]
     cols = [[2, 1], [1, 1]]  # det 1
     assert intlinalg.solve_unimodular(cols, [2, 1]) == [1, 0]
+    # (1, 0) = 1/2 (1, 1) + 1/2 (1, -1) has no integer solution
+    with pytest.raises(ValueError, match="determinant -2"):
+        intlinalg.solve_unimodular([[1, 1], [1, -1]], [1, 0])
+    with pytest.raises(ValueError, match="determinant 0"):
+        intlinalg.solve_unimodular([[1, 2], [2, 4]], [1, 0])
 
 
-def test_solve_rational():
-    # (1, 0) = 1/2 (1, 1) + 1/2 (1, -1)
-    cols = [[1, 1], [1, -1]]
-    assert intlinalg.solve_rational(cols, [1, 0]) == [Fraction(1, 2),
-                                                      Fraction(1, 2)]
-    with pytest.raises(ValueError, match="no integer solution"):
-        intlinalg.solve_unimodular(cols, [1, 0])
-    with pytest.raises(ValueError, match="singular"):
-        intlinalg.solve_rational([[1, 2], [2, 4]], [1, 0])
+def test_adjugate():
+    assert intlinalg.adjugate([]) == (1, [])
+    assert intlinalg.adjugate([[-3]]) == (-3, [[1]])
+    assert intlinalg.adjugate([[1, 2], [3, 4]]) == (-2, [[4, -2], [-3, 1]])
+    # a singular matrix has a nonzero adjugate of rank 1
+    assert intlinalg.adjugate([[1, 2], [2, 4]]) == (0, [[4, -2], [-2, 1]])
+    mat = [[2, 0, 1], [1, 3, 0], [0, 1, 1]]
+    d, adj = intlinalg.adjugate(mat)
+    assert d == 7
+    for i in range(3):
+        for j in range(3):
+            assert sum(mat[i][k] * adj[k][j] for k in range(3)) == \
+                d * (i == j)
+            assert sum(adj[i][k] * mat[k][j] for k in range(3)) == \
+                d * (i == j)

@@ -1,0 +1,38 @@
+"""Random Laurent polynomials: derivation against power-series substitution."""
+
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+from logjet.jets import derivative_chain, expand_by_substitution  # noqa: E402
+from logjet.poly import LOG, ORDINARY, JetPoly, RingDescriptor  # noqa: E402
+
+
+@st.composite
+def base_polys(draw):
+    """(f, m): a Laurent polynomial in 1-3 base variables and a jet order."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 3))
+    ring = RingDescriptor(n, 0)
+    exponents = st.tuples(*[st.integers(-2, 3)] * n).filter(
+        lambda e: sum(map(abs, e)) <= 4)
+    coeffs = st.builds(Fraction, st.integers(-3, 3).filter(bool),
+                       st.integers(1, 2))
+    terms = draw(st.dictionaries(exponents, coeffs, min_size=1, max_size=4))
+    f = JetPoly.zero(ring)
+    for base, c in terms.items():
+        f = f + JetPoly.monomial(ring, base, coeff=c)
+    return f, m
+
+
+@pytest.mark.parametrize("mode", [ORDINARY, LOG])
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(base_polys())
+def test_derivative_chain_matches_substitution(mode, case):
+    f, m = case
+    jet_ring = RingDescriptor(f.ring.n, m, mode)
+    assert derivative_chain(f.with_ring(jet_ring)) == \
+        expand_by_substitution(f, m, mode)

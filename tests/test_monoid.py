@@ -249,6 +249,26 @@ def test_saturation_limit_is_checked_before_enumeration():
     assert str(MAX_PARALLELEPIPED_POINTS) in str(err.value)
 
 
+FAN46 = [(1, 0)] + [(1, k) for k in range(1, 47)]
+
+
+def test_saturation_check_near_the_point_limit():
+    # the 1081 simplices of <(1,0),(1,1),...,(1,46)> hold 17296 points
+    total = sum(abs(intlinalg.det([list(a), list(b)]))
+                for a, b in itertools.combinations(FAN46, 2))
+    assert total == 17296 < MAX_PARALLELEPIPED_POINTS
+    monoid = AffineMonoid(2, FAN46)
+    assert monoid.facet_forms == ((0, 1), (46, -1))
+    for x in range(-2, 4):
+        for y in range(-3, 140):
+            assert monoid.membership((x, y)) == (0 <= y <= 46 * x), (x, y)
+
+
+def test_saturation_check_names_the_missing_fan_ray():
+    with pytest.raises(MonoidError, match=r"\(1, 23\)"):
+        AffineMonoid(2, [g for g in FAN46 if g != (1, 23)])
+
+
 def test_saturation_check_rejects_unsaturated():
     # <(1,2),(2,1),(1,1)> spans Z^2; the cone contains (1,0)+(0,1) scaled
     # points like (1,1) (fine) but (2,2) needs... use a genuinely
