@@ -182,24 +182,44 @@ def _det_polys(matrix, ring):
     return total
 
 
+@dataclass(frozen=True, eq=False)
+class _OpenPart:
+    """The pieces of the open row that do not depend on the order m: the
+    chart, the open stratum's base system (the chart itself for an
+    ordinary chart, the l = 0 stratum for a monoid chart) and the Jacobian
+    minors.  An analysis builds it once and uses it at every order."""
+
+    chart: object
+    variables: tuple
+    system: tuple
+    localized: bool
+    minors: tuple
+
+    @classmethod
+    def of(cls, chart):
+        minors = tuple(_jacobian_minors(chart))
+        if chart.monoid is None:
+            return cls(chart, _coordinates(chart), chart.equations, False,
+                       minors)
+        stratum = open_stratum(chart)
+        return cls(chart, stratum.variables, stratum.equations, True, minors)
+
+
 def open_part_jet_presentation(chart, m):
     """Jets of X constrained over the singular locus of the open stratum.
 
-    The jet presentation of the open stratum (the chart itself for an
-    ordinary chart, the l = 0 stratum for a monoid chart) plus the Jacobian
-    minors as base-only constraints.  The dimension is compared against
-    d*(m+1) per the local complete intersection theorem.
+    The jet presentation of the open stratum plus the Jacobian minors as
+    base-only constraints.  The dimension is compared against d*(m+1) per
+    the local complete intersection theorem.  chart is a Chart, or the
+    _OpenPart an analysis built from one.
     """
-    if not chart.equations:
+    part = chart if isinstance(chart, _OpenPart) else _OpenPart.of(chart)
+    if not part.chart.equations:
         raise LogjetError("open-part check needs at least one equation")
-    provenance = f"J_{m} over singular locus of the open stratum"
-    minors = _jacobian_minors(chart)
-    if chart.monoid is None:
-        return jet_presentation(_coordinates(chart), chart.equations, m,
-                                provenance, constraints=minors)
-    stratum = open_stratum(chart)
-    return jet_presentation(stratum.variables, stratum.equations, m,
-                            provenance, localized=True, constraints=minors)
+    return jet_presentation(
+        part.variables, part.system, m,
+        f"J_{m} over singular locus of the open stratum",
+        localized=part.localized, constraints=part.minors)
 
 
 # -- the analysis --------------------------------------------------------------
@@ -216,15 +236,16 @@ def _rows(chart, cfg, d, strata, empty):
     """(row, presentation) of every inequality row: per order m, one per
     stratum of index l > 0 (an ordinary chart has none), then the open row.
 
-    A row source (a stratum, or "open") in empty is known to be empty, and
-    gets an EMPTY row with no presentation built; a source whose computed
-    row is EMPTY joins empty for the higher orders.  See the module
-    docstring.
+    A row source (a stratum, or the open part) in empty is known to be
+    empty, and gets an EMPTY row with no presentation built; a source whose
+    computed row is EMPTY joins empty for the higher orders.  See the
+    module docstring.
     """
     empty = set(empty)
     sources = [(s, "stratum", s.index, f"face {s.face.generator_indices}")
                for s in strata if s.index]
-    sources.append(("open", "open", 0, "jets over the singular locus"))
+    sources.append((_OpenPart.of(chart), "open", 0,
+                    "jets over the singular locus"))
     for m in range(1, cfg.max_order + 1):
         for source, kind, l, note in sources:
             if source in empty:
@@ -232,7 +253,7 @@ def _rows(chart, cfg, d, strata, empty):
                                     "EMPTY", note), None
                 continue
             pres = (stratum_jet_presentation(source, m) if kind == "stratum"
-                    else open_part_jet_presentation(chart, m))
+                    else open_part_jet_presentation(source, m))
             row = _row(pres, kind, l, m, d, cfg, note)
             if row.status == "EMPTY":
                 empty.add(source)

@@ -86,9 +86,7 @@ class IdealPresentation:
         variables = tuple(variables)
         gens = []
         for gi, raw in enumerate(raw_generators):
-            lead_first = sorted(raw.items(), key=lambda t: _key(t[0]),
-                                reverse=True)
-            terms = {e: c for e, c in lead_first if c != 0}
+            terms = {e: c for e, c in raw.items() if c != 0}
             if not terms:
                 continue
             if any(min(e, default=0) < 0 for e in terms):
@@ -96,9 +94,13 @@ class IdealPresentation:
                     f"generator {gi} of {provenance or 'presentation'} "
                     "has negative exponents and no inversion is present")
             denom = math.lcm(*(c.denominator for c in terms.values()))
-            terms = _normalize({e: c.numerator * (denom // c.denominator)
-                                for e, c in terms.items()})
-            gens.append(tuple(sorted(terms.items())))
+            ints = {e: c.numerator * (denom // c.denominator)
+                    for e, c in terms.items()}
+            content = gcd(*ints.values())
+            if ints[_lead(ints)] < 0:
+                content = -content
+            gens.append(tuple(sorted((e, c // content)
+                                     for e, c in ints.items())))
         return cls(variables, tuple(gens), provenance, jet_order)
 
 
@@ -106,12 +108,11 @@ class IdealPresentation:
 #
 # A polynomial is a dict exponent-tuple -> int, content-free with positive
 # leading coefficient.  Degrevlex order key: (total degree, reversed negated
-# exponents), so bigger key = bigger monomial.  Every polynomial the engine
-# builds is lead-first: its first key is its leading monomial.  from_terms
-# orders each generator that way before normalizing it, and _normal_form
-# moves terms to its result in descending order, so _normalize reads the
-# sign from the first term.  Only _Reductor searches for a lead, once per
-# basis element.
+# exponents), so bigger key = bigger monomial.  Every polynomial
+# _normal_form returns is lead-first: it moves terms to its result in
+# descending order, so _normalize reads the sign from the first term.  Only
+# from_terms (once per generator) and _Reductor (once per basis element)
+# search for a lead.
 
 
 def _key(mono):
@@ -280,30 +281,27 @@ def groebner_basis(pres, budgets=None):
     pairs = {}            # (i, j) -> lcm monomial, i < j
     heap = []             # (lcm key, i, j) with lazy deletion
 
-    def coprime(a, b):
-        return all(x == 0 or y == 0 for x, y in zip(a, b))
-
     def add_element(new):
         """Gebauer-Moeller update of the pair set for one new element."""
         t = len(elements)
         lmt = new.lead
-        cand = {g: _mono_lcm(e.lead, lmt) for g, e in enumerate(elements)}
-        # scan candidates by increasing lcm; a kept candidate whose lcm
-        # divides a later one (equality included) eliminates it.  Coprime
-        # candidates are kept only as pruners and never become pairs.
+        lcms = [_mono_lcm(e.lead, lmt) for e in elements]
+        # scan candidates by increasing lcm degree, then index: a linear
+        # extension of divisibility, so a kept candidate whose lcm divides a
+        # later one (equality included) eliminates it.  Coprime candidates
+        # are kept only as pruners and never become pairs.
         kept = []
-        for g in sorted(cand, key=lambda g: (_key(cand[g]), g)):
-            lcm_g = cand[g]
-            if any(_mono_divides(lcm2, lcm_g) for lcm2, _g2 in kept):
+        for deg, g in sorted((sum(lcm), g) for g, lcm in enumerate(lcms)):
+            lcm_g = lcms[g]
+            if any(_mono_divides(lcm2, lcm_g) for lcm2, _g2, _d2 in kept):
                 continue
-            kept.append((lcm_g, g))
+            kept.append((lcm_g, g, deg))
         # chain criterion on old pairs: drop (i, j) when the new leading
         # monomial divides lcm(i, j) and neither new pair shares that lcm
         for (i, j) in list(pairs):
             lcm_ij = pairs[(i, j)]
-            if (_mono_divides(lmt, lcm_ij)
-                    and _mono_lcm(elements[i].lead, lmt) != lcm_ij
-                    and _mono_lcm(elements[j].lead, lmt) != lcm_ij):
+            if (_mono_divides(lmt, lcm_ij) and lcms[i] != lcm_ij
+                    and lcms[j] != lcm_ij):
                 del pairs[(i, j)]
         new.alive = not any(e.alive and _mono_divides(e.lead, lmt)
                             for e in elements)
@@ -312,9 +310,9 @@ def groebner_basis(pres, budgets=None):
                 if e.alive and _mono_divides(lmt, e.lead):
                     e.alive = False  # anything it reduces, the new one does
         elements.append(new)
-        for lcm_g, g in kept:
-            if coprime(elements[g].lead, lmt):
-                continue
+        for lcm_g, g, deg in kept:
+            if deg == elements[g].degree + new.degree:
+                continue  # coprime leads
             pairs[(g, t)] = lcm_g
             heapq.heappush(heap, (_key(lcm_g), g, t))
 

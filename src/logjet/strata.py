@@ -12,9 +12,9 @@ The open stratum (l = 0, F the whole monoid) keeps only the equations and
 the localization of the torus.
 
 Everything is written in the chart's basis coordinates; monomials of the
-monoid may acquire negative exponents there, which are cleared against the
-inverted locus before the system is jetted.  The exponents of the monoid
-generators are computed once per chart and shared by every face.
+monoid may acquire negative exponents there.  The exponents of the monoid
+generators, and the chart equations lifted to the ring with w, are
+computed once per chart and shared by every face.
 
 Every jet presentation comes from one builder, jet_presentation.  It jets
 every polynomial of a base system with the ordinary derivation, the
@@ -22,25 +22,35 @@ localization included, so w and its jets are fixed by the jetted
 localization, the same for strata and for the open row.  Base-only
 constraints are added without jetting: the open row is the l = 0 stratum's
 presentation plus the Jacobian minors (analyzer.open_part_jet_presentation).
+
+jet_presentation is also where Laurent polynomials are cleared, against
+the inverted locus and before jetting: each base polynomial is turned once
+into integer coefficients on exponent tuples, cleared of denominators and
+(for a localized system) of negative exponents, and the derivation then
+runs on those tuples, with no JetPoly and no Fraction.
+jets.derivative_chain, the JetPoly derivation, is its oracle.
 """
 
+import math
 from dataclasses import dataclass
+from operator import sub
 
 from .dimension import EMPTY, IdealPresentation
 from .errors import ModeMismatchError
-from .jets import derivative_chain
+from .jets import derivative_chain  # noqa: F401  (patched by bench/tracing.py)
 from .monoid import Face
-from .poly import (ORDINARY, JetMonomial, JetPoly, RingDescriptor,
-                   lift_base_vars)
+from .poly import ORDINARY, JetPoly, RingDescriptor, lift_base_vars
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StratumPresentation:
     """Closed presentation of one stratum piece (one face of the monoid).
 
     Variables are the chart coordinates x_1..x_n plus the inverse variable
     w (stored as base variable n+1).  Equations may be Laurent; they are
     cleared by jet_presentation, which the w-equation makes legitimate.
+    Equality and hashing are by identity: the analyzer keys its maps by
+    the stratum objects of one stratify call.
     """
 
     face: object
@@ -55,12 +65,19 @@ def _monomial(ring, exps):
     return JetPoly.monomial(ring, tuple(exps) + (0,) * (ring.n - len(exps)))
 
 
-def _stratum(chart, face, off_face, p_f):
-    """The stratum of face, from the basis-coordinate exponents of the
-    generators off the face and of p_F."""
+def _lifted_equations(chart):
+    """The chart equations in the ring of x_1..x_n and w."""
+    ring = RingDescriptor(chart.ambient_rank + 1, 0, ORDINARY)
+    return [lift_base_vars(f, ring) for f in chart.equations]
+
+
+def _stratum(chart, lifted, face, off_face, p_f):
+    """The stratum of face, from the chart equations lifted to the ring
+    with w and the basis-coordinate exponents of the generators off the
+    face and of p_F."""
     n = chart.ambient_rank
     ring = RingDescriptor(n + 1, 0, ORDINARY)
-    eqs = [lift_base_vars(f, ring) for f in chart.equations]
+    eqs = list(lifted)
     eqs.extend(_monomial(ring, exps) for exps in dict.fromkeys(off_face))
     w = JetPoly.base_var(ring, n + 1)
     eqs.append(w * _monomial(ring, p_f) - 1)
@@ -74,20 +91,23 @@ def stratify(chart):
 
     Each generator's exponents are solved for once; the basis-coordinate
     map is linear, so those of p_F are the sum of its face generators'.
+    The chart equations are lifted to the ring with w once, and every face
+    shares them.
     """
     if chart.monoid is None:
         raise ModeMismatchError(
             "stratification needs a monoid chart; an ordinary chart is a "
             "single stratum (the whole variety)")
     exponents = tuple(chart.exponents_of(g) for g in chart.monoid.generators)
+    lifted = _lifted_equations(chart)
     strata = []
     for face in chart.monoid.faces():
         on = face.generator_indices
         p_f = tuple(sum(exponents[gi][k] for gi in on)
                     for k in range(chart.ambient_rank))
         strata.append(_stratum(
-            chart, face, [e for gi, e in enumerate(exponents) if gi not in on],
-            p_f))
+            chart, lifted, face,
+            [e for gi, e in enumerate(exponents) if gi not in on], p_f))
     return tuple(strata)
 
 
@@ -100,25 +120,49 @@ def open_stratum(chart):
     """
     gens = chart.monoid.generators
     whole = Face(tuple(range(len(gens))), (), 0)
-    return _stratum(chart, whole, (),
+    return _stratum(chart, _lifted_equations(chart), whole, (),
                     chart.exponents_of(tuple(map(sum, zip(*gens)))))
 
 
-def _cleared(f, ring):
-    """f, lifted to ring like lift_base_vars, times the smallest monomial
-    that makes its base exponents nonnegative."""
+def _integer_terms(f, n, localized):
+    """The base polynomial f as {exponents padded to n: int}, a positive
+    integer multiple of f; when localized, also times the smallest monomial
+    that makes its exponents nonnegative."""
     terms = f.term_map()
-    low = [min(0, *column) for column in zip(*[mono.base for mono in terms])]
-    pad = [0] * (ring.n - f.ring.n)
-    return JetPoly(ring, {JetMonomial([a - b for a, b in zip(mono.base, low)]
-                                      + pad, mono.jets): c
-                          for mono, c in terms.items()})
+    denom = math.lcm(*(c.denominator for c in terms.values()))
+    low = ([min(0, *column) for column in zip(*[mono.base for mono in terms])]
+           if localized else [0] * f.ring.n)
+    pad = (0,) * (n - f.ring.n)
+    return {tuple(map(sub, mono.base, low)) + pad:
+            c.numerator * (denom // c.denominator)
+            for mono, c in terms.items()}
 
 
-def _jet_names(base_names, ring):
+def _derive(terms, moves):
+    """The ordinary derivation d on {full exponent vector: int}: each
+    (src, dst) of moves takes one unit of variable src to dst, with the
+    exponent of src as factor."""
+    out = {}
+    for vec, c in terms.items():
+        for src, dst in moves:
+            e = vec[src]
+            if e:
+                moved = list(vec)
+                moved[src] -= 1
+                moved[dst] += 1
+                moved = tuple(moved)
+                s = out.get(moved, 0) + c * e
+                if s:
+                    out[moved] = s
+                else:
+                    del out[moved]
+    return out
+
+
+def _jet_names(base_names, m):
     """Variable names matching JetMonomial.exponent_vector's column order."""
-    return tuple(base_names) + tuple(f"{base_names[i - 1]}({j})"
-                                     for i, j in ring.jet_positions())
+    return tuple(base_names) + tuple(f"{name}({j})" for name in base_names
+                                     for j in range(1, m + 1))
 
 
 def jet_presentation(variables, system, m, provenance, localized=False,
@@ -129,23 +173,29 @@ def jet_presentation(variables, system, m, provenance, localized=False,
     jetted with the ordinary derivation up to order m; every polynomial of
     constraints, in the same or a leading subset of them, is added as it
     is.  The presentation's variables are the base variables followed by
-    their jets.  A localized system may be Laurent: every system polynomial
-    (at every m, m = 0 included) and every constraint is cleared here, once,
-    by the smallest monomial that makes its exponents nonnegative; clearing
-    does not commute with the derivation, so it happens before jetting.
-    This is the only place where Laurent polynomials are cleared.
+    their jets x_i(j), ordered by (i, j).  A localized system may be
+    Laurent: every system polynomial (at every m, m = 0 included) and every
+    constraint is cleared here, once, by the smallest monomial that makes
+    its exponents nonnegative; clearing does not commute with the
+    derivation, so it happens before jetting.  This is the only place where
+    Laurent polynomials are cleared.
     """
-    ring = RingDescriptor(len(variables), m, ORDINARY)
-    lift = _cleared if localized else lift_base_vars
-    polys = []
+    n = len(variables)
+    width = n * (m + 1)
+    # d moves one unit of x_i to x_i(1), and of x_i(j) to x_i(j+1) for j < m
+    moves = [(i, n + i * m) for i in range(n)]
+    moves += [(k, k + 1) for i in range(n)
+              for k in range(n + i * m, n + i * m + m - 1)]
+    raw = []
     for f in system:
-        polys.extend(derivative_chain(lift(f, ring)))
-    polys.extend(lift(g, ring) for g in constraints)
-    terms = [{mono.exponent_vector(ring): c
-              for mono, c in g.term_map().items()} for g in polys]
+        g = _integer_terms(f, width, localized)
+        raw.append(g)
+        for _ in range(m):
+            g = _derive(g, moves)
+            raw.append(g)
+    raw.extend(_integer_terms(g, width, localized) for g in constraints)
     return IdealPresentation.from_terms(
-        _jet_names(variables, ring), terms, provenance=provenance,
-        jet_order=m)
+        _jet_names(variables, m), raw, provenance=provenance, jet_order=m)
 
 
 def base_presentation(stratum):

@@ -1,0 +1,92 @@
+"""Random Laurent systems: the integer jet-presentation builder against the
+JetPoly derivation.
+
+strata.jet_presentation derives on integer exponent tuples.  The reference
+here takes the JetPoly path: lift each polynomial (or clear it by the
+smallest monomial with nonnegative exponents, when localized), apply
+jets.derivative_chain, read each term's JetMonomial.exponent_vector and
+hand the Fraction maps to IdealPresentation.from_terms.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+from logjet.dimension import IdealPresentation  # noqa: E402
+from logjet.errors import UnlocalizedLaurentError  # noqa: E402
+from logjet.jets import derivative_chain  # noqa: E402
+from logjet.poly import (JetMonomial, JetPoly, RingDescriptor,  # noqa: E402
+                         lift_base_vars)
+from logjet.strata import jet_presentation  # noqa: E402
+
+
+def _cleared(f, ring):
+    """f lifted to ring, times the smallest monomial that makes its base
+    exponents nonnegative."""
+    terms = f.term_map()
+    low = [min(0, *column) for column in zip(*[mono.base for mono in terms])]
+    pad = [0] * (ring.n - f.ring.n)
+    return JetPoly(ring, {JetMonomial([a - b for a, b in zip(mono.base, low)]
+                                      + pad, mono.jets): c
+                          for mono, c in terms.items()})
+
+
+def reference_presentation(variables, system, m, provenance, localized=False,
+                           constraints=()):
+    ring = RingDescriptor(len(variables), m)
+    lift = _cleared if localized else lift_base_vars
+    polys = []
+    for f in system:
+        polys.extend(derivative_chain(lift(f, ring)))
+    polys.extend(lift(g, ring) for g in constraints)
+    names = tuple(variables) + tuple(f"{variables[i - 1]}({j})"
+                                     for i, j in ring.jet_positions())
+    return IdealPresentation.from_terms(
+        names, [{mono.exponent_vector(ring): c
+                 for mono, c in g.term_map().items()} for g in polys],
+        provenance=provenance, jet_order=m)
+
+
+def laurent_polys(n):
+    """Nonzero Laurent polynomials in n base variables."""
+    ring = RingDescriptor(n, 0)
+    exponents = st.tuples(*[st.integers(-2, 3)] * n).filter(
+        lambda e: sum(map(abs, e)) <= 4)
+    coeffs = st.builds(Fraction, st.integers(-3, 3).filter(bool),
+                       st.integers(1, 3))
+    return st.dictionaries(exponents, coeffs, min_size=1, max_size=4).map(
+        lambda terms: JetPoly(ring, {JetMonomial(e): c
+                                     for e, c in terms.items()}))
+
+
+@st.composite
+def systems(draw):
+    """(variables, system, m, localized, constraints) with 1-3 base
+    variables, m <= 3, and constraints in a leading subset of them."""
+    n = draw(st.integers(1, 3))
+    system = draw(st.lists(laurent_polys(n), min_size=1, max_size=3))
+    constraints = draw(st.lists(
+        st.integers(1, n).flatmap(laurent_polys), max_size=2))
+    return (tuple(f"x{i}" for i in range(1, n + 1)), system,
+            draw(st.integers(0, 3)), draw(st.booleans()), constraints)
+
+
+def _outcome(build, case):
+    variables, system, m, localized, constraints = case
+    try:
+        return build(variables, system, m, "oracle", localized=localized,
+                     constraints=constraints)
+    except UnlocalizedLaurentError as exc:
+        return str(exc)
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(systems())
+def test_integer_builder_matches_the_jetpoly_path(case):
+    """Equal presentations, or the same UnlocalizedLaurentError when an
+    unlocalized system is Laurent."""
+    assert (_outcome(jet_presentation, case)
+            == _outcome(reference_presentation, case))
