@@ -9,7 +9,7 @@ from .dimension import (EMPTY, Budgets, DimResult, IdealPresentation,
                         groebner_basis, krull_dim)
 from .jets import (JetIdeal, derive_log, derive_ordinary, derivative_chain,
                    expand_by_substitution, jet_ideal,
-                   refinement_pullback_check, specialize_log_to_ordinary)
+                   specialize_log_to_ordinary)
 from .monoid import AffineMonoid, Face
 from .parse import parse_poly
 from .poly import LOG, ORDINARY, JetMonomial, JetPoly, RingDescriptor
@@ -27,6 +27,6 @@ __all__ = [
     "expand_by_substitution", "fp_count_points", "fp_dimension_estimate",
     "groebner_basis", "jet_ideal", "krull_dim", "load_chart",
     "open_part_jet_presentation", "ordinary_jet_presentation", "parse_poly",
-    "refinement_pullback_check", "report_from_dict", "report_to_dict",
-    "specialize_log_to_ordinary", "stratify", "stratum_jet_presentation",
+    "report_from_dict", "report_to_dict", "specialize_log_to_ordinary",
+    "stratify", "stratum_jet_presentation",
 ]

@@ -45,7 +45,7 @@ from .jets import derivative_chain  # noqa: F401  (patched by bench/tracing.py)
 from .jets import jet_ideal
 from .poly import LOG, ORDINARY, JetMonomial, JetPoly, RingDescriptor
 from .strata import (base_presentation, check_assumption, jet_presentation,
-                     open_stratum, stratify, stratum_jet_presentation)
+                     stratify, stratum_jet_presentation)
 
 
 @dataclass(frozen=True)
@@ -187,7 +187,8 @@ class _OpenPart:
     """The pieces of the open row that do not depend on the order m: the
     chart, the open stratum's base system (the chart itself for an
     ordinary chart, the l = 0 stratum for a monoid chart) and the Jacobian
-    minors.  An analysis builds it once and uses it at every order."""
+    minors.  An analysis builds it once, from the strata it already has,
+    and uses it at every order."""
 
     chart: object
     variables: tuple
@@ -196,12 +197,14 @@ class _OpenPart:
     minors: tuple
 
     @classmethod
-    def of(cls, chart):
+    def of(cls, chart, strata=()):
+        """strata is stratify(chart) when the caller has it; faces() sorts
+        the whole monoid, the l = 0 face, first."""
         minors = tuple(_jacobian_minors(chart))
         if chart.monoid is None:
             return cls(chart, _coordinates(chart), chart.equations, False,
                        minors)
-        stratum = open_stratum(chart)
+        stratum = (strata or stratify(chart))[0]
         return cls(chart, stratum.variables, stratum.equations, True, minors)
 
 
@@ -244,7 +247,7 @@ def _rows(chart, cfg, d, strata, empty):
     empty = set(empty)
     sources = [(s, "stratum", s.index, f"face {s.face.generator_indices}")
                for s in strata if s.index]
-    sources.append((_OpenPart.of(chart), "open", 0,
+    sources.append((_OpenPart.of(chart, strata), "open", 0,
                     "jets over the singular locus"))
     for m in range(1, cfg.max_order + 1):
         for source, kind, l, note in sources:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from . import intlinalg
 from .errors import MonoidError, SupportError
 from .parse import parse_poly
-from .poly import ORDINARY, JetPoly, RingDescriptor
+from .poly import ORDINARY, RingDescriptor
 
 
 @dataclass(frozen=True)
@@ -34,8 +34,8 @@ class Chart:
               basis=None):
         """Validate and construct a chart.
 
-        equations may be strings (parsed over the base ring) or JetPoly
-        values with m = 0.  For a monoid chart the basis defaults to
+        equations are strings, parsed over the base ring of the chart's
+        ambient rank.  For a monoid chart the basis defaults to
         select_gp_basis; explicit basis vectors must lie in the monoid and
         form a Z-basis.  Every equation's support is checked.
         """
@@ -46,15 +46,9 @@ class Chart:
         ring = RingDescriptor(ambient_rank, 0, ORDINARY)
         polys = []
         for idx, eq in enumerate(equations):
-            if isinstance(eq, str):
-                eq = parse_poly(eq, ring)
-            elif isinstance(eq, JetPoly):
-                if eq.ring.m != 0:
-                    raise SupportError(
-                        f"equation {idx} contains jet variables")
-                eq = eq.with_ring(ring)
-            else:
-                raise TypeError(f"equation {idx}: expected str or JetPoly")
+            if not isinstance(eq, str):
+                raise TypeError(f"equation {idx}: expected str")
+            eq = parse_poly(eq, ring)
             if eq.is_zero:
                 raise SupportError(f"equation {idx} is identically zero")
             polys.append(eq)
@@ -113,9 +107,3 @@ class Chart:
             if not self.monoid.membership(point):
                 return vec, point
         return None
-
-    def support_in_monoid(self, poly):
-        """Does every monomial of the base polynomial lie in k[P]?"""
-        if poly.has_jet_variables():
-            raise SupportError("support check expects a base polynomial")
-        return self.support_violation(poly) is None

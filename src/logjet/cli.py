@@ -4,7 +4,6 @@ Commands:
     jets --order M [--log] FILE          print jet ideal generators
     strata FILE                          print stratum presentations
     dim --order M [--stratum L] FILE
-    check-refinement FILE QFILE --order M
     analyze --max-order M FILE
 
 Global flags: --format table|json, --verbose.  LOGJET_BUDGET="pairs,degree"
@@ -22,7 +21,7 @@ from .analyzer import AnalysisConfig, analyze, ordinary_jet_presentation
 from .chartfile import load_chart
 from .dimension import Budgets, dimension_of
 from .errors import LogjetError
-from .jets import jet_ideal, refinement_pullback_check
+from .jets import jet_ideal
 from .poly import LOG, ORDINARY
 from .report import emit_report
 from .strata import stratify, stratum_jet_presentation
@@ -57,12 +56,6 @@ def _build_parser():
     p_dim.add_argument("--order", type=int, required=True)
     p_dim.add_argument("--stratum", type=int, default=None)
     p_dim.add_argument("file")
-
-    p_ref = sub.add_parser("check-refinement",
-                           help="fibre-square check for a monoid refinement")
-    p_ref.add_argument("file")
-    p_ref.add_argument("qfile")
-    p_ref.add_argument("--order", type=int, required=True)
 
     p_an = sub.add_parser("analyze", help="full singularity analysis")
     p_an.add_argument("--max-order", type=int, default=2)
@@ -149,22 +142,6 @@ def _cmd_dim(args):
     return 0
 
 
-def _cmd_check_refinement(args):
-    chart, _opts = load_chart(args.file)
-    refined_chart, _qopts = load_chart(args.qfile)
-    if refined_chart.monoid is None:
-        raise LogjetError("the refinement file must carry a monoid")
-    check = refinement_pullback_check(chart, refined_chart.monoid,
-                                      args.order)
-    lines = [f"refinement check at order {args.order}: "
-             f"{'PASS' if check.ok else 'FAIL'}",
-             f"detail: {check.detail}"]
-    _emit({"schema": "logjet-refinement/1", "ok": check.ok,
-           "order": args.order, "detail": check.detail, "lines": lines},
-          args.format)
-    return 0 if check.ok else 1
-
-
 def _cmd_analyze(args, fmt, verbose):
     chart, opts = load_chart(args.file)
     cfg = AnalysisConfig(max_order=args.max_order, budgets=_budgets(opts),
@@ -184,8 +161,6 @@ def main(argv=None):
             return _cmd_strata(args)
         if args.command == "dim":
             return _cmd_dim(args)
-        if args.command == "check-refinement":
-            return _cmd_check_refinement(args)
         if args.command == "analyze":
             return _cmd_analyze(args, args.format, args.verbose)
         parser.error(f"unknown command {args.command!r}")

@@ -45,10 +45,6 @@ class SupportError(LogjetError):
     """A polynomial has a monomial outside the chart's monoid."""
 
 
-class NotARefinementError(LogjetError):
-    """The candidate monoid does not contain the chart monoid."""
-
-
 class ResourceLimitError(LogjetError):
     """A configured computation budget was exceeded (never a wrong answer)."""
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .errors import (LogjetError, ModeMismatchError, NotARefinementError,
+from .errors import (LogjetError, ModeMismatchError,
                      NonInvertibleLeadingTermError)
 from .poly import (LOG, ORDINARY, JetMonomial, JetPoly, RingDescriptor,
                    require_mode)
@@ -277,50 +277,3 @@ def specialize_log_to_ordinary(g):
         key = JetMonomial(base, jets.items())
         terms[key] = terms.get(key, Fraction(0)) + c
     return JetPoly(ring, terms)
-
-
-# -- monoid refinements -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RefinementCheck:
-    ok: bool
-    orders_checked: int
-    detail: str
-
-
-def refinement_pullback_check(chart, refined, m):
-    """Fibre-square check for a monoid refinement P subset Q, P^gp = Q^gp.
-
-    Rebuilds the chart over Q with the same basis monomials and equations
-    and compares the log jet generators term by term; they must agree
-    because the refined jet scheme is the base change (u goes to u).
-    """
-    from .chart import Chart  # local import to avoid a cycle
-
-    if chart.monoid is None:
-        raise ModeMismatchError("refinement check needs a monoid chart")
-    if refined.ambient_rank != chart.ambient_rank:
-        raise NotARefinementError(
-            f"ambient ranks differ: {chart.ambient_rank} vs "
-            f"{refined.ambient_rank}")
-    for g in chart.monoid.generators:
-        if not refined.membership(g):
-            raise NotARefinementError(
-                f"generator {g} of the chart monoid is not in the "
-                "refined monoid")
-    refined_chart = Chart.build(
-        monoid=refined,
-        equations=chart.equations,
-        basis=chart.basis,
-    )
-    left = jet_ideal(chart, m, LOG)
-    right = jet_ideal(refined_chart, m, LOG)
-    for i, (row_l, row_r) in enumerate(zip(left.rows, right.rows)):
-        for j, (a, b) in enumerate(zip(row_l, row_r)):
-            if a != b:
-                return RefinementCheck(
-                    False, m,
-                    f"generator ({i},{j}) differs: {a.render()} vs "
-                    f"{b.render()}")
-    return RefinementCheck(True, m, "log jet generators agree term for term")

@@ -329,9 +329,6 @@ class JetPoly:
             raise RingMismatchError("base variable count differs")
         return JetPoly(ring, self._terms)
 
-    def has_jet_variables(self):
-        return any(mono.jets for mono in self._terms)
-
     def base_exponent_vectors(self):
         return sorted({mono.base for mono in self._terms})
 

@@ -38,7 +38,6 @@ from operator import sub
 from .dimension import EMPTY, IdealPresentation
 from .errors import ModeMismatchError
 from .jets import derivative_chain  # noqa: F401  (patched by bench/tracing.py)
-from .monoid import Face
 from .poly import ORDINARY, JetPoly, RingDescriptor, lift_base_vars
 
 
@@ -109,19 +108,6 @@ def stratify(chart):
             chart, lifted, face,
             [e for gi, e in enumerate(exponents) if gi not in on], p_f))
     return tuple(strata)
-
-
-def open_stratum(chart):
-    """The l = 0 stratum: the chart inside the torus.
-
-    Its face is the whole monoid, which lies on no facet and has stratum
-    index 0 because the chart basis makes the monoid full rank.  No
-    generator is off it, so only p_F needs solving for.
-    """
-    gens = chart.monoid.generators
-    whole = Face(tuple(range(len(gens))), (), 0)
-    return _stratum(chart, _lifted_equations(chart), whole, (),
-                    chart.exponents_of(tuple(map(sum, zip(*gens)))))
 
 
 def _integer_terms(f, n, localized):

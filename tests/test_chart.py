@@ -38,26 +38,26 @@ def test_support_example_through_nonstandard_basis():
     chart = Chart.build(monoid=CONE3, equations=[])
     assert chart.basis == ((1, 0), (1, 1))
     f = parse_poly("x1^2*x2^-1 + 1", R2)
-    assert not chart.support_in_monoid(f)
     vec, point = chart.support_violation(f)
     assert vec == (2, -1) and point == (1, -1)
 
 
 def test_support_positive_cases():
     chart = Chart.build(monoid=N2, equations=[])
-    assert chart.support_in_monoid(parse_poly("x1 + x2 - 1", R2))
-    assert not chart.support_in_monoid(parse_poly("x1^-1", R2))
+    assert chart.support_violation(parse_poly("x1 + x2 - 1", R2)) is None
+    assert chart.support_violation(parse_poly("x1^-1", R2)) is not None
     # third generator of CONE3 in basis coordinates: (1,2) = -e1 + 2 e2
     chart3 = Chart.build(monoid=CONE3, equations=[])
-    assert chart3.support_in_monoid(parse_poly("x1^-1*x2^2", R2))
+    assert chart3.support_violation(parse_poly("x1^-1*x2^2", R2)) is None
 
 
 def test_product_support_closed():
     chart = Chart.build(monoid=CONE3, equations=[])
     f = parse_poly("x1 + x2", R2)
     g = parse_poly("x1^-1*x2^2 + 1", R2)
-    assert chart.support_in_monoid(f) and chart.support_in_monoid(g)
-    assert chart.support_in_monoid(f * g)
+    assert chart.support_violation(f) is None
+    assert chart.support_violation(g) is None
+    assert chart.support_violation(f * g) is None
 
 
 def test_explicit_basis_validation():
@@ -77,6 +77,11 @@ def test_lattice_coordinates_round_trip():
 def test_zero_equation_rejected():
     with pytest.raises(SupportError):
         Chart.build(ambient_rank=2, equations=["x1 - x1"])
+
+
+def test_equations_must_be_strings():
+    with pytest.raises(TypeError):
+        Chart.build(ambient_rank=2, equations=[parse_poly("x1 - 1", R2)])
 
 
 def test_support_beyond_any_coefficient_cap():

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from logjet import cli
 from logjet.cli import main
 
 CONE = {"format": "logjet-chart/1", "ambient_rank": 2,
@@ -177,6 +179,23 @@ def test_dim_has_no_method_option(chart_file, capsys):
         main(["dim", "--order", "1", "--method", "fp", chart_file(CUSP)])
     assert exit_info.value.code == 1
     assert "unrecognized arguments: --method" in capsys.readouterr().err
+
+
+def test_check_refinement_is_not_a_command(chart_file, capsys):
+    path = chart_file(N2_HYPERPLANE)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["check-refinement", path, path, "--order", "1"])
+    assert exit_info.value.code == 1
+    assert "invalid choice: 'check-refinement'" in capsys.readouterr().err
+
+
+def test_docstring_lists_exactly_the_commands():
+    """The usage text under "Commands:" names each subcommand once."""
+    commands_block = cli.__doc__.split("Commands:\n")[1].split("\n\n")[0]
+    listed = [line.split()[0] for line in commands_block.splitlines()]
+    subparsers = next(a for a in cli._build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert sorted(listed) == sorted(subparsers.choices)
 
 
 def test_python_dash_m_runs_the_cli():

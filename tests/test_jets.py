@@ -4,10 +4,9 @@ from fractions import Fraction
 import pytest
 
 from logjet.chart import Chart
-from logjet.errors import ModeMismatchError, NotARefinementError
+from logjet.errors import ModeMismatchError
 from logjet.jets import (derivative_chain, derive_log, derive_ordinary,
                          expand_by_substitution, jet_ideal,
-                         refinement_pullback_check,
                          specialize_log_to_ordinary)
 from logjet.monoid import AffineMonoid
 from logjet.parse import parse_poly
@@ -271,27 +270,3 @@ def test_torus_consistency():
     ord_rows = jet_ideal(chart, 2, ORDINARY).rows[0]
     for lg, od in zip(log_rows, ord_rows):
         assert specialize_log_to_ordinary(lg) == od
-
-
-# -- refinements -------------------------------------------------------------------
-
-
-def test_refinement_pullback_line():
-    chart = Chart.build(monoid=N2, equations=["x1 + x2 - 1"])
-    q = AffineMonoid(2, [(1, 0), (-1, 1)])
-    for m in (1, 2, 3):
-        check = refinement_pullback_check(chart, q, m)
-        assert check.ok
-
-
-def test_refinement_identity():
-    chart = Chart.build(monoid=N2, equations=["x1*x2 - 1"])
-    assert refinement_pullback_check(chart, N2, 2).ok
-
-
-def test_refinement_rejects_non_refinement():
-    # <(1,0),(1,1)> does not contain the generator (0,1) of N^2
-    chart = Chart.build(monoid=N2, equations=[])
-    smaller = AffineMonoid(2, [(1, 0), (1, 1)])
-    with pytest.raises(NotARefinementError):
-        refinement_pullback_check(chart, smaller, 1)

@@ -1,6 +1,7 @@
 import pytest
 
-from logjet import AffineMonoid, Chart, EMPTY, dimension_of
+from logjet import (EMPTY, AffineMonoid, AnalysisConfig, Chart, analyze,
+                    dimension_of)
 from logjet.analyzer import open_part_jet_presentation
 from logjet.strata import (base_presentation, check_assumption,
                            stratify, stratum_jet_presentation)
@@ -28,7 +29,9 @@ def test_stratify_cone_faces(cone):
 def test_generator_exponents_are_solved_once_per_generator(cone,
                                                           monkeypatch):
     """The exponents of p_F are sums of its generators' exponents, so the
-    four faces of the cone solve for each of the three generators once."""
+    four faces of the cone solve for each of the three generators once.  A
+    whole analysis does too: its open row takes the l = 0 stratum of the
+    same stratify call."""
     solved = []
     exponents_of = Chart.exponents_of
 
@@ -40,6 +43,9 @@ def test_generator_exponents_are_solved_once_per_generator(cone,
     monkeypatch.setattr(Chart, "exponents_of", counting)
     assert [s.equations for s in stratify(cone)] == before
     assert solved == list(cone.monoid.generators)
+    solved.clear()
+    analyze(cone, AnalysisConfig(max_order=1))
+    assert solved == list(cone.monoid.generators)
 
 
 def test_laurent_monomial_cleared_and_recorded(cone):
@@ -50,7 +56,7 @@ def test_laurent_monomial_cleared_and_recorded(cone):
     assert dict(pres.generators[2]) == {(0, 2, 0): 1}
 
 
-def test_open_stratum_base_system(cone):
+def test_open_part_base_system(cone):
     """The open row starts from the l = 0 stratum's base system: the
     equations and the localization of the torus chi^(3,3) = x2^3."""
     s = stratify(cone)[0]
