@@ -163,14 +163,12 @@ def main(argv=None):
             return _cmd_dim(args)
         if args.command == "analyze":
             return _cmd_analyze(args, args.format, args.verbose)
-        parser.error(f"unknown command {args.command!r}")
     except LogjetError as exc:
         print(f"logjet: error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"logjet: error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -2,7 +2,10 @@
 
 The main path is Buchberger's algorithm (degrevlex, product and chain
 criteria, normal selection) on primitive integer polynomials, reducing by
-integer pseudo-division (no rational arithmetic), followed by the standard
+integer pseudo-division (no rational arithmetic).  Reductors are found
+through a bitset index of the leading monomials (_LeadIndex): the leads
+dividing a monomial are one AND of per-variable columns, and the lowest set
+bit is the first alive divisor in element order.  Then comes the standard
 combinatorial dimension count: dim V(I) is the number of variables minus a
 minimum hitting set of the minimal leading-term supports.  A pruned
 depth-first search over the variables finds it (at most 2^(nvars+1) nodes,
@@ -164,19 +167,65 @@ class _Reductor:
     """One basis element as reduction data: its leading monomial, leading
     coefficient lc and the other terms (the tail), all with int
     coefficients.  The lead is found by one search over the terms, so any
-    term dict will do.  Only alive elements reduce; groebner_basis keeps
-    the alive leads exactly the minimal leading monomials."""
+    term dict will do."""
 
-    __slots__ = ("lead", "lc", "degree", "mask", "tail", "alive")
+    __slots__ = ("lead", "lc", "degree", "tail")
 
     def __init__(self, terms):
         lead = _lead(terms)
         self.lead = lead
         self.lc = terms[lead]
         self.degree = sum(lead)
-        self.mask = _support_mask(lead)
         self.tail = [(m, c) for m, c in terms.items() if m != lead]
-        self.alive = True
+
+
+class _LeadIndex:
+    """Reductors in element order, with their leads as bitset columns.
+
+    Bit t of cols[k][e] is set when the lead of elements[t] has exponent
+    <= e in variable k.  cols[k] ends at the largest exponent any lead has
+    in variable k, so its last entry holds every element, and a larger
+    exponent constrains nothing.  alive is the bitset of the elements that
+    may reduce.
+    """
+
+    __slots__ = ("elements", "cols", "alive")
+
+    def __init__(self, nvars):
+        self.elements = []
+        self.cols = [[0] for _ in range(nvars)]
+        self.alive = 0
+
+    def append(self, red, alive=True):
+        bit = 1 << len(self.elements)
+        self.elements.append(red)
+        for col, e in zip(self.cols, red.lead):
+            if e >= len(col):
+                col.extend([col[-1]] * (e + 1 - len(col)))
+            for x in range(e, len(col)):
+                col[x] |= bit
+        if alive:
+            self.alive |= bit
+
+    def reductor(self, mono, usable):
+        """The first element in the bitset usable whose lead divides mono,
+        or None: the lowest set bit of usable AND one column entry per
+        variable."""
+        for col, e in zip(self.cols, mono):
+            if e < len(col):
+                usable &= col[e]
+        if not usable:
+            return None
+        return self.elements[(usable & -usable).bit_length() - 1]
+
+    def multiples(self, mono):
+        """Bitset of the alive elements whose lead mono divides: those with
+        no exponent below mono's, the complement of cols[k][e - 1]."""
+        found = self.alive
+        for col, e in zip(self.cols, mono):
+            if e:
+                found &= ~col[min(e - 1, len(col) - 1)]
+        return found
 
 
 def _heap_key(mono):
@@ -184,8 +233,10 @@ def _heap_key(mono):
     return (-sum(mono), tuple(reversed(mono)))
 
 
-def _normal_form(p, reductors):
-    """Full normal form of the integer polynomial p modulo the reductors.
+def _normal_form(p, index, usable):
+    """Full normal form of the integer polynomial p modulo the elements of
+    the index in the bitset usable; each term is reduced by the first
+    usable element whose lead divides it.
 
     Integer pseudo-reduction: to cancel a term c*lm against a reductor with
     leading coefficient L, g = gcd(c, L), the pending terms and the terms
@@ -205,16 +256,7 @@ def _normal_form(p, reductors):
         cf = val.pop(lm, None)
         if cf is None:
             continue  # stale entry
-        deg = sum(lm)
-        mask = _support_mask(lm)
-        hit = None
-        for red in reductors:
-            if (not red.alive or red.degree > deg
-                    or (red.mask & ~mask) != 0):
-                continue
-            if _mono_divides(red.lead, lm):
-                hit = red
-                break
+        hit = index.reductor(lm, usable)
         if hit is None:
             result[lm] = cf
             continue
@@ -270,6 +312,12 @@ def groebner_basis(pres, budgets=None):
     can happen), and otherwise it retires the alive elements whose leads
     its own lead divides.  The reduced basis is each alive element reduced
     by the others.
+
+    A _LeadIndex holds the elements; its columns and alive bitset answer
+    every divisibility query against the leads (reductor, born dead,
+    retired).  Reduction takes the lowest set bit of the usable divisors,
+    which is the first alive divisor in element order, so the remainders,
+    and with them the pairs and the basis, do not depend on the index.
     """
     budgets = budgets or Budgets()
     nvars = len(pres.variables)
@@ -277,7 +325,8 @@ def groebner_basis(pres, budgets=None):
         raise ResourceLimitError(
             f"{nvars} variables exceeds the Groebner bound "
             f"{budgets.max_groebner_vars} ({pres.provenance})")
-    elements = []         # _Reductor per generator and remainder, in order
+    index = _LeadIndex(nvars)
+    elements = index.elements  # _Reductor per generator and remainder
     pairs = {}            # (i, j) -> lcm monomial, i < j
     heap = []             # (lcm key, i, j) with lazy deletion
 
@@ -303,13 +352,11 @@ def groebner_basis(pres, budgets=None):
             if (_mono_divides(lmt, lcm_ij) and lcms[i] != lcm_ij
                     and lcms[j] != lcm_ij):
                 del pairs[(i, j)]
-        new.alive = not any(e.alive and _mono_divides(e.lead, lmt)
-                            for e in elements)
-        if new.alive:
-            for e in elements:
-                if e.alive and _mono_divides(lmt, e.lead):
-                    e.alive = False  # anything it reduces, the new one does
-        elements.append(new)
+        alive = index.reductor(lmt, index.alive) is None
+        if alive:
+            # anything a retired element reduces, the new one does
+            index.alive &= ~index.multiples(lmt)
+        index.append(new, alive)
         for lcm_g, g, deg in kept:
             if deg == elements[g].degree + new.degree:
                 continue  # coprime leads
@@ -350,7 +397,7 @@ def groebner_basis(pres, budgets=None):
         content = gcd(*spoly.values())
         if content != 1:
             spoly = {m: c // content for m, c in spoly.items()}
-        reduced = _normal_form(spoly, elements)
+        reduced = _normal_form(spoly, index, index.alive)
         if not reduced:
             continue
         new = _Reductor(reduced)
@@ -360,12 +407,13 @@ def groebner_basis(pres, budgets=None):
                 f"degree {new.degree} ({pres.provenance})")
         add_element(new)
 
-    alive = sorted((e for e in elements if e.alive),
-                   key=lambda e: _key(e.lead))
+    # the reduced basis is unique, so any reductor order gives the same one
+    alive = [t for t in range(len(elements)) if index.alive >> t & 1]
     monic = []
-    for e in alive:
-        others = [o for o in alive if o is not e]
-        terms = _normal_form({e.lead: e.lc, **dict(e.tail)}, others)
+    for t in sorted(alive, key=lambda t: _key(elements[t].lead)):
+        e = elements[t]
+        terms = _normal_form({e.lead: e.lc, **dict(e.tail)}, index,
+                             index.alive & ~(1 << t))
         lc = terms[e.lead]
         monic.append(tuple(sorted(
             (m, Fraction(c, lc)) for m, c in terms.items())))

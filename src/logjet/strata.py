@@ -166,6 +166,8 @@ def jet_presentation(variables, system, m, provenance, localized=False,
     derivation, so it happens before jetting.  This is the only place where
     Laurent polynomials are cleared.
     """
+    if m < 0:
+        raise ValueError("jet order must be nonnegative")
     n = len(variables)
     width = n * (m + 1)
     # d moves one unit of x_i to x_i(1), and of x_i(j) to x_i(j+1) for j < m

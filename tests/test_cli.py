@@ -82,6 +82,15 @@ def test_dim_json(chart_file, capsys):
         "results": [{"stratum": "X", "dimension": 2}]}
 
 
+@pytest.mark.parametrize("doc, extra", [(CUSP, []),
+                                         (CONE, ["--stratum", "1"])])
+def test_dim_refuses_a_negative_order(chart_file, capsys, doc, extra):
+    assert main(["dim", "--order", "-1", *extra, chart_file(doc)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "jet order must be nonnegative" in captured.err
+
+
 def test_dim_certificates_through_the_cli(capsys):
     chart = Path(__file__).resolve().parents[1] / "bench" / "charts" / \
         "n3_hyperplane.json"

@@ -13,8 +13,8 @@ from logjet.chartfile import load_chart
 from logjet.dimension import (EMPTY, Budgets, DimResult, GroebnerResult,
                               IdealPresentation, _heap_key, _lead,
                               _mono_div, _mono_divides, _mono_mul,
-                              _normal_form, _normalize, _Reductor,
-                              dimension_of, fp_count_points,
+                              _LeadIndex, _normal_form, _normalize,
+                              _Reductor, dimension_of, fp_count_points,
                               fp_dimension_estimate, groebner_basis,
                               krull_dim)
 from logjet.errors import (PrimeTooSmallError, ResourceLimitError,
@@ -224,7 +224,11 @@ def fraction_normal_form(p, reductors):
 
 
 def integer_normal_form(p, reductors):
-    return _normal_form(p, [_Reductor(terms) for terms in reductors])
+    """_normal_form modulo the given term dicts, all alive, in order."""
+    index = _LeadIndex(len(next(iter(reductors[0]))))
+    for terms in reductors:
+        index.append(_Reductor(terms))
+    return _normal_form(p, index, index.alive)
 
 
 def test_pseudo_reduction_scales_the_result_too():
@@ -250,7 +254,8 @@ def test_reductor_finds_a_lead_that_is_not_its_first_key():
     # 2y - 1 written constant first: the reductor must still reduce by y
     red = _Reductor({(0, 0): -1, (0, 1): 2})
     assert (red.lead, red.lc) == ((0, 1), 2)
-    assert _normal_form({(1, 0): 1, (0, 1): 1}, [red]) == \
+    assert integer_normal_form({(1, 0): 1, (0, 1): 1},
+                               [{(0, 0): -1, (0, 1): 2}]) == \
         {(1, 0): 2, (0, 0): 1}
 
 

@@ -1,6 +1,6 @@
 """Random inputs for the dimension engine against independent oracles: the
-2^n subset scan for krull_dim, reduction over Fraction for _normal_form,
-and sympy for groebner_basis."""
+2^n subset scan for krull_dim, a linear scan for the lead index, reduction
+over Fraction for _normal_form, and sympy for groebner_basis."""
 
 from fractions import Fraction
 
@@ -9,7 +9,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from logjet.dimension import (IdealPresentation, groebner_basis,  # noqa: E402
+from logjet.dimension import (IdealPresentation, _LeadIndex,  # noqa: E402
+                              _mono_divides, _Reductor, groebner_basis,
                               krull_dim)
 
 from test_dimension import (fraction_normal_form,  # noqa: E402
@@ -34,6 +35,46 @@ def test_search_matches_the_subset_scan(hypergraph):
     ref = scan_krull_dim(gb)
     assert (res.dimension, res.certificate) == (ref.dimension,
                                                 ref.certificate)
+
+
+@st.composite
+def lead_sequences(draw):
+    """Leads in 1-12 variables with exponents 0-5, the elements retired
+    among them, and query monomials: random ones with exponents 0-7, the
+    leads themselves, and one above every column's top."""
+    nvars = draw(st.integers(1, 12))
+
+    def monomials(top):
+        return st.lists(st.integers(0, top), min_size=nvars,
+                        max_size=nvars).map(tuple)
+
+    leads = draw(st.lists(monomials(5), min_size=1, max_size=12))
+    retired = draw(st.sets(st.integers(0, len(leads) - 1)))
+    queries = draw(st.lists(monomials(7), max_size=6))
+    return leads, retired, queries + leads + [(6,) * nvars]
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(lead_sequences())
+def test_lead_index_matches_a_linear_scan(case):
+    """The reductor is the first usable divisor in element order, for the
+    alive elements and for the alive elements but one (interreduction);
+    multiples are the alive elements whose leads a monomial divides."""
+    leads, retired, queries = case
+    index = _LeadIndex(len(leads[0]))
+    reductors = [_Reductor({lead: 1}) for lead in leads]
+    for t, red in enumerate(reductors):
+        index.append(red, alive=t not in retired)
+    for mono in queries:
+        for skip in (None, *range(len(leads))):
+            usable = index.alive & ~(0 if skip is None else 1 << skip)
+            first = next((red for t, red in enumerate(reductors)
+                          if t not in retired and t != skip
+                          and _mono_divides(red.lead, mono)), None)
+            assert index.reductor(mono, usable) is first
+        assert index.multiples(mono) == sum(
+            1 << t for t, lead in enumerate(leads)
+            if t not in retired and _mono_divides(mono, lead))
 
 
 def polynomials(nvars, max_degree, bound, max_terms):
