@@ -7,9 +7,7 @@ from .chartfile import load_chart
 from .dimension import (EMPTY, Budgets, DimResult, IdealPresentation,
                         dimension_of, fp_count_points, fp_dimension_estimate,
                         groebner_basis, krull_dim)
-from .jets import (JetIdeal, derive_log, derive_ordinary, derivative_chain,
-                   expand_by_substitution, jet_ideal,
-                   specialize_log_to_ordinary)
+from .jets import derivative_chain, derive_log, derive_ordinary, jet_ideal
 from .monoid import AffineMonoid, Face
 from .parse import parse_poly
 from .poly import LOG, ORDINARY, JetMonomial, JetPoly, RingDescriptor
@@ -20,13 +18,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffineMonoid", "AnalysisConfig", "AnalysisReport", "Budgets", "Chart",
-    "DimResult", "EMPTY", "Face", "IdealPresentation", "JetIdeal",
-    "JetMonomial", "JetPoly", "LOG", "ORDINARY", "RingDescriptor",
-    "analyze", "check_assumption", "derivative_chain", "derive_log",
-    "derive_ordinary", "dimension_of", "emit_report", "estimate_lct",
-    "expand_by_substitution", "fp_count_points", "fp_dimension_estimate",
-    "groebner_basis", "jet_ideal", "krull_dim", "load_chart",
-    "open_part_jet_presentation", "ordinary_jet_presentation", "parse_poly",
-    "report_from_dict", "report_to_dict", "specialize_log_to_ordinary",
-    "stratify", "stratum_jet_presentation",
+    "DimResult", "EMPTY", "Face", "IdealPresentation", "JetMonomial",
+    "JetPoly", "LOG", "ORDINARY", "RingDescriptor", "analyze",
+    "check_assumption", "derivative_chain", "derive_log", "derive_ordinary",
+    "dimension_of", "emit_report", "estimate_lct", "fp_count_points",
+    "fp_dimension_estimate", "groebner_basis", "jet_ideal", "krull_dim",
+    "load_chart", "open_part_jet_presentation", "ordinary_jet_presentation",
+    "parse_poly", "report_from_dict", "report_to_dict", "stratify",
+    "stratum_jet_presentation",
 ]

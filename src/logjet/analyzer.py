@@ -42,24 +42,21 @@ from fractions import Fraction
 from .dimension import EMPTY, Budgets, dimension_of, fp_dimension_estimate
 from .errors import CompleteIntersectionError, LogjetError, ResourceLimitError
 from .jets import derivative_chain  # noqa: F401  (patched by bench/tracing.py)
-from .jets import jet_ideal
-from .poly import LOG, ORDINARY, JetMonomial, JetPoly, RingDescriptor
+from .poly import ORDINARY, JetMonomial, JetPoly, RingDescriptor
 from .strata import (base_presentation, check_assumption, jet_presentation,
                      stratify, stratum_jet_presentation)
 
 
 @dataclass(frozen=True)
 class AnalysisConfig:
-    """Settings of one analysis.
+    """Settings of one analysis: the highest jet order and the budgets.
 
     Every row comes from the exact Groebner path under budgets; F_p counts
     (over dimension.DEFAULT_PRIMES) only recheck a REDUCIBLE witness.
-    verify_jets cross-checks the log jet generators against substitution.
     """
 
     max_order: int = 2
     budgets: Budgets = field(default_factory=Budgets)
-    verify_jets: bool = False
 
     def __post_init__(self):
         if self.max_order < 1:
@@ -316,10 +313,6 @@ def analyze(chart, cfg=None):
     notes = []
     is_log = chart.monoid is not None
     n, c = chart.ambient_rank, chart.codim
-
-    if is_log and cfg.verify_jets:
-        jet_ideal(chart, min(cfg.max_order, 2), LOG, verify=True)
-        notes.append("jet generators cross-checked against substitution")
 
     if is_log:
         strata = stratify(chart)

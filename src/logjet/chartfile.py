@@ -11,6 +11,9 @@ Schema "logjet-chart/1":
       "mode": "log",                            // optional, validated
       "budgets": {"pairs": 50000, "degree": 40} // optional; also "variables"
     }                                           // and "fp_nodes", all > 0
+
+Unknown top-level fields are ignored; an unknown budget key is an error,
+since a mistyped key would otherwise leave its budget at the default.
 """
 
 import json
@@ -112,6 +115,11 @@ def load_chart(path):
     budgets = None
     raw_budgets = _field(doc, "budgets", dict)
     if raw_budgets is not None:
+        unknown = sorted(set(raw_budgets) - set(_BUDGET_FIELDS))
+        if unknown:
+            raise ChartParseError(
+                f"{path}: unknown budget key {unknown[0]!r} (known keys: "
+                f"{', '.join(map(repr, _BUDGET_FIELDS))})")
         fields = {}
         for key, name in _BUDGET_FIELDS.items():
             if key in raw_budgets:

@@ -6,10 +6,11 @@ Commands:
     dim --order M [--stratum L] FILE
     analyze --max-order M FILE
 
-Global flags: --format table|json, --verbose.  LOGJET_BUDGET="pairs,degree"
-overrides the Groebner budgets.  Exit codes from analyze: 0 no obstruction,
-10 reducible, 20 assumption failure, 30 inconclusive; 1 = usage or input
-error.
+Global flags: --format table|json, and --verbose, which adds the
+certificate of each dimension to dim's table and changes nothing else.
+LOGJET_BUDGET="pairs,degree" overrides the Groebner budgets.  Exit codes
+from analyze: 0 no obstruction, 10 reducible, 20 assumption failure, 30
+inconclusive; 1 = usage or input error.
 """
 
 import argparse
@@ -40,7 +41,8 @@ def _build_parser():
                                  "and singularity criteria")
     parser.add_argument("--format", choices=("table", "json"),
                         default="table")
-    parser.add_argument("--verbose", action="store_true")
+    parser.add_argument("--verbose", action="store_true",
+                        help="add dimension certificates to dim's table")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_jets = sub.add_parser("jets", help="print jet ideal generators")
@@ -82,10 +84,9 @@ def _emit(payload, fmt):
 def _cmd_jets(args):
     chart, _opts = load_chart(args.file)
     mode = LOG if args.log else ORDINARY
-    ideal = jet_ideal(chart, args.order, mode, verify=args.verbose)
     lines = []
     gens = []
-    for i, row in enumerate(ideal.rows):
+    for i, row in enumerate(jet_ideal(chart, args.order, mode)):
         for j, g in enumerate(row):
             text = g.render()
             lines.append(f"d^{j} f_{i + 1} = {text}")
@@ -142,12 +143,11 @@ def _cmd_dim(args):
     return 0
 
 
-def _cmd_analyze(args, fmt, verbose):
+def _cmd_analyze(args):
     chart, opts = load_chart(args.file)
-    cfg = AnalysisConfig(max_order=args.max_order, budgets=_budgets(opts),
-                         verify_jets=verbose)
+    cfg = AnalysisConfig(max_order=args.max_order, budgets=_budgets(opts))
     report = analyze(chart, cfg)
-    sys.stdout.write(emit_report(report, fmt))
+    sys.stdout.write(emit_report(report, args.format))
     return report.exit_code
 
 
@@ -162,7 +162,7 @@ def main(argv=None):
         if args.command == "dim":
             return _cmd_dim(args)
         if args.command == "analyze":
-            return _cmd_analyze(args, args.format, args.verbose)
+            return _cmd_analyze(args)
     except LogjetError as exc:
         print(f"logjet: error: {exc}", file=sys.stderr)
         return 1

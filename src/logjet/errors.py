@@ -61,10 +61,6 @@ class UnlocalizedLaurentError(LogjetError):
     """Laurent generators handed to the dimension engine without inversion."""
 
 
-class NonInvertibleLeadingTermError(LogjetError):
-    """Truncated-series inversion needs a single-term leading coefficient."""
-
-
 class CompleteIntersectionError(LogjetError):
     """Chart dimension does not match ambient rank minus equation count."""
 

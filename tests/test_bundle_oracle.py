@@ -1,0 +1,129 @@
+"""The paper's bundle identity as an oracle for the stratum rows.
+
+Over a stratum X_l the log jet scheme of X has dimension
+dim J_m(X_l) + m*l: the boundary coordinates vanish there, and the log jets
+u_{i,j} of those l coordinates are free.  On the N^n charts of the bench
+corpus the basis coordinates are the orbit coordinates (generator k is the
+unit vector e_i), so the log jet ideal restricts to the stratum of a face F
+by dropping every term with some x_i, i outside F, and inverting the x_i
+with i in F.  Its dimension must equal the row's total, computed by the
+analyzer from ordinary jets of the stratum plus m*l; the two paths share
+only the dimension engine.
+
+The coefficients of derive_log are pinned by the substitution oracle
+(tests/jet_oracle.py): a slipped coefficient need not move a dimension.
+"""
+
+from functools import cache
+from pathlib import Path
+
+import pytest
+
+from logjet.analyzer import AnalysisConfig, analyze
+from logjet.chartfile import load_chart
+from logjet.dimension import EMPTY, Budgets, IdealPresentation, dimension_of
+from logjet.jets import jet_ideal
+from logjet.poly import LOG
+
+CHARTS = Path(__file__).resolve().parents[1] / "bench" / "charts"
+
+# chart file -> highest order compared
+CASES = {"n2_hyperplane.json": 3, "n3_hyperplane.json": 2,
+         "n3_quadric.json": 2, "n5_hyperplane.json": 1}
+
+# decided stratum rows over all CASES: 3 faces with l > 0 for N^2 at three
+# orders, 7 for N^3 at two orders (two charts), 31 for N^5 at one order
+ROWS_COMPARED = 68
+
+
+def _orbit_coordinate(chart):
+    """Generator index -> the chart coordinate it is the unit vector of."""
+    coord = {}
+    for k, g in enumerate(chart.monoid.generators):
+        assert sorted(g) == [0] * (len(g) - 1) + [1], g
+        coord[k] = list(g).index(1) + 1
+    return coord
+
+
+def bundle_presentation(chart, m, face):
+    """The order-m log jet ideal of chart restricted to the stratum of face
+    (generator indices): terms with x_i off the face dropped, the x_i on
+    the face inverted by w * prod x_i - 1, every u_{i,j} kept."""
+    n = chart.ambient_rank
+    coord = _orbit_coordinate(chart)
+    on_face = sorted(coord[k] for k in face)
+    jets = [(i, j) for i in range(1, n + 1) for j in range(1, m + 1)]
+    variables = ([f"x{i}" for i in on_face] + ["w"]
+                 + [f"u[{i},{j}]" for i, j in jets])
+    nv = len(variables)
+    slot = {("x", i): s for s, i in enumerate(on_face)}
+    slot.update({("u", key): len(on_face) + 1 + s
+                 for s, key in enumerate(jets)})
+    raw = []
+    for chain in jet_ideal(chart, m, LOG):
+        for g in chain:
+            terms = {}
+            for mono, c in g.term_map().items():
+                if any(a and ("x", i) not in slot
+                       for i, a in enumerate(mono.base, start=1)):
+                    continue
+                e = [0] * nv
+                for i, a in enumerate(mono.base, start=1):
+                    if a:
+                        e[slot[("x", i)]] = a
+                for key, a in mono.jets:
+                    e[slot[("u", key)]] = a
+                terms[tuple(e)] = terms.get(tuple(e), 0) + c
+            raw.append(terms)
+    inverse = [1] * len(on_face) + [1] + [0] * len(jets)
+    raw.append({tuple(inverse): 1, (0,) * nv: -1})
+    return IdealPresentation.from_terms(variables, raw,
+                                        provenance=f"bundle {face}",
+                                        jet_order=m)
+
+
+def _face(note):
+    """Generator indices from a decided stratum row's note 'face (0, 2)'."""
+    inside = note.removeprefix("face (").removesuffix(")")
+    return tuple(int(k) for k in inside.split(",") if k.strip())
+
+
+@cache
+def _compare(name, max_order):
+    chart, options = load_chart(CHARTS / name)
+    report = analyze(chart, AnalysisConfig(max_order=max_order,
+                                           budgets=options.budgets
+                                           or Budgets()))
+    mismatches, compared = [], 0
+    for row in report.rows:
+        if row.kind != "stratum" or row.status == "UNKNOWN":
+            continue
+        pres = bundle_presentation(chart, row.m, _face(row.note))
+        got = dimension_of(pres).dimension
+        want = EMPTY if row.dim_jets == EMPTY else row.total
+        compared += 1
+        if got != want:
+            mismatches.append((row.l, row.m, row.note, got, want))
+    return compared, mismatches
+
+
+def test_bundle_presentation_of_the_line():
+    # x1 + x2 - 1 over the face {x1} (x2 = 0): x1 = 1, its log jets u[1,j]
+    # vanish, and u[2,1] stays free
+    chart, _ = load_chart(CHARTS / "n2_hyperplane.json")
+    pres = bundle_presentation(chart, 1, (0,))
+    assert pres.variables == ("x1", "w", "u[1,1]", "u[2,1]")
+    assert dimension_of(pres).dimension == 1
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_stratum_rows_match_the_bundle_identity(name):
+    _, mismatches = _compare(name, CASES[name])
+    assert mismatches == []
+
+
+def test_every_decided_stratum_row_is_compared():
+    # without the count a chart that turned into an assumption failure
+    # would leave no rows and pass vacuously
+    assert sum(_compare(name, m)[0] for name, m in CASES.items()) \
+        == ROWS_COMPARED

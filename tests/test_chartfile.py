@@ -88,6 +88,20 @@ def test_bad_budget_is_a_parse_error_naming_the_key(tmp_path, key, value):
     assert repr(key) in str(err.value)
 
 
+@pytest.mark.parametrize("budgets", [
+    {"pair": 8}, {"degree": 12, "max_pairs": 8}, {"Pairs": 8},
+    {"fp_node": "many"}], ids=["pair", "max_pairs", "Pairs", "fp_node"])
+def test_unknown_budget_key_is_a_parse_error(tmp_path, budgets):
+    # a mistyped key must not fall back to the default budget silently
+    (unknown,) = set(budgets) - {"degree"}
+    with pytest.raises(ChartParseError) as err:
+        load_chart(write(tmp_path, dict(N2_DOC, budgets=budgets)))
+    message = str(err.value)
+    assert f"unknown budget key {unknown!r}" in message
+    for known in ("pairs", "degree", "variables", "fp_nodes"):
+        assert repr(known) in message
+
+
 def test_partial_budgets_keep_the_defaults(tmp_path):
     _, options = load_chart(write(tmp_path, dict(N2_DOC,
                                                  budgets={"pairs": 8})))

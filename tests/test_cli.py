@@ -176,6 +176,69 @@ def test_dim_budget_override_matches_the_chart_budget(chart_file, capsys,
     assert capsys.readouterr().err == expected
 
 
+# `jets --order 2` lines per (chart file, mode)
+JETS_LINES = {
+    ("a1.json", "ordinary"): [
+        "d^0 f_1 = x1^2 + x2^2 + x3^2",
+        "d^1 f_1 = 2*x1*x1(1) + 2*x2*x2(1) + 2*x3*x3(1)",
+        "d^2 f_1 = 2*x1(1)^2 + 2*x1*x1(2) + 2*x2(1)^2 + 2*x2*x2(2) "
+        "+ 2*x3(1)^2 + 2*x3*x3(2)"],
+    ("n2_hyperplane.json", "ordinary"): [
+        "d^0 f_1 = x1 + x2 - 1",
+        "d^1 f_1 = x1(1) + x2(1)",
+        "d^2 f_1 = x1(2) + x2(2)"],
+    ("n2_hyperplane.json", "log"): [
+        "d^0 f_1 = x1 + x2 - 1",
+        "d^1 f_1 = x1*u[1,1] + x2*u[2,1]",
+        "d^2 f_1 = x1*u[1,2] + x2*u[2,2]"],
+}
+
+
+def _jets_argv(name, mode):
+    return (["jets", "--order", "2"] + (["--log"] if mode == "log" else [])
+            + [str(BENCH_CHARTS / name)])
+
+
+@pytest.mark.parametrize("name, mode", JETS_LINES)
+def test_jets_table(capsys, name, mode):
+    assert main(_jets_argv(name, mode)) == 0
+    assert capsys.readouterr().out == "\n".join(JETS_LINES[name, mode]) + "\n"
+
+
+@pytest.mark.parametrize("name, mode", JETS_LINES)
+def test_jets_json(capsys, name, mode):
+    assert main(["--format", "json"] + _jets_argv(name, mode)) == 0
+    lines = JETS_LINES[name, mode]
+    gens = [{"equation": 1, "order": j, "poly": line.split(" = ", 1)[1]}
+            for j, line in enumerate(lines)]
+    expected = {"schema": "logjet-jets/1", "mode": mode, "order": 2,
+                "generators": gens, "lines": lines}
+    assert capsys.readouterr().out == json.dumps(
+        expected, indent=2, sort_keys=True) + "\n"
+
+
+def test_jets_log_needs_a_monoid(capsys):
+    assert main(_jets_argv("a1.json", "log")) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "logjet: error: log jet ideal needs a chart with a monoid\n")
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("command", [
+    _jets_argv("n2_hyperplane.json", "log"),
+    ["analyze", "--max-order", "2", str(BENCH_CHARTS / "n2_hyperplane.json")],
+], ids=["jets", "analyze"])
+def test_verbose_changes_nothing_but_dim(capsys, fmt, command):
+    """--verbose only adds dim certificates: jets and analyze print the
+    same bytes with and without it."""
+    plain_code = main(["--format", fmt] + command)
+    plain = capsys.readouterr()
+    assert main(["--format", fmt, "--verbose"] + command) == plain_code
+    assert capsys.readouterr() == plain
+
+
 def test_analyze_has_no_method_option(chart_file, capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["analyze", "--method", "fp", chart_file(CUSP)])
