@@ -11,7 +11,7 @@ from .jets import derivative_chain, derive_log, derive_ordinary, jet_ideal
 from .monoid import AffineMonoid, Face
 from .parse import parse_poly
 from .poly import LOG, ORDINARY, JetMonomial, JetPoly, RingDescriptor
-from .report import emit_report, report_from_dict, report_to_dict
+from .report import emit_report, report_to_dict
 from .strata import check_assumption, stratify, stratum_jet_presentation
 
 __version__ = "0.1.0"
@@ -24,6 +24,5 @@ __all__ = [
     "dimension_of", "emit_report", "estimate_lct", "fp_count_points",
     "fp_dimension_estimate", "groebner_basis", "jet_ideal", "krull_dim",
     "load_chart", "open_part_jet_presentation", "ordinary_jet_presentation",
-    "parse_poly", "report_from_dict", "report_to_dict", "stratify",
-    "stratum_jet_presentation",
+    "parse_poly", "report_to_dict", "stratify", "stratum_jet_presentation",
 ]

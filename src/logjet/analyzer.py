@@ -67,19 +67,39 @@ class AnalysisConfig:
 class InequalityRow:
     """One (stratum, order) irreducibility check.
 
-    kind is 'stratum' for dim J_m(X_l) + m*l < d(m+1) with l > 0, and
-    'open' for the jets-over-singular-locus bound of the dense stratum.
-    dim_jets is an int, EMPTY, or None when the computation hit a budget.
+    face is the generator indices of the face of X_l for a stratum row,
+    dim J_m(X_l) + m*l < d(m+1) with l > 0; it is None for the open row,
+    the jets-over-singular-locus bound of the dense stratum, whose l is 0.
+    dim_jets is an int, EMPTY, or None when the computation hit a budget;
+    error then holds the budget's message.
     """
 
     l: int
     m: int
-    kind: str
+    face: object            # tuple of generator indices; None: the open row
     dim_jets: object
-    added: int              # m*l for stratum rows, 0 for open rows
     bound: int              # d*(m+1)
     status: str             # OK | VIOLATED | EMPTY | UNKNOWN
-    note: str = ""
+    error: str = ""         # the budget error of an UNKNOWN row
+
+    @property
+    def kind(self):
+        return "open" if self.face is None else "stratum"
+
+    @property
+    def added(self):
+        """m*l, which is 0 for the open row."""
+        return self.m * self.l
+
+    @property
+    def note(self):
+        """The row's label in a report: the budget error of an UNKNOWN
+        row, else its face or the open part."""
+        if self.error:
+            return self.error
+        if self.face is None:
+            return "jets over the singular locus"
+        return f"face {self.face}"
 
     @property
     def total(self):
@@ -94,14 +114,21 @@ class LctRow:
     m: int
     dim_jets: object
     value: object           # Fraction, or None for +infinity
-    convention: str         # "stratum: d+c-dimJ/(m+1)" | "ambient: n-dimJ/(m+1)"
-    divisible_by: tuple     # divisors of m+1 among 2..6
     best: bool = False
+
+    @property
+    def convention(self):
+        return ("ambient: n-dimJ/(m+1)" if self.l == "X"
+                else "stratum: d+c-dimJ/(m+1)")
+
+    @property
+    def divisible_by(self):
+        """The divisors of m+1 among 2..6."""
+        return tuple(t for t in range(2, 7) if (self.m + 1) % t == 0)
 
 
 @dataclass(frozen=True)
 class WitnessConfirmation:
-    attempted: bool
     confirmed: object       # True | False | None (unavailable)
     counts: object = None
     note: str = ""
@@ -111,7 +138,6 @@ class WitnessConfirmation:
 class AnalysisReport:
     chart_summary: dict
     dim_x: object
-    codim: int
     assumption: object      # AssumptionReport or None for ordinary charts
     rows: tuple
     lct_rows: tuple
@@ -119,10 +145,15 @@ class AnalysisReport:
                             # ASSUMPTION_FAIL | INCONCLUSIVE
     witness: object = None  # (l, m) for REDUCIBLE
     witness_confirmation: object = None
-    not_canonical: bool = False
     conclusion: str = ""
-    max_order: int = 0
     notes: tuple = ()
+
+    @property
+    def not_canonical(self):
+        """A reducible jet scheme, or an assumption failure whose open
+        stratum is nonempty (which forces one)."""
+        return self.verdict == "REDUCIBLE" or (
+            self.verdict == "ASSUMPTION_FAIL" and self.assumption.x0_nonempty)
 
     @property
     def exit_code(self):
@@ -242,40 +273,38 @@ def _rows(chart, cfg, d, strata, empty):
     module docstring.
     """
     empty = set(empty)
-    sources = [(s, "stratum", s.index, f"face {s.face.generator_indices}")
+    sources = [(s, s.index, s.face.generator_indices)
                for s in strata if s.index]
-    sources.append((_OpenPart.of(chart, strata), "open", 0,
-                    "jets over the singular locus"))
+    sources.append((_OpenPart.of(chart, strata), 0, None))
     for m in range(1, cfg.max_order + 1):
-        for source, kind, l, note in sources:
+        for source, l, face in sources:
             if source in empty:
-                yield InequalityRow(l, m, kind, EMPTY, m * l, d * (m + 1),
-                                    "EMPTY", note), None
+                yield InequalityRow(l, m, face, EMPTY, d * (m + 1),
+                                    "EMPTY"), None
                 continue
-            pres = (stratum_jet_presentation(source, m) if kind == "stratum"
-                    else open_part_jet_presentation(source, m))
-            row = _row(pres, kind, l, m, d, cfg, note)
+            pres = (open_part_jet_presentation(source, m) if face is None
+                    else stratum_jet_presentation(source, m))
+            row = _row(pres, l, m, face, d, cfg)
             if row.status == "EMPTY":
                 empty.add(source)
             yield row, pres
 
 
-def _row(pres, kind, l, m, d, cfg, note):
+def _row(pres, l, m, face, d, cfg):
     """The row of one presentation: dim J_m + m*l against d*(m+1), or
     UNKNOWN when a budget trips; see the module docstring."""
-    added, bound = m * l, d * (m + 1)
+    bound = d * (m + 1)
     try:
         dim_jets = dimension_of(pres, budgets=cfg.budgets).dimension
     except ResourceLimitError as exc:
-        return InequalityRow(l, m, kind, None, added, bound, "UNKNOWN",
-                             str(exc))
+        return InequalityRow(l, m, face, None, bound, "UNKNOWN", str(exc))
     if dim_jets == EMPTY:
         status = "EMPTY"
-    elif dim_jets + added < bound:
+    elif dim_jets + m * l < bound:
         status = "OK"
     else:
         status = "VIOLATED"
-    return InequalityRow(l, m, kind, dim_jets, added, bound, status, note)
+    return InequalityRow(l, m, face, dim_jets, bound, status)
 
 
 def _confirm_witness(row, pres, cfg):
@@ -283,17 +312,16 @@ def _confirm_witness(row, pres, cfg):
     try:
         fp = fp_dimension_estimate(pres, budgets=cfg.budgets)
     except LogjetError as exc:
-        return WitnessConfirmation(True, None,
-                                   note=f"fp check unavailable: {exc}")
+        return WitnessConfirmation(None, note=f"fp check unavailable: {exc}")
     if fp.dimension == EMPTY:
-        return WitnessConfirmation(True, False, fp.certificate,
+        return WitnessConfirmation(False, fp.certificate,
                                    "fp count found no points")
-    return WitnessConfirmation(True, fp.dimension + row.added >= row.bound,
+    return WitnessConfirmation(fp.dimension + row.added >= row.bound,
                                fp.certificate,
                                "unreliable majority" if fp.unreliable else "")
 
 
-def _lct_rows(sources, d, c, convention):
+def _lct_rows(sources, d, c):
     """One LctRow per (l, m, dim J_m); per l the smallest estimate, the
     tightest upper bound on the lct, is marked best."""
     values = [estimate_lct(d, c, dim_jets, m) for _l, m, dim_jets in sources]
@@ -301,8 +329,7 @@ def _lct_rows(sources, d, c, convention):
     for (l, _m, _dim), value in zip(sources, values):
         if value is not None:
             best[l] = min(best.get(l, value), value)
-    return tuple(LctRow(l, m, dim_jets, value, convention,
-                        tuple(t for t in range(2, 7) if (m + 1) % t == 0),
+    return tuple(LctRow(l, m, dim_jets, value,
                         value is not None and best[l] == value)
                  for (l, m, dim_jets), value in zip(sources, values))
 
@@ -350,13 +377,13 @@ def analyze(chart, cfg=None):
     rows, lct_rows, witness, confirmation = (), (), None, None
     if is_log and not assumption.passed:
         failing = assumption.failing[0]
-        verdict, not_canonical = "ASSUMPTION_FAIL", assumption.x0_nonempty
+        verdict = "ASSUMPTION_FAIL"
         conclusion = (
             f"stratum l={failing.index} has codimension {failing.codim} < "
             f"{failing.index}"
             + ("; the open stratum is nonempty, so the log jet schemes are "
                "reducible and the chart is NOT canonical"
-               if not_canonical else
+               if assumption.x0_nonempty else
                "; the open stratum is empty, no reducibility conclusion"))
     else:
         rows, w = [], None      # w: the violated row of least (m, l)
@@ -370,7 +397,6 @@ def analyze(chart, cfg=None):
         if is_log:
             lct_sources = [(r.l, r.m, r.dim_jets) for r in rows
                            if r.kind == "stratum" and r.status != "UNKNOWN"]
-            convention = "stratum: d+c-dimJ/(m+1)"
         else:
             lct_sources = []
             for m in range(1, cfg.max_order + 1):
@@ -380,11 +406,9 @@ def analyze(chart, cfg=None):
                         budgets=cfg.budgets).dimension))
                 except ResourceLimitError as exc:
                     notes.append(f"lct at order {m} skipped: {exc}")
-            convention = "ambient: n-dimJ/(m+1)"
-        lct_rows = _lct_rows(lct_sources, d, c, convention)
+        lct_rows = _lct_rows(lct_sources, d, c)
 
-        not_canonical = w is not None
-        if not_canonical:
+        if w is not None:
             witness = (w.l, w.m)
             confirmation = _confirm_witness(w, w_pres, cfg)
             verdict = "REDUCIBLE"
@@ -403,6 +427,5 @@ def analyze(chart, cfg=None):
                 f"all irreducibility inequalities strict for m <= "
                 f"{cfg.max_order}; no obstruction found (canonicity would "
                 "need all orders m)")
-    return AnalysisReport(summary, d, c, assumption, rows, lct_rows, verdict,
-                          witness, confirmation, not_canonical, conclusion,
-                          cfg.max_order, tuple(notes))
+    return AnalysisReport(summary, d, assumption, rows, lct_rows, verdict,
+                          witness, confirmation, conclusion, tuple(notes))

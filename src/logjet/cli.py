@@ -8,14 +8,13 @@ Commands:
 
 Global flags: --format table|json, and --verbose, which adds the
 certificate of each dimension to dim's table and changes nothing else.
-LOGJET_BUDGET="pairs,degree" overrides the Groebner budgets.  Exit codes
-from analyze: 0 no obstruction, 10 reducible, 20 assumption failure, 30
-inconclusive; 1 = usage or input error.
+Budgets come from the chart file's "budgets" field, or the defaults.  Exit
+codes from analyze: 0 no obstruction, 10 reducible, 20 assumption failure,
+30 inconclusive; 1 = usage or input error.
 """
 
 import argparse
 import json
-import os
 import sys
 
 from .analyzer import AnalysisConfig, analyze, ordinary_jet_presentation
@@ -65,14 +64,6 @@ def _build_parser():
     return parser
 
 
-def _budgets(opts):
-    """The chart file's budgets (or the defaults), with the pairs and degree
-    of LOGJET_BUDGET on top when it is set."""
-    base = opts.budgets or Budgets()
-    text = os.environ.get("LOGJET_BUDGET")
-    return Budgets.from_env_string(text, base) if text else base
-
-
 def _emit(payload, fmt):
     if fmt == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -116,7 +107,7 @@ def _cmd_strata(args):
 
 def _cmd_dim(args):
     chart, opts = load_chart(args.file)
-    budgets = _budgets(opts)
+    budgets = opts.budgets or Budgets()
     results = []
     if args.stratum is None:
         pres = ordinary_jet_presentation(chart, args.order)
@@ -145,7 +136,8 @@ def _cmd_dim(args):
 
 def _cmd_analyze(args):
     chart, opts = load_chart(args.file)
-    cfg = AnalysisConfig(max_order=args.max_order, budgets=_budgets(opts))
+    cfg = AnalysisConfig(max_order=args.max_order,
+                         budgets=opts.budgets or Budgets())
     report = analyze(chart, cfg)
     sys.stdout.write(emit_report(report, args.format))
     return report.exit_code

@@ -44,20 +44,6 @@ class Budgets:
     fp_max_vars: int = 8
     fp_node_budget: int = 500_000
 
-    @classmethod
-    def from_env_string(cls, text, base=None):
-        base = base or cls()
-        parts = [p.strip() for p in text.split(",")]
-        if (len(parts) != 2 or not all(p.isdecimal() for p in parts)
-                or min(map(int, parts)) < 1):
-            raise ValueError(
-                f"budget override must be 'pairs,degree' with positive "
-                f"integers, got {text!r}")
-        return cls(max_pairs=int(parts[0]), max_degree=int(parts[1]),
-                   max_groebner_vars=base.max_groebner_vars,
-                   fp_max_vars=base.fp_max_vars,
-                   fp_node_budget=base.fp_node_budget)
-
 
 @dataclass(frozen=True)
 class IdealPresentation:

@@ -1,16 +1,14 @@
 """Report rendering: a diff-friendly fixed-width table and versioned JSON.
 
-Exact rationals are serialized as "p/q" strings; EMPTY stays the string
-"EMPTY"; +infinity lct estimates render as "inf".  Identical reports render
-to byte-identical text.
+Reports are written, never read back: the JSON is a record for people and
+other tools, and nothing in logjet parses it.  Exact rationals are
+serialized as "p/q" strings; EMPTY stays the string "EMPTY"; +infinity lct
+estimates render as "inf".  Identical reports render to byte-identical
+text.
 """
 
 import json
 from fractions import Fraction
-
-from .analyzer import (AnalysisReport, InequalityRow, LctRow,
-                       WitnessConfirmation)
-from .strata import AssumptionReport, StratumStatus
 
 SCHEMA = "logjet-report/1"
 
@@ -21,15 +19,6 @@ def _fmt_rational(q):
     q = Fraction(q)
     return f"{q.numerator}/{q.denominator}" if q.denominator != 1 \
         else str(q.numerator)
-
-
-def _parse_rational(text):
-    if text == "inf":
-        return None
-    if "/" in text:
-        num, den = text.split("/")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
 
 
 def _fmt_dim(d):
@@ -43,8 +32,8 @@ def report_to_dict(report):
         "schema": SCHEMA,
         "chart": report.chart_summary,
         "dim_x": report.dim_x,
-        "codim": report.codim,
-        "max_order": report.max_order,
+        "codim": report.chart_summary["codim"],
+        "max_order": report.chart_summary["max_order"],
         "verdict": report.verdict,
         "witness": list(report.witness) if report.witness else None,
         "not_canonical": report.not_canonical,
@@ -81,55 +70,13 @@ def report_to_dict(report):
     if report.witness_confirmation is not None:
         wc = report.witness_confirmation
         doc["witness_confirmation"] = {
-            "attempted": wc.attempted,
+            "attempted": True,     # a confirmation is always attempted
             "confirmed": wc.confirmed,
             "counts": ({str(p): c for p, c in wc.counts.items()}
                        if isinstance(wc.counts, dict) else None),
             "note": wc.note,
         }
     return doc
-
-
-def report_from_dict(doc):
-    """Rebuild an AnalysisReport from its JSON document."""
-    if doc.get("schema") != SCHEMA:
-        raise ValueError(f"unsupported report schema {doc.get('schema')!r}")
-    assumption = None
-    if doc["assumption"] is not None:
-        a = doc["assumption"]
-        rows = tuple(
-            StratumStatus(r["l"],
-                          tuple((tuple(p["face"]), p["dim"])
-                                for p in r["pieces"]),
-                          r["dim"], r["codim"], r["status"])
-            for r in a["rows"])
-        assumption = AssumptionReport(rows, a["dim_x"], a["x0_nonempty"],
-                                      a["passed"])
-    rows = tuple(
-        InequalityRow(r["l"], r["m"], r["kind"],
-                      None if r["dim_jets"] == "?" else r["dim_jets"],
-                      r["added"], r["bound"], r["status"], r["note"])
-        for r in doc["rows"])
-    lct_rows = tuple(
-        LctRow(r["l"], r["m"],
-               None if r["dim_jets"] == "?" else r["dim_jets"],
-               _parse_rational(r["estimate"]), r["convention"],
-               tuple(r["divisible_by"]), r["best"])
-        for r in doc["lct"])
-    confirmation = None
-    if doc["witness_confirmation"] is not None:
-        wc = doc["witness_confirmation"]
-        confirmation = WitnessConfirmation(
-            wc["attempted"], wc["confirmed"],
-            ({int(p): c for p, c in wc["counts"].items()}
-             if wc["counts"] else None),
-            wc["note"])
-    return AnalysisReport(
-        doc["chart"], doc["dim_x"], doc["codim"], assumption, rows,
-        lct_rows, doc["verdict"],
-        tuple(doc["witness"]) if doc["witness"] else None,
-        confirmation, doc["not_canonical"], doc["conclusion"],
-        doc["max_order"], tuple(doc["notes"]))
 
 
 def _table_lines(report):

@@ -7,7 +7,6 @@ from logjet import (EMPTY, AffineMonoid, AnalysisConfig, Budgets, Chart,
                     analyze, dimension_of, load_chart)
 from logjet import analyzer
 from logjet.analyzer import open_part_jet_presentation
-from logjet.report import report_from_dict, report_to_dict
 from logjet.strata import stratify, stratum_jet_presentation
 
 A1 = "(x1-1)^2 + (x2-1)^2 + (x3-1)^2"
@@ -61,12 +60,27 @@ def test_witness_on_a_stratum_row_is_rechecked_on_its_presentation():
                         equations=["x1 + (x2-1)^2"])
     report = analyze(chart, AnalysisConfig(max_order=1))
     assert report.verdict == "REDUCIBLE" and report.witness == (1, 1)
-    assert [(r.l, r.note, r.dim_jets) for r in report.rows
-            if r.status == "VIOLATED"] == [(1, "face (1,)", 1)]
+    assert [(r.l, r.face, r.dim_jets) for r in report.rows
+            if r.status == "VIOLATED"] == [(1, (1,), 1)]
     wc = report.witness_confirmation
     assert wc.confirmed is True
     assert wc.counts == {101: 101, 103: 103, 107: 107}
-    assert report_from_dict(report_to_dict(report)) == report
+
+
+@pytest.mark.parametrize("equation, x0_nonempty", [
+    ("x1", False), ("x1*(x2-1)", True)])
+def test_assumption_failure_is_not_canonical_iff_x0_is_nonempty(
+        equation, x0_nonempty):
+    """x1 = 0 on N^2 lies in the boundary: its stratum l = 1 has
+    codimension 0 and the open stratum is empty, so nothing follows.  Adding
+    the component x2 = 1 makes the open stratum nonempty, which forces
+    reducible log jet schemes."""
+    chart = Chart.build(monoid=AffineMonoid(2, [(1, 0), (0, 1)]),
+                        equations=[equation])
+    report = analyze(chart, AnalysisConfig(max_order=1))
+    assert report.verdict == "ASSUMPTION_FAIL" and report.rows == ()
+    assert report.assumption.x0_nonempty is x0_nonempty
+    assert report.not_canonical is x0_nonempty
 
 
 BENCH_CHARTS = Path(__file__).resolve().parents[1] / "bench" / "charts"
@@ -79,22 +93,21 @@ def _analyzed(name, max_order):
 
 
 def _row_status(report, m):
-    return {(r.l, r.note): r.status for r in report.rows if r.m == m}
+    return {(r.l, r.face): r.status for r in report.rows if r.m == m}
 
 
 @pytest.mark.parametrize("name, empty_rows", [
-    ("n3_hyperplane.json", [(3, "face ()")]),
-    ("n3_quadric.json", [(2, "face (0,)"), (2, "face (1,)"),
-                         (3, "face ()")]),
+    ("n3_hyperplane.json", [(3, ())]),
+    ("n3_quadric.json", [(2, (0,)), (2, (1,)), (3, ())]),
 ])
 def test_empty_sources_are_answered_past_the_variable_cap(name, empty_rows):
     """At m = 4 these presentations have 20 variables, over the cap of 18;
     the strata are empty at order 0 and the open part at m = 1, so their
-    rows are EMPTY and print the note of a computed EMPTY row.  The
-    nonempty strata stay UNKNOWN, so the verdict stays INCONCLUSIVE."""
+    rows are EMPTY.  The nonempty strata stay UNKNOWN, so the verdict stays
+    INCONCLUSIVE."""
     _chart, report = _analyzed(name, 4)
     at4 = _row_status(report, 4)
-    for key in empty_rows + [(0, "jets over the singular locus")]:
+    for key in empty_rows + [(0, None)]:
         assert at4[key] == "EMPTY"
     assert "UNKNOWN" in at4.values()
     assert report.verdict == "INCONCLUSIVE"
@@ -125,7 +138,7 @@ def test_an_empty_stratum_is_never_built(monkeypatch):
     assert report.verdict == "NO_OBSTRUCTION_UP_TO_M"
     assert not any(face == () for face, _m in built)
     assert [key for key in built if key[0] == "open"] == [("open", 1)]
-    assert all(_row_status(report, m)[(3, "face ()")] == "EMPTY"
+    assert all(_row_status(report, m)[(3, ())] == "EMPTY"
                for m in (1, 2))
 
 
@@ -138,14 +151,14 @@ def test_rows_answered_without_a_build_are_empty(monkeypatch, name):
     built = _recording(monkeypatch)
     chart, report = _analyzed(name, 2 if "n5" not in name else 1)
     monkeypatch.undo()
-    strata = {f"face {s.face.generator_indices}": s
+    strata = {s.face.generator_indices: s
               for s in stratify(chart)} if chart.monoid else {}
     for r in report.rows:
         if r.status == "UNKNOWN":       # a budget tripped on a built row
             continue
         if r.kind == "stratum":
-            s = strata[r.note]
-            if (s.face.generator_indices, r.m) in built:
+            s = strata[r.face]
+            if (r.face, r.m) in built:
                 continue
             pres = stratum_jet_presentation(s, r.m)
         elif ("open", r.m) in built:

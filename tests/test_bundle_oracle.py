@@ -82,12 +82,6 @@ def bundle_presentation(chart, m, face):
                                         jet_order=m)
 
 
-def _face(note):
-    """Generator indices from a decided stratum row's note 'face (0, 2)'."""
-    inside = note.removeprefix("face (").removesuffix(")")
-    return tuple(int(k) for k in inside.split(",") if k.strip())
-
-
 @cache
 def _compare(name, max_order):
     chart, options = load_chart(CHARTS / name)
@@ -98,12 +92,12 @@ def _compare(name, max_order):
     for row in report.rows:
         if row.kind != "stratum" or row.status == "UNKNOWN":
             continue
-        pres = bundle_presentation(chart, row.m, _face(row.note))
+        pres = bundle_presentation(chart, row.m, row.face)
         got = dimension_of(pres).dimension
         want = EMPTY if row.dim_jets == EMPTY else row.total
         compared += 1
         if got != want:
-            mismatches.append((row.l, row.m, row.note, got, want))
+            mismatches.append((row.l, row.m, row.face, got, want))
     return compared, mismatches
 
 

@@ -120,60 +120,21 @@ def test_analyze_missing_file(tmp_path, capsys):
 BENCH_CHARTS = Path(__file__).resolve().parents[1] / "bench" / "charts"
 
 
-def test_budget_override_from_the_environment(chart_file, capsys,
-                                              monkeypatch):
-    """LOGJET_BUDGET=8,40 on the N^2 hyperplane gives the report of the
-    chart file that sets {"pairs": 8} itself."""
-    monkeypatch.delenv("LOGJET_BUDGET", raising=False)
+def test_chart_file_pair_budget_makes_analyze_inconclusive(capsys):
+    """The chart file's {"pairs": 8} trips on the l = 1 stratum at m = 2."""
     pairs8 = str(BENCH_CHARTS / "n2_hyperplane_pairs8.json")
     assert main(["analyze", "--max-order", "3", pairs8]) == 30
-    expected = capsys.readouterr().out
-    assert "INCONCLUSIVE" in expected
-    monkeypatch.setenv("LOGJET_BUDGET", "8,40")
-    assert main(["analyze", "--max-order", "3",
-                 chart_file(N2_HYPERPLANE)]) == 30
-    assert capsys.readouterr().out == expected
+    out = capsys.readouterr().out
+    assert "verdict: INCONCLUSIVE" in out
+    assert "UNKNOWN  [S-pair budget 8 exceeded" in out
 
 
-def test_malformed_budget_override(chart_file, capsys, monkeypatch):
-    monkeypatch.setenv("LOGJET_BUDGET", "8")
-    assert main(["analyze", "--max-order", "1",
-                 chart_file(N2_HYPERPLANE)]) == 1
-    assert "budget override must be 'pairs,degree'" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("text", ["0,40", "8,0"])
-def test_non_positive_budget_override(chart_file, capsys, monkeypatch, text):
-    monkeypatch.setenv("LOGJET_BUDGET", text)
-    assert main(["analyze", "--max-order", "1",
-                 chart_file(N2_HYPERPLANE)]) == 1
-    err = capsys.readouterr().err
-    assert "budget override must be 'pairs,degree'" in err
-    assert repr(text) in err
-
-
-def test_superscript_digit_budget_override(chart_file, capsys, monkeypatch):
-    """'²' is a digit to str.isdigit but not a decimal int() can read."""
-    monkeypatch.setenv("LOGJET_BUDGET", "²,40")
-    assert main(["analyze", "--max-order", "1",
-                 chart_file(N2_HYPERPLANE)]) == 1
-    assert capsys.readouterr().err == (
-        "logjet: error: budget override must be 'pairs,degree' with "
-        "positive integers, got '²,40'\n")
-
-
-def test_dim_budget_override_matches_the_chart_budget(chart_file, capsys,
-                                                      monkeypatch):
-    """dim applies LOGJET_BUDGET once, on top of the chart file's budgets,
-    as analyze does."""
-    monkeypatch.delenv("LOGJET_BUDGET", raising=False)
+def test_dim_reports_the_chart_file_pair_budget(capsys):
     args = ["dim", "--stratum", "1", "--order", "3"]
     assert main(args + [str(BENCH_CHARTS / "n2_hyperplane_pairs8.json")]) == 1
-    expected = capsys.readouterr().err
-    assert "S-pair budget 8 exceeded" in expected
-    monkeypatch.setenv("LOGJET_BUDGET", "8,40")
-    assert main(args + [chart_file(N2_HYPERPLANE)]) == 1
-    assert capsys.readouterr().err == expected
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "S-pair budget 8 exceeded" in captured.err
 
 
 # `jets --order 2` lines per (chart file, mode)
