@@ -12,6 +12,9 @@ Schema "logjet-chart/1":
       "budgets": {"pairs": 50000, "degree": 40} // optional; also "variables"
     }                                           // and "fp_nodes", all > 0
 
+A budget the file does not set keeps its Budgets default, so load_chart
+always returns a Budgets, Budgets() for a file without "budgets".
+
 Unknown top-level fields are ignored; an unknown budget key is an error,
 since a mistyped key would otherwise leave its budget at the default.
 """
@@ -35,7 +38,7 @@ _BUDGET_FIELDS = {"pairs": "max_pairs", "degree": "max_degree",
 
 @dataclass(frozen=True)
 class ChartFileOptions:
-    budgets: object = None      # Budgets or None
+    budgets: Budgets = Budgets()
 
 
 def _is_int(value):
@@ -112,24 +115,21 @@ def load_chart(path):
             f"{path}: mode {mode!r} contradicts the monoid data "
             f"(implied {implied!r})")
 
-    budgets = None
-    raw_budgets = _field(doc, "budgets", dict)
-    if raw_budgets is not None:
-        unknown = sorted(set(raw_budgets) - set(_BUDGET_FIELDS))
-        if unknown:
-            raise ChartParseError(
-                f"{path}: unknown budget key {unknown[0]!r} (known keys: "
-                f"{', '.join(map(repr, _BUDGET_FIELDS))})")
-        fields = {}
-        for key, name in _BUDGET_FIELDS.items():
-            if key in raw_budgets:
-                value = raw_budgets[key]
-                if not _is_int(value) or value < 1:
-                    raise ChartParseError(
-                        f"{path}: budgets[{key!r}] must be a positive "
-                        f"integer, got {value!r}")
-                fields[name] = value
-        budgets = Budgets(**fields)
+    raw_budgets = _field(doc, "budgets", dict, default={})
+    unknown = sorted(set(raw_budgets) - set(_BUDGET_FIELDS))
+    if unknown:
+        raise ChartParseError(
+            f"{path}: unknown budget key {unknown[0]!r} (known keys: "
+            f"{', '.join(map(repr, _BUDGET_FIELDS))})")
+    fields = {}
+    for key, name in _BUDGET_FIELDS.items():
+        if key in raw_budgets:
+            value = raw_budgets[key]
+            if not _is_int(value) or value < 1:
+                raise ChartParseError(
+                    f"{path}: budgets[{key!r}] must be a positive "
+                    f"integer, got {value!r}")
+            fields[name] = value
 
     try:
         chart = Chart.build(ambient_rank=n, equations=equations,
@@ -138,4 +138,4 @@ def load_chart(path):
         raise ChartParseError(f"{path}: bad equation: {exc}") from exc
     except SupportError as exc:
         raise SupportError(f"{path}: {exc}") from exc
-    return chart, ChartFileOptions(budgets=budgets)
+    return chart, ChartFileOptions(budgets=Budgets(**fields))

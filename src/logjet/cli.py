@@ -7,7 +7,10 @@ Commands:
     analyze --max-order M FILE
 
 Global flags: --format table|json, and --verbose, which adds the
-certificate of each dimension to dim's table and changes nothing else.
+certificate of each dimension to dim's table and changes nothing else.  A
+certificate is the first largest independent set of variables in the
+presentation's variable order, so a stratum's certificate names the jets
+of its inversion variable w, which its presentation lists first.
 Budgets come from the chart file's "budgets" field, or the defaults.  Exit
 codes from analyze: 0 no obstruction, 10 reducible, 20 assumption failure,
 30 inconclusive; 1 = usage or input error.
@@ -19,7 +22,7 @@ import sys
 
 from .analyzer import AnalysisConfig, analyze, ordinary_jet_presentation
 from .chartfile import load_chart
-from .dimension import Budgets, dimension_of
+from .dimension import dimension_of
 from .errors import LogjetError
 from .jets import jet_ideal
 from .poly import LOG, ORDINARY
@@ -107,11 +110,10 @@ def _cmd_strata(args):
 
 def _cmd_dim(args):
     chart, opts = load_chart(args.file)
-    budgets = opts.budgets or Budgets()
     results = []
     if args.stratum is None:
         pres = ordinary_jet_presentation(chart, args.order)
-        res = dimension_of(pres, budgets)
+        res = dimension_of(pres, opts.budgets)
         results.append(("X", res))
     else:
         found = [s for s in stratify(chart) if s.index == args.stratum]
@@ -119,7 +121,7 @@ def _cmd_dim(args):
             raise LogjetError(f"no stratum with index {args.stratum}")
         for s in found:
             pres = stratum_jet_presentation(s, args.order)
-            res = dimension_of(pres, budgets)
+            res = dimension_of(pres, opts.budgets)
             results.append((f"l={s.index} face "
                             f"{s.face.generator_indices}", res))
     lines = []
@@ -137,7 +139,7 @@ def _cmd_dim(args):
 def _cmd_analyze(args):
     chart, opts = load_chart(args.file)
     cfg = AnalysisConfig(max_order=args.max_order,
-                         budgets=opts.budgets or Budgets())
+                         budgets=opts.budgets)
     report = analyze(chart, cfg)
     sys.stdout.write(emit_report(report, args.format))
     return report.exit_code

@@ -23,6 +23,14 @@ localization, the same for strata and for the open row.  Base-only
 constraints are added without jetting: the open row is the l = 0 stratum's
 presentation plus the Jacobian minors (analyzer.open_part_jet_presentation).
 
+A localized presentation lists the jets of w first, highest order first
+(w(m), ..., w(1), w), then the coordinates and their jets.  w * chi^{p_F}
+= 1 and its derivatives determine each w(j) by the coordinates, so with
+w(m) leading degrevlex, Buchberger eliminates w before it works on the
+coordinates: fewer S-pairs for the same dimension, which does not depend
+on the order of the variables.  Ordinary presentations have no w and keep
+the (i, j) order.
+
 jet_presentation is also where Laurent polynomials are cleared, against
 the inverted locus and before jetting: each base polynomial is turned once
 into integer coefficients on exponent tuples, cleared of denominators and
@@ -33,7 +41,6 @@ jets.derivative_chain, the JetPoly derivation, is its oracle.
 
 import math
 from dataclasses import dataclass
-from operator import sub
 
 from .dimension import EMPTY, IdealPresentation
 from .errors import ModeMismatchError
@@ -46,10 +53,12 @@ class StratumPresentation:
     """Closed presentation of one stratum piece (one face of the monoid).
 
     Variables are the chart coordinates x_1..x_n plus the inverse variable
-    w (stored as base variable n+1).  Equations may be Laurent; they are
-    cleared by jet_presentation, which the w-equation makes legitimate.
-    Equality and hashing are by identity: the analyzer keys its maps by
-    the stratum objects of one stratify call.
+    w, stored as the last base variable n+1, where jet_presentation looks
+    for a localized system's inversion variable: its jet presentations
+    list w(m), ..., w(1), w before the coordinates.  Equations may be
+    Laurent; they are cleared by jet_presentation, which the w-equation
+    makes legitimate.  Equality and hashing are by identity: the analyzer
+    keys its maps by the stratum objects of one stratify call.
     """
 
     face: object
@@ -110,18 +119,22 @@ def stratify(chart):
     return tuple(strata)
 
 
-def _integer_terms(f, n, localized):
-    """The base polynomial f as {exponents padded to n: int}, a positive
-    integer multiple of f; when localized, also times the smallest monomial
-    that makes its exponents nonnegative."""
+def _integer_terms(f, columns, width, localized):
+    """The base polynomial f as {exponent vector of width: int}, base
+    variable k at columns[k], a positive integer multiple of f; when
+    localized, also times the smallest monomial that makes its exponents
+    nonnegative."""
     terms = f.term_map()
     denom = math.lcm(*(c.denominator for c in terms.values()))
     low = ([min(0, *column) for column in zip(*[mono.base for mono in terms])]
            if localized else [0] * f.ring.n)
-    pad = (0,) * (n - f.ring.n)
-    return {tuple(map(sub, mono.base, low)) + pad:
-            c.numerator * (denom // c.denominator)
-            for mono, c in terms.items()}
+    out = {}
+    for mono, c in terms.items():
+        vec = [0] * width
+        for col, e, lo in zip(columns, mono.base, low):
+            vec[col] = e - lo
+        out[tuple(vec)] = c.numerator * (denom // c.denominator)
+    return out
 
 
 def _derive(terms, moves):
@@ -145,10 +158,15 @@ def _derive(terms, moves):
     return out
 
 
-def _jet_names(base_names, m):
-    """Variable names matching JetMonomial.exponent_vector's column order."""
-    return tuple(base_names) + tuple(f"{name}({j})" for name in base_names
-                                     for j in range(1, m + 1))
+def _jet_names(base_names, layout):
+    """The name of each (base variable k, jet order j) column of a jet
+    presentation: the base name at j = 0, else name(j).  The layout lists
+    a localized system's inversion variable first, as w(m), ..., w(1), w,
+    then the other base variables, then their jets x_k(j) ordered by
+    (k, j); an ordinary system has no w, and its order is
+    JetMonomial.exponent_vector's."""
+    return tuple(base_names[k] if j == 0 else f"{base_names[k]}({j})"
+                 for k, j in layout)
 
 
 def jet_presentation(variables, system, m, provenance, localized=False,
@@ -158,32 +176,45 @@ def jet_presentation(variables, system, m, provenance, localized=False,
     Every polynomial of system, written in the given base variables, is
     jetted with the ordinary derivation up to order m; every polynomial of
     constraints, in the same or a leading subset of them, is added as it
-    is.  The presentation's variables are the base variables followed by
-    their jets x_i(j), ordered by (i, j).  A localized system may be
-    Laurent: every system polynomial (at every m, m = 0 included) and every
-    constraint is cleared here, once, by the smallest monomial that makes
-    its exponents nonnegative; clearing does not commute with the
-    derivation, so it happens before jetting.  This is the only place where
-    Laurent polynomials are cleared.
+    is.  The last base variable of a localized system is its inversion
+    variable w, and the presentation's variables are w(m), ..., w(1), w,
+    then the other base variables, then their jets x_i(j) ordered by
+    (i, j); an ordinary system's are its base variables followed by their
+    jets in (i, j) order.  Degrevlex then leads with the jets of w, which
+    the jetted localization determines, so Buchberger eliminates them
+    before the coordinates (see the module docstring).  The names, the
+    derivation's moves and the columns of the base exponents all come from
+    that one layout.  A localized system may be Laurent: every system
+    polynomial (at every m, m = 0 included) and every constraint is cleared
+    here, once, by the smallest monomial that makes its exponents
+    nonnegative; clearing does not commute with the derivation, so it
+    happens before jetting.  This is the only place where Laurent
+    polynomials are cleared.
     """
     if m < 0:
         raise ValueError("jet order must be nonnegative")
     n = len(variables)
-    width = n * (m + 1)
-    # d moves one unit of x_i to x_i(1), and of x_i(j) to x_i(j+1) for j < m
-    moves = [(i, n + i * m) for i in range(n)]
-    moves += [(k, k + 1) for i in range(n)
-              for k in range(n + i * m, n + i * m + m - 1)]
+    coords = n - 1 if localized else n
+    layout = [(n - 1, j) for j in range(m, -1, -1)] if localized else []
+    layout += [(k, 0) for k in range(coords)]
+    layout += [(k, j) for k in range(coords) for j in range(1, m + 1)]
+    width = len(layout)
+    column = {kj: c for c, kj in enumerate(layout)}
+    base = [column[k, 0] for k in range(n)]
+    # d moves one unit of x_k(j) to x_k(j+1), x_k(0) being x_k
+    moves = [(column[k, j], column[k, j + 1])
+             for k in range(n) for j in range(m)]
     raw = []
     for f in system:
-        g = _integer_terms(f, width, localized)
+        g = _integer_terms(f, base, width, localized)
         raw.append(g)
         for _ in range(m):
             g = _derive(g, moves)
             raw.append(g)
-    raw.extend(_integer_terms(g, width, localized) for g in constraints)
+    raw.extend(_integer_terms(g, base, width, localized) for g in constraints)
     return IdealPresentation.from_terms(
-        _jet_names(variables, m), raw, provenance=provenance, jet_order=m)
+        _jet_names(variables, layout), raw, provenance=provenance,
+        jet_order=m)
 
 
 def base_presentation(stratum):

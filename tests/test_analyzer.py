@@ -3,8 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from logjet import (EMPTY, AffineMonoid, AnalysisConfig, Budgets, Chart,
-                    analyze, dimension_of, load_chart)
+from logjet import (EMPTY, AffineMonoid, AnalysisConfig, Chart, analyze,
+                    dimension_of, load_chart)
 from logjet import analyzer
 from logjet.analyzer import open_part_jet_presentation
 from logjet.strata import stratify, stratum_jet_presentation
@@ -89,7 +89,7 @@ BENCH_CHARTS = Path(__file__).resolve().parents[1] / "bench" / "charts"
 def _analyzed(name, max_order):
     chart, options = load_chart(BENCH_CHARTS / name)
     return chart, analyze(chart, AnalysisConfig(
-        max_order=max_order, budgets=options.budgets or Budgets()))
+        max_order=max_order, budgets=options.budgets))
 
 
 def _row_status(report, m):

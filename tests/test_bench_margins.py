@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from logjet import (AnalysisConfig, Budgets, analyze, analyzer, dimension,
+from logjet import (AnalysisConfig, analyze, analyzer, dimension,
                     groebner_basis, load_chart)
 from logjet.errors import ResourceLimitError
 from logjet.strata import stratify, stratum_jet_presentation
@@ -45,18 +45,21 @@ def analyze_pass():
     rank-5 chart at m = 1, whose strata take seconds each at m = 2).
     Returns sha256 digests over the variables and generators of every
     presentation it measures, and over the basis and S-pair count of every
-    Groebner basis it computes."""
-    presentations, bases = hashlib.sha256(), hashlib.sha256()
+    Groebner basis it computes, each split into an ordinary half (the
+    charts without a monoid) and a log half."""
+    halves = {kind: (hashlib.sha256(), hashlib.sha256())
+              for kind in ("ordinary", "log")}
+    current = []
     measure = analyzer.dimension_of
     compute = dimension.groebner_basis
 
     def recording_measure(pres, budgets=None):
-        presentations.update(repr((pres.variables, pres.generators)).encode())
+        current[0][0].update(repr((pres.variables, pres.generators)).encode())
         return measure(pres, budgets=budgets)
 
     def recording_compute(pres, budgets=None):
         gb = compute(pres, budgets)
-        bases.update(repr((gb.basis, gb.pairs_processed)).encode())
+        current[0][1].update(repr((gb.basis, gb.pairs_processed)).encode())
         return gb
 
     names = sorted(p.name for p in BENCH_CHARTS.glob("*.json")
@@ -67,28 +70,48 @@ def analyze_pass():
         patch.setattr(dimension, "groebner_basis", recording_compute)
         for name in names:
             chart, options = _chart(name)
+            current[:] = [halves["ordinary" if chart.monoid is None
+                                 else "log"]]
             analyze(chart, AnalysisConfig(
                 max_order=1 if name.startswith("n5") else 2,
-                budgets=options.budgets or Budgets()))
-    return presentations.hexdigest(), bases.hexdigest()
+                budgets=options.budgets))
+    return {kind: (p.hexdigest(), b.hexdigest())
+            for kind, (p, b) in halves.items()}
+
+
+# The ordinary half (charts without a monoid, whose presentations have no
+# inversion variable) is unchanged by the w-first column layout of
+# localized presentations; the log half was retaken with it.
+PRESENTATIONS = {
+    "ordinary":
+        "e1962edba9977eb624dca86a361238a50d16ad4b45311cfb41df1072d409ea58",
+    "log":
+        "d153e04fd9ba94a223da4c24d8bfd1bb941d3a8fd48ed1c8eba013dfb9697f0e",
+}
+BASES = {
+    "ordinary":
+        "d4fd409e3fc421cc1f6d171132aa5a1724977983b71e6b3ba4beebc2740a3b21",
+    "log":
+        "e5fced63ca33c4da60e579f448d53ab8170b2c59f7bd27e90c669302f4ae8dee",
+}
 
 
 def test_every_presentation_analyze_builds_is_pinned(analyze_pass):
-    assert analyze_pass[0] == (
-        "c3be8ec6d8aa4947bef0dab19cafde6bb8d7e50acab46a03837fe8161086dca8")
+    assert {kind: digests[0] for kind, digests in analyze_pass.items()} == (
+        PRESENTATIONS)
 
 
 def test_every_groebner_basis_analyze_computes_is_pinned(analyze_pass):
     """Exactness pin for the Buchberger engine: the reduced bases and the
     S-pairs processed, not just the dimensions read from them."""
-    assert analyze_pass[1] == (
-        "10b9540902ff1dd106c02f42efc4a9f56d263352618cdcf85b198be2204932f8")
+    assert {kind: digests[1] for kind, digests in analyze_pass.items()} == (
+        BASES)
 
 
 @pytest.mark.parametrize("name, face, m, pairs", [
     ("a2.json", None, 2, 80),
     ("cusp.json", None, 3, 176),
-    ("n3_hyperplane.json", (1, 2), 3, 156),
+    ("n3_hyperplane.json", (1, 2), 3, 121),
     ("cusp.json", None, 4, 851),
 ])
 def test_pairs_processed_are_pinned(name, face, m, pairs):
@@ -100,3 +123,11 @@ def test_pairs8_face_trips_its_budget():
     assert budgets.max_pairs == 8
     with pytest.raises(ResourceLimitError, match="S-pair budget 8"):
         groebner_basis(_jets("n2_hyperplane_pairs8.json", (1,), 3), budgets)
+
+
+@pytest.mark.parametrize("m, pairs", [(2, 9), (3, 12)])
+def test_pairs8_face_margin_over_its_budget(m, pairs):
+    """Unbudgeted, face (1,) of n2_hyperplane_pairs8 needs 9 S-pairs at
+    m = 2 and 12 at m = 3: one pair over the 8-pair budget at m = 2."""
+    assert groebner_basis(
+        _jets("n2_hyperplane_pairs8.json", (1,), m)).pairs_processed == pairs

@@ -21,7 +21,7 @@ import pytest
 
 from logjet.analyzer import AnalysisConfig, analyze
 from logjet.chartfile import load_chart
-from logjet.dimension import EMPTY, Budgets, IdealPresentation, dimension_of
+from logjet.dimension import EMPTY, IdealPresentation, dimension_of
 from logjet.jets import jet_ideal
 from logjet.poly import LOG
 
@@ -86,8 +86,7 @@ def bundle_presentation(chart, m, face):
 def _compare(name, max_order):
     chart, options = load_chart(CHARTS / name)
     report = analyze(chart, AnalysisConfig(max_order=max_order,
-                                           budgets=options.budgets
-                                           or Budgets()))
+                                           budgets=options.budgets))
     mismatches, compared = [], 0
     for row in report.rows:
         if row.kind != "stratum" or row.status == "UNKNOWN":

@@ -20,9 +20,8 @@ def write(tmp_path, doc):
 
 
 def test_loads_a_log_chart(tmp_path):
-    chart, options = load_chart(write(tmp_path, N2_DOC))
+    chart, _options = load_chart(write(tmp_path, N2_DOC))
     assert chart.monoid is not None and chart.codim == 1
-    assert options.budgets is None
 
 
 def test_ignored_membership_cap_field(tmp_path):
@@ -100,6 +99,16 @@ def test_unknown_budget_key_is_a_parse_error(tmp_path, budgets):
     assert f"unknown budget key {unknown!r}" in message
     for known in ("pairs", "degree", "variables", "fp_nodes"):
         assert repr(known) in message
+
+
+@pytest.mark.parametrize("budgets", ["absent", None])
+def test_chart_without_budgets_loads_the_defaults(tmp_path, budgets):
+    """A file without a "budgets" field (or with null) loads as Budgets(),
+    so no caller needs a fallback."""
+    doc = dict(N2_DOC) if budgets == "absent" else dict(N2_DOC,
+                                                        budgets=budgets)
+    _, options = load_chart(write(tmp_path, doc))
+    assert options.budgets == Budgets()
 
 
 def test_partial_budgets_keep_the_defaults(tmp_path):

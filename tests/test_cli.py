@@ -96,13 +96,15 @@ def test_dim_certificates_through_the_cli(capsys):
         "n3_hyperplane.json"
     assert main(["--verbose", "dim", "--stratum", "1", "--order", "3",
                  str(chart)]) == 0
+    # a certificate follows the presentation's variable order, and a
+    # stratum presentation lists the jets of w first
     assert capsys.readouterr().out == (
         "l=1 face (0, 1): dim = 4\n"
-        "  certificate: ('x2', 'x2(1)', 'x2(2)', 'x2(3)')\n"
+        "  certificate: ('w(3)', 'w(2)', 'w(1)', 'w')\n"
         "l=1 face (0, 2): dim = 4\n"
-        "  certificate: ('x3', 'x3(1)', 'x3(2)', 'x3(3)')\n"
+        "  certificate: ('w(3)', 'w(2)', 'w(1)', 'w')\n"
         "l=1 face (1, 2): dim = 4\n"
-        "  certificate: ('x3', 'x3(1)', 'x3(2)', 'x3(3)')\n")
+        "  certificate: ('w(3)', 'w(2)', 'w(1)', 'w')\n")
 
 
 @pytest.mark.parametrize("doc, code", [(N2_HYPERPLANE, 0), (CUSP, 10)])

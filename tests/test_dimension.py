@@ -170,7 +170,9 @@ def test_laurent_cleared_with_localization():
     p = jet_presentation(("x", "w"), system, 0, "x^-1 + 1 with w*x = 1",
                          localized=True)
     # cleared generator is 1 + x; with w*x = 1 the zero set is x = -1, w = -1
-    assert dict(p.generators[0]) == {(0, 0): 1, (1, 0): 1}
+    assert {tuple(sorted(zip(p.variables, exps))): c
+            for exps, c in p.generators[0]} == {
+        (("w", 0), ("x", 0)): 1, (("w", 0), ("x", 1)): 1}
     assert dimension_of(p).dimension == 0
 
 

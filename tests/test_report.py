@@ -15,7 +15,6 @@ import pytest
 
 from logjet.analyzer import AnalysisConfig, analyze
 from logjet.chartfile import load_chart
-from logjet.dimension import Budgets
 from logjet.errors import LogjetError
 from logjet.report import emit_report, report_to_dict
 
@@ -30,7 +29,7 @@ BENCH_CHARTS = Path(__file__).resolve().parents[1] / "bench" / "charts"
 def analyzed(name, max_order):
     chart, options = load_chart(BENCH_CHARTS / f"{name}.json")
     return analyze(chart, AnalysisConfig(
-        max_order=max_order, budgets=options.budgets or Budgets()))
+        max_order=max_order, budgets=options.budgets))
 
 
 CASES = {
