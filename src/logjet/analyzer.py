@@ -199,11 +199,11 @@ def _jacobian_minors(chart):
 
 
 def _det_polys(matrix, ring):
-    size = len(matrix)
-    if size == 1:
-        return matrix[0][0]
+    """Cofactor expansion along the first row; the 0 x 0 minor is 1."""
+    if not matrix:
+        return JetPoly.one(ring)
     total = JetPoly.zero(ring)
-    for k in range(size):
+    for k in range(len(matrix)):
         sub = [row[:k] + row[k + 1:] for row in matrix[1:]]
         term = matrix[0][k] * _det_polys(sub, ring)
         total = total + term if k % 2 == 0 else total - term

@@ -1,114 +1,73 @@
 """The jet derivation d in ordinary and log modes, and jet ideals.
 
-Ordinary mode: d maps x_i^(j) to x_i^(j+1) with x_i^(m) killed, satisfies
-the Leibniz rule, and extends to Laurent monomials by d(x_i^-1) =
--x_i^-2 x_i^(1).
+Ordinary mode: d maps x_i^(j) to x_i^(j+1), satisfies the Leibniz rule,
+and extends to Laurent monomials by d(x_i^-1) = -x_i^-2 x_i^(1).
 
 Log mode: with u_{i,j} standing for x_i^(j)/x_i,
 
     d(prod x_i^{a_i}) = (prod x_i^{a_i}) * sum_i a_i u_{i,1}
-    d(u_{i,j})        = u_{i,j+1} - u_{i,1} u_{i,j}      (u_{i,m+1} = 0)
+    d(u_{i,j})        = u_{i,j+1} - u_{i,1} u_{i,j}
+
+Both derivations run on {exponent tuple: coefficient} maps, one column per
+variable, as moves and grows (derivative_chain):
+
+  - a move (src, dst) takes one unit of column src to column dst, with the
+    exponent of src as the factor.  The ordinary derivation is the moves
+    x_i^(j) -> x_i^(j+1), x_i^(0) being x_i;
+  - the log derivation is the moves u_{i,j} -> u_{i,j+1} plus, for each i,
+    one grow that adds a unit of u_{i,1} with the factor a_i - sum_j
+    b_{i,j}, where b_{i,j} is the exponent of u_{i,j}: the a_i u_{i,1} of
+    the monomial part and the -u_{i,1} u_{i,j} of every jet factor.
+
+A chain starts from a base polynomial, so d^k f (k < m) has no jet of
+order above k: x_i^(m) and u_{i,m} are never derived, and truncation at
+order m needs no rule.
 
 The order-m jet ideal of a chart is generated by d^j f_i, 0 <= j <= m, for
-its equations f_i.  The oracles for both derivations live in the tests:
-tests/jet_oracle.py expands f after substituting truncated series for the
-x_i (ordinary: sum_j x_i^(j) t^j/j!; log: x_i (1 + sum_{j>0} u_{i,j}
-t^j/j!)), which pins every coefficient, and tests/test_bundle_oracle.py
-checks the dimensions of log jet ideals restricted to each stratum against
-the paper's bundle identity dim J_m(X_l) + m*l.
+its equations f_i.  The check lives in the tests: tests/jet_oracle.py
+expands f after substituting truncated series for the x_i (ordinary:
+sum_j x_i^(j) t^j/j!; log: x_i (1 + sum_{j>0} u_{i,j} t^j/j!)), which pins
+every coefficient of both modes.
 """
 
-from fractions import Fraction
-
 from .errors import ModeMismatchError
-from .poly import (LOG, ORDINARY, JetMonomial, JetPoly, RingDescriptor,
-                   require_mode)
+from .poly import LOG, JetMonomial, JetPoly, RingDescriptor
 
 
-def derive_ordinary(f):
-    """Apply d once in ordinary mode."""
-    require_mode(f, ORDINARY)
-    ring = f.ring
-    m = ring.m
-    out = {}
-
-    def add(mono, c):
-        s = out.get(mono, Fraction(0)) + c
-        if s == 0:
-            out.pop(mono, None)
-        else:
-            out[mono] = s
-
-    for mono, c in f.term_map().items():
-        if m == 0:
-            continue
-        jets = mono.jet_map()
-        for i, a in enumerate(mono.base, start=1):
-            if a == 0:
-                continue
-            base = list(mono.base)
-            base[i - 1] = a - 1
-            j1 = dict(jets)
-            j1[(i, 1)] = j1.get((i, 1), 0) + 1
-            add(JetMonomial(base, j1.items()), c * a)
-        for (i, j), e in mono.jets:
-            if j >= m:
-                continue
-            j1 = dict(jets)
-            j1[(i, j)] = e - 1
-            j1[(i, j + 1)] = j1.get((i, j + 1), 0) + 1
-            add(JetMonomial(mono.base, j1.items()), c * e)
-    return JetPoly(ring, out)
-
-
-def derive_log(f):
-    """Apply d once in log mode."""
-    require_mode(f, LOG)
-    ring = f.ring
-    m = ring.m
-    out = {}
-
-    def add(mono, c):
-        s = out.get(mono, Fraction(0)) + c
-        if s == 0:
-            out.pop(mono, None)
-        else:
-            out[mono] = s
-
-    for mono, c in f.term_map().items():
-        if m == 0:
-            continue
-        jets = mono.jet_map()
-        # monomial part: prod x^a contributes sum_i a_i u_{i,1}
-        for i, a in enumerate(mono.base, start=1):
-            if a == 0:
-                continue
-            j1 = dict(jets)
-            j1[(i, 1)] = j1.get((i, 1), 0) + 1
-            add(JetMonomial(mono.base, j1.items()), c * a)
-        # jet part: u_{i,j} -> u_{i,j+1} - u_{i,1} u_{i,j}
-        for (i, j), e in mono.jets:
-            if j < m:
-                j1 = dict(jets)
-                j1[(i, j)] = e - 1
-                j1[(i, j + 1)] = j1.get((i, j + 1), 0) + 1
-                add(JetMonomial(mono.base, j1.items()), c * e)
-            j2 = dict(jets)
-            j2[(i, 1)] = j2.get((i, 1), 0) + 1
-            add(JetMonomial(mono.base, j2.items()), -c * e)
-    return JetPoly(ring, out)
-
-
-def derive(f):
-    return derive_log(f) if f.ring.mode == LOG else derive_ordinary(f)
-
-
-def derivative_chain(f, m=None):
-    """[f, df, d^2 f, ...] up to the ring's jet order (or m if given)."""
-    m = f.ring.m if m is None else m
-    chain = [f]
+def derivative_chain(terms, m, moves, grows=()):
+    """[g, dg, ..., d^m g] for g = terms, a {exponent tuple: coefficient}
+    map.  Each (src, dst) of moves takes one unit of column src to dst,
+    with the exponent of src as the factor; each (dst, plus, minus) of
+    grows adds one unit of column dst, with the exponent of plus minus
+    those of the minus columns as the factor."""
+    chain = [terms]
     for _ in range(m):
-        chain.append(derive(chain[-1]))
+        out = {}
+        for vec, c in chain[-1].items():
+            for src, dst in moves:
+                e = vec[src]
+                if e:
+                    moved = list(vec)
+                    moved[src] -= 1
+                    moved[dst] += 1
+                    moved = tuple(moved)
+                    s = out.get(moved, 0) + c * e
+                    if s:
+                        out[moved] = s
+                    else:
+                        del out[moved]
+            for dst, plus, minus in grows:
+                e = vec[plus] - sum(vec[k] for k in minus)
+                if e:
+                    grown = list(vec)
+                    grown[dst] += 1
+                    grown = tuple(grown)
+                    s = out.get(grown, 0) + c * e
+                    if s:
+                        out[grown] = s
+                    else:
+                        del out[grown]
+        chain.append(out)
     return chain
 
 
@@ -117,10 +76,31 @@ def jet_ideal(chart, m, mode):
 
     Entry i is the chain (f_i, d f_i, ..., d^m f_i) of the i-th chart
     equation; together the chains cut out J_m(X) inside the jet space of
-    the ambient chart.
+    the ambient chart.  The equations are laid out as the columns of
+    JetMonomial.exponent_vector, base variables then the jets of
+    ring.jet_positions(), derived, and read back as JetPoly.
     """
     if mode == LOG and chart.monoid is None:
         raise ModeMismatchError("log jet ideal needs a chart with a monoid")
     ring = RingDescriptor(chart.ambient_rank, m, mode)
-    return tuple(tuple(derivative_chain(f.with_ring(ring)))
-                 for f in chart.equations)
+    n = ring.n
+    jets = ring.jet_positions()
+    column = {(i, 0): i - 1 for i in range(1, n + 1)}
+    column.update({ij: n + k for k, ij in enumerate(jets)})
+    first = 1 if mode == LOG else 0
+    moves = [(column[i, j], column[i, j + 1])
+             for i in range(1, n + 1) for j in range(first, m)]
+    grows = [(column[i, 1], column[i, 0],
+              [column[i, j] for j in range(1, m + 1)])
+             for i in range(1, n + 1)] if mode == LOG and m else []
+    pad = (0,) * len(jets)
+
+    def jet_poly(terms):
+        return JetPoly(ring, {JetMonomial(vec[:n], zip(jets, vec[n:])): c
+                              for vec, c in terms.items()})
+
+    return tuple(
+        tuple(jet_poly(g) for g in derivative_chain(
+            {mono.base + pad: c for mono, c in f.term_map().items()},
+            m, moves, grows))
+        for f in chart.equations)

@@ -16,7 +16,7 @@ Canonical term order is degrevlex over the combined exponent vector
 
 from fractions import Fraction
 
-from .errors import ExponentError, ModeMismatchError, RingMismatchError
+from .errors import ExponentError, RingMismatchError
 
 ORDINARY = "ordinary"
 LOG = "log"
@@ -92,9 +92,6 @@ class JetMonomial:
         for k, e in other.jets:
             jets[k] = jets.get(k, 0) + e
         return JetMonomial(base, jets.items())
-
-    def jet_map(self):
-        return dict(self.jets)
 
     def exponent_vector(self, ring):
         """Full exponent vector (base then jets in (i, j) order)."""
@@ -331,12 +328,6 @@ class JetPoly:
 
     def base_exponent_vectors(self):
         return sorted({mono.base for mono in self._terms})
-
-
-def require_mode(poly, mode):
-    if poly.ring.mode != mode:
-        raise ModeMismatchError(
-            f"operation needs {mode} mode, polynomial is {poly.ring.mode}")
 
 
 def lift_base_vars(poly, ring):

@@ -34,9 +34,8 @@ the (i, j) order.
 jet_presentation is also where Laurent polynomials are cleared, against
 the inverted locus and before jetting: each base polynomial is turned once
 into integer coefficients on exponent tuples, cleared of denominators and
-(for a localized system) of negative exponents, and the derivation then
-runs on those tuples, with no JetPoly and no Fraction.
-jets.derivative_chain, the JetPoly derivation, is its oracle.
+(for a localized system) of negative exponents, and jets.derivative_chain
+then derives those tuples, with no JetPoly and no Fraction.
 """
 
 import math
@@ -44,7 +43,7 @@ from dataclasses import dataclass
 
 from .dimension import EMPTY, IdealPresentation
 from .errors import ModeMismatchError
-from .jets import derivative_chain  # noqa: F401  (patched by bench/tracing.py)
+from .jets import derivative_chain
 from .poly import ORDINARY, JetPoly, RingDescriptor, lift_base_vars
 
 
@@ -137,27 +136,6 @@ def _integer_terms(f, columns, width, localized):
     return out
 
 
-def _derive(terms, moves):
-    """The ordinary derivation d on {full exponent vector: int}: each
-    (src, dst) of moves takes one unit of variable src to dst, with the
-    exponent of src as factor."""
-    out = {}
-    for vec, c in terms.items():
-        for src, dst in moves:
-            e = vec[src]
-            if e:
-                moved = list(vec)
-                moved[src] -= 1
-                moved[dst] += 1
-                moved = tuple(moved)
-                s = out.get(moved, 0) + c * e
-                if s:
-                    out[moved] = s
-                else:
-                    del out[moved]
-    return out
-
-
 def _jet_names(base_names, layout):
     """The name of each (base variable k, jet order j) column of a jet
     presentation: the base name at j = 0, else name(j).  The layout lists
@@ -206,11 +184,8 @@ def jet_presentation(variables, system, m, provenance, localized=False,
              for k in range(n) for j in range(m)]
     raw = []
     for f in system:
-        g = _integer_terms(f, base, width, localized)
-        raw.append(g)
-        for _ in range(m):
-            g = _derive(g, moves)
-            raw.append(g)
+        raw.extend(derivative_chain(_integer_terms(f, base, width, localized),
+                                    m, moves))
     raw.extend(_integer_terms(g, base, width, localized) for g in constraints)
     return IdealPresentation.from_terms(
         _jet_names(variables, layout), raw, provenance=provenance,

@@ -2,19 +2,23 @@
 
 expand_by_substitution replaces each x_i in a base polynomial by a truncated
 series in t (ordinary: sum_j x_i^(j) t^j/j!; log: x_i (1 + sum_{j>0}
-u_{i,j} t^j/j!)) and reads off the coefficients of t^j/j!.  Iterated
-derivation must reproduce those coefficients exactly, so the oracle pins
-every coefficient of derive_ordinary and derive_log without sharing their
-code.  specialize_log_to_ordinary maps the log ring into the ordinary one
-(u_{i,j} -> x_i^(j)/x_i), where the two derivations must intertwine.
+u_{i,j} t^j/j!)) and reads off the coefficients of t^j/j!.  A chain of
+derivatives must reproduce those coefficients exactly, so the oracle pins
+every coefficient of jets.derivative_chain in both modes without sharing
+its code.  specialize_log_to_ordinary maps the log ring into the ordinary
+one (u_{i,j} -> x_i^(j)/x_i), where the two derivations must intertwine.
+jet_chain is the chain under test, from jets.jet_ideal.
 """
 
 from fractions import Fraction
+from functools import cache
 from math import factorial
 
+from logjet.chart import Chart
 from logjet.errors import ModeMismatchError
-from logjet.poly import (LOG, ORDINARY, JetMonomial, JetPoly, RingDescriptor,
-                         require_mode)
+from logjet.jets import jet_ideal
+from logjet.monoid import AffineMonoid
+from logjet.poly import LOG, ORDINARY, JetMonomial, JetPoly, RingDescriptor
 
 
 class Series:
@@ -126,7 +130,8 @@ def expand_by_substitution(f, m, mode):
 
 def specialize_log_to_ordinary(g):
     """Substitute u_{i,j} -> x_i^(j) * x_i^-1; lands in the ordinary ring."""
-    require_mode(g, LOG)
+    if g.ring.mode != LOG:
+        raise ModeMismatchError("specialization needs a log polynomial")
     ring = RingDescriptor(g.ring.n, g.ring.m, ORDINARY)
     terms = {}
     for mono, c in g.term_map().items():
@@ -138,3 +143,20 @@ def specialize_log_to_ordinary(g):
         key = JetMonomial(base, jets.items())
         terms[key] = terms.get(key, Fraction(0)) + c
     return JetPoly(ring, terms)
+
+
+@cache
+def _torus(n):
+    """The monoid Z^n and its unit basis."""
+    units = tuple(tuple(int(k == i) for k in range(n)) for i in range(n))
+    return AffineMonoid(n, units + tuple(tuple(-a for a in u)
+                                         for u in units)), units
+
+
+def jet_chain(f, m, mode):
+    """[f, df, ..., d^m f] as jets.jet_ideal derives it, on the torus chart
+    with the one equation f (so both modes take Laurent f): the code under
+    test, for comparison with expand_by_substitution."""
+    n = f.ring.n
+    (chain,) = jet_ideal(Chart(n, (f,), *_torus(n)), m, mode)
+    return list(chain)

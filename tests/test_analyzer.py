@@ -7,6 +7,7 @@ from logjet import (EMPTY, AffineMonoid, AnalysisConfig, Chart, analyze,
                     dimension_of, load_chart)
 from logjet import analyzer
 from logjet.analyzer import open_part_jet_presentation
+from logjet.poly import ORDINARY, JetPoly, RingDescriptor
 from logjet.strata import stratify, stratum_jet_presentation
 
 A1 = "(x1-1)^2 + (x2-1)^2 + (x3-1)^2"
@@ -167,3 +168,14 @@ def test_rows_answered_without_a_build_are_empty(monkeypatch, name):
             pres = open_part_jet_presentation(chart, r.m)
         assert r.status == "EMPTY"
         assert dimension_of(pres).dimension == EMPTY
+
+
+def test_the_empty_minor_is_one():
+    """The 0 x 0 determinant is 1, so a chart with no equation (c = 0) has
+    the single Jacobian minor 1: its open part is smooth."""
+    ring = RingDescriptor(2, 0, ORDINARY)
+    assert analyzer._det_polys([], ring) == JetPoly.one(ring)
+    bare = Chart.build(monoid=AffineMonoid(2, [(1, 0), (0, 1)]),
+                       equations=[])
+    assert analyzer._jacobian_minors(bare) == [JetPoly.one(ring)]
+

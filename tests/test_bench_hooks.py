@@ -33,5 +33,6 @@ def test_tracer_restores_every_original():
     assert report.verdict == "NO_OBSTRUCTION_UP_TO_M"
     assert tracer.calls["analyzer.analyze"] == 1
     assert tracer.calls["strata.present"] > 0
+    assert tracer.calls["jets.derive"] > 0
     for owner, attr, original in originals:
         assert owner.__dict__[attr] is original, f"{owner.__name__}.{attr}"

@@ -7,11 +7,12 @@ corpus the basis coordinates are the orbit coordinates (generator k is the
 unit vector e_i), so the log jet ideal restricts to the stratum of a face F
 by dropping every term with some x_i, i outside F, and inverting the x_i
 with i in F.  Its dimension must equal the row's total, computed by the
-analyzer from ordinary jets of the stratum plus m*l; the two paths share
-only the dimension engine.
-
-The coefficients of derive_log are pinned by the substitution oracle
-(tests/jet_oracle.py): a slipped coefficient need not move a dimension.
+analyzer from ordinary jets of the stratum plus m*l.  The two paths share
+the dimension engine and the derivation, jets.derivative_chain: the log
+path runs it with the log grows, the analyzer with ordinary moves only.
+The substitution oracle (tests/jet_oracle.py) pins the derivation's
+coefficients in both modes; a slipped coefficient need not move a
+dimension.
 """
 
 from functools import cache

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -186,6 +187,97 @@ def test_jets_log_needs_a_monoid(capsys):
     assert captured.out == ""
     assert captured.err == (
         "logjet: error: log jet ideal needs a chart with a monoid\n")
+
+
+# sha256 of `jets --order 3` per (chart file, mode): exit code, stdout and
+# stderr in the table and then the JSON format.  a1, a2 and the cusp have
+# no monoid, so their log rows pin the refusal.
+JETS_ORDER3_SHA256 = {
+    ("a1.json", "ordinary"):
+        "c3b6b5d246f0c34069cdd4b65821875c0cc4d5b9c2d43ae0e28cf37b47ceb81f",
+    ("a1.json", "log"):
+        "9eb189fd484200a63beffc4e736139aeb62c5db6d9f78dee698e523742a3384a",
+    ("a2.json", "ordinary"):
+        "28f6adefb49ddf370be35760596d302e9102d551d44379f6418672aaaa99e909",
+    ("a2.json", "log"):
+        "9eb189fd484200a63beffc4e736139aeb62c5db6d9f78dee698e523742a3384a",
+    ("cone2_bare.json", "ordinary"):
+        "36b430ea36dfa85c3c61e51cf59f2c49865a5b0c238cf35bc46c04f15933b33a",
+    ("cone2_bare.json", "log"):
+        "7ca917e80f1aa0e013c7c6ef057d9e1b1f9afe35fa668e3ccd759c25bbf7a261",
+    ("cone2_hyperplane.json", "ordinary"):
+        "764470e351522283bf7179b7f3991a33a836f11cd27ff8e38601b52407972d84",
+    ("cone2_hyperplane.json", "log"):
+        "8e364948bb65cc9e168a0fba1e1cc9cb929f538d813f23bb5730ad3346615171",
+    ("cone3_hyperplane.json", "ordinary"):
+        "764470e351522283bf7179b7f3991a33a836f11cd27ff8e38601b52407972d84",
+    ("cone3_hyperplane.json", "log"):
+        "8e364948bb65cc9e168a0fba1e1cc9cb929f538d813f23bb5730ad3346615171",
+    ("cone4_hyperplane.json", "ordinary"):
+        "764470e351522283bf7179b7f3991a33a836f11cd27ff8e38601b52407972d84",
+    ("cone4_hyperplane.json", "log"):
+        "8e364948bb65cc9e168a0fba1e1cc9cb929f538d813f23bb5730ad3346615171",
+    ("cone5_hyperplane.json", "ordinary"):
+        "764470e351522283bf7179b7f3991a33a836f11cd27ff8e38601b52407972d84",
+    ("cone5_hyperplane.json", "log"):
+        "8e364948bb65cc9e168a0fba1e1cc9cb929f538d813f23bb5730ad3346615171",
+    ("cone6_hyperplane.json", "ordinary"):
+        "764470e351522283bf7179b7f3991a33a836f11cd27ff8e38601b52407972d84",
+    ("cone6_hyperplane.json", "log"):
+        "8e364948bb65cc9e168a0fba1e1cc9cb929f538d813f23bb5730ad3346615171",
+    ("cone7_hyperplane.json", "ordinary"):
+        "764470e351522283bf7179b7f3991a33a836f11cd27ff8e38601b52407972d84",
+    ("cone7_hyperplane.json", "log"):
+        "8e364948bb65cc9e168a0fba1e1cc9cb929f538d813f23bb5730ad3346615171",
+    ("conifold_hyperplane.json", "ordinary"):
+        "10a5cebfc32a23259dc261f36aa51f75a248a17c3e16b73d1eb477b95e88dff9",
+    ("conifold_hyperplane.json", "log"):
+        "3cbfd5dcaa0ac27834b0ce33b05bf0c37a011c8c1ec3f534ba1184ea07c40746",
+    ("cusp.json", "ordinary"):
+        "eb5278157a4dfba8bb24df8390213c383701518bdbda793ba7356591300ca357",
+    ("cusp.json", "log"):
+        "9eb189fd484200a63beffc4e736139aeb62c5db6d9f78dee698e523742a3384a",
+    ("n2_binomial.json", "ordinary"):
+        "9da400363a05c4d3c95dc5d9a5ac08ab28d3756256c1d872e012e836905bcfd6",
+    ("n2_binomial.json", "log"):
+        "576cc12df1a4dbbe0628371ca8c9f12d3b8d9b0a60cbcc512bc4ca3e1b816120",
+    ("n2_hyperplane.json", "ordinary"):
+        "764470e351522283bf7179b7f3991a33a836f11cd27ff8e38601b52407972d84",
+    ("n2_hyperplane.json", "log"):
+        "8e364948bb65cc9e168a0fba1e1cc9cb929f538d813f23bb5730ad3346615171",
+    ("n2_hyperplane_pairs8.json", "ordinary"):
+        "764470e351522283bf7179b7f3991a33a836f11cd27ff8e38601b52407972d84",
+    ("n2_hyperplane_pairs8.json", "log"):
+        "8e364948bb65cc9e168a0fba1e1cc9cb929f538d813f23bb5730ad3346615171",
+    ("n3_binomial.json", "ordinary"):
+        "9da400363a05c4d3c95dc5d9a5ac08ab28d3756256c1d872e012e836905bcfd6",
+    ("n3_binomial.json", "log"):
+        "576cc12df1a4dbbe0628371ca8c9f12d3b8d9b0a60cbcc512bc4ca3e1b816120",
+    ("n3_hyperplane.json", "ordinary"):
+        "10a5cebfc32a23259dc261f36aa51f75a248a17c3e16b73d1eb477b95e88dff9",
+    ("n3_hyperplane.json", "log"):
+        "3cbfd5dcaa0ac27834b0ce33b05bf0c37a011c8c1ec3f534ba1184ea07c40746",
+    ("n3_quadric.json", "ordinary"):
+        "aa86c970bbaff830aec9cd4357a40447c955301198e165099f4d449d442f9394",
+    ("n3_quadric.json", "log"):
+        "2b9e92dadfe9c6875a1481df761bed088de94fec2d677ebae2b3f94144cc2a8f",
+    ("n5_hyperplane.json", "ordinary"):
+        "0ba0a6232c3dc104df9d2ccd3b50c82bb3ea29fdfd1040468957cef54c405bf8",
+    ("n5_hyperplane.json", "log"):
+        "9b2a529660ede791f0deb8c432f7e6b738e66b9d2feba620dcd19bbbab247852",
+}
+
+
+@pytest.mark.parametrize("name, mode", JETS_ORDER3_SHA256)
+def test_jets_order_three_over_the_corpus(capsys, name, mode):
+    digest = hashlib.sha256()
+    for fmt in ("table", "json"):
+        argv = ["--format", fmt, "jets", "--order", "3"]
+        code = main(argv + (["--log"] if mode == "log" else [])
+                    + [str(BENCH_CHARTS / name)])
+        out, err = capsys.readouterr()
+        digest.update(f"{code}\n{out}\0{err}\0".encode())
+    assert digest.hexdigest() == JETS_ORDER3_SHA256[name, mode]
 
 
 @pytest.mark.parametrize("fmt", ["table", "json"])

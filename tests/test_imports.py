@@ -2,11 +2,13 @@
 name the package exports is used by the package or the benchmark.
 
 __init__.py is skipped: its imports are the package's re-exports.  An
-import whose line carries "# noqa: F401" is kept on purpose (a hook that a
-caller patches through the module) and is skipped too.
+import whose line carries "# noqa: F401" is kept on purpose: it must be a
+hook that bench/tracing.py patches through the module, and the module must
+not otherwise use it, so the marker cannot outlive its reason.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,21 +19,42 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "logjet"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
+sys.path.insert(0, str(ROOT / "bench"))
 
-def unused_imports(source):
+import tracing  # noqa: E402
+
+# (module or class name, attribute) of every SPANS and COUNTS hook
+HOOKS = {(owner.__name__, attr) for owner, attr, *_rest
+         in tracing.SPANS + tracing.COUNTS}
+
+
+def imports(source):
+    """(line, name, marked, used) of each imported name: marked when its
+    line carries "# noqa: F401", used when the module reads the name."""
     tree = ast.parse(source)
     lines = source.splitlines()
-    imported = {}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    found = []
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
-                if "# noqa: F401" in lines[alias.lineno - 1]:
-                    continue
                 name = alias.asname or alias.name.split(".")[0]
-                imported[name] = alias.lineno
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return sorted((line, name) for name, line in imported.items()
-                  if name not in used)
+                found.append((alias.lineno, name,
+                              "# noqa: F401" in lines[alias.lineno - 1],
+                              name in used))
+    return sorted(found)
+
+
+def unused_imports(source):
+    return [(line, name) for line, name, marked, used in imports(source)
+            if not (marked or used)]
+
+
+def stale_markers(module, source):
+    """(line, name) of each "# noqa: F401" import that is not a tracing
+    hook of module, or that module also uses."""
+    return [(line, name) for line, name, marked, used in imports(source)
+            if marked and (used or (module, name) not in HOOKS)]
 
 
 def test_finds_an_unused_import():
@@ -40,9 +63,24 @@ def test_finds_an_unused_import():
     assert unused_imports(source) == [(1, "os"), (2, "dumps")]
 
 
+def test_finds_a_stale_marker():
+    source = ("from .jets import derivative_chain  # noqa: F401\n"
+              "from .poly import JetPoly  # noqa: F401\n"
+              "from .dimension import dimension_of  # noqa: F401\n"
+              "print(dimension_of)\n")
+    assert stale_markers("logjet.analyzer", source) == [
+        (2, "JetPoly"), (3, "dimension_of")]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_noqa_marks_only_an_unused_tracing_hook(path):
+    assert stale_markers(f"logjet.{path.stem}",
+                         path.read_text(encoding="utf-8")) == []
 
 
 def referenced_names(source):

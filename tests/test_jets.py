@@ -1,17 +1,24 @@
+"""The jet derivation on chains of base polynomials, and jet ideals.
+
+jet_chain (tests/jet_oracle.py) reads a chain off jets.jet_ideal; the
+hand-written tuple examples call jets.derivative_chain directly.
+"""
+
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from logjet.chart import Chart
 from logjet.errors import ModeMismatchError
-from logjet.jets import (derivative_chain, derive_log, derive_ordinary,
-                         jet_ideal)
+from logjet.jets import derivative_chain, jet_ideal
 from logjet.monoid import AffineMonoid
 from logjet.parse import parse_poly
 from logjet.poly import LOG, ORDINARY, JetPoly, RingDescriptor
 
-from jet_oracle import expand_by_substitution, specialize_log_to_ordinary
+from jet_oracle import (expand_by_substitution, jet_chain,
+                        specialize_log_to_ordinary)
 
 N2 = AffineMonoid(2, [(1, 0), (0, 1)])
 
@@ -29,79 +36,88 @@ def P(text, r):
 
 def test_derive_square():
     r = ring(1, 2)
-    assert derive_ordinary(P("x1^2", r)) == P("2*x1*x1(1)", r)
+    assert jet_chain(P("x1^2", ring(1, 0)), 2, ORDINARY) == [
+        P("x1^2", r), P("2*x1*x1(1)", r), P("2*x1(1)^2 + 2*x1*x1(2)", r)]
 
 
 def test_derive_kills_top_order():
-    r = ring(1, 2)
-    assert derive_ordinary(P("x1(2)", r)).is_zero
+    # columns x1, x1(1), x1(2): no move leaves the top column, so x1(2)
+    # derives to zero with no truncation rule
+    assert derivative_chain({(0, 0, 1): 1}, 1, [(0, 1), (1, 2)]) == \
+        [{(0, 0, 1): 1}, {}]
 
 
 def test_derive_laurent():
-    # forced by the Leibniz rule on x1 * x1^-1 = 1
+    # d(x1^-1) = -x1^-2 x1(1), as the Leibniz rule on x1 * x1^-1 = 1 forces
     r = ring(1, 2)
-    f = P("x1^-1", r)
-    assert derive_ordinary(f) == P("-x1^-2*x1(1)", r)
-    assert derive_ordinary(P("x1", r) * f).is_zero
+    assert jet_chain(P("x1^-1", ring(1, 0)), 2, ORDINARY) == [
+        P("x1^-1", r), P("-x1^-2*x1(1)", r),
+        P("2*x1^-3*x1(1)^2 - x1^-2*x1(2)", r)]
 
 
 def test_derive_order_zero_ring():
-    r = ring(2, 0)
-    assert derive_ordinary(P("x1*x2", r)).is_zero
+    f = P("x1*x2", ring(2, 0))
+    assert jet_chain(f, 0, ORDINARY) == [f]
+    assert jet_chain(f, 0, LOG) == [P("x1*x2", ring(2, 0, LOG))]
+
+
+def _leibniz(f, g, m, mode):
+    """d^k(fg) = sum_i binom(k, i) d^i f d^(k-i) g for every k <= m."""
+    cf, cg = jet_chain(f, m, mode), jet_chain(g, m, mode)
+    for k, dk in enumerate(jet_chain(f * g, m, mode)):
+        assert dk == sum((cf[i] * cg[k - i] * comb(k, i)
+                          for i in range(k + 1)), JetPoly.zero(dk.ring))
 
 
 def test_leibniz_ordinary():
     rng = random.Random(3)
-    r = ring(2, 3)
+    r = ring(2, 0)
     for _ in range(15):
-        f = _random_base(rng, r, laurent=True)
-        g = _random_base(rng, r, laurent=True)
-        assert derive_ordinary(f * g) == \
-            derive_ordinary(f) * g + f * derive_ordinary(g)
+        _leibniz(_random_base(rng, r, laurent=True),
+                 _random_base(rng, r, laurent=True), 3, ORDINARY)
 
 
 # -- log derivation ------------------------------------------------------------
 
 
 def test_log_monomial_identity():
-    r = ring(2, 2, LOG)
-    f = P("x1*x2^2", r)
-    assert derive_log(f) == f * P("u[1,1] + 2*u[2,1]", r)
+    f = P("x1*x2^2", ring(2, 0))
+    rl = ring(2, 1, LOG)
+    assert jet_chain(f, 1, LOG)[1] == \
+        P("x1*x2^2", rl) * P("u[1,1] + 2*u[2,1]", rl)
 
 
 def test_log_jet_identity():
-    r = ring(1, 3, LOG)
-    assert derive_log(P("u[1,1]", r)) == P("u[1,2] - u[1,1]^2", r)
+    # columns x1, u11, u12, u13: d(u11) = u12 - u11^2, the move u11 -> u12
+    # and the grow of u11 with factor 0 - 1
+    assert derivative_chain({(0, 1, 0, 0): 1}, 1, [(1, 2), (2, 3)],
+                            [(1, 0, [1, 2, 3])])[1] == \
+        {(0, 0, 1, 0): 1, (0, 2, 0, 0): -1}
 
 
 def test_log_truncation():
-    # u_{i,m+1} is treated as zero
-    r = ring(1, 2, LOG)
-    assert derive_log(P("u[1,2]", r)) == P("-u[1,1]*u[1,2]", r)
+    # columns x1, u11, u12 at m = 2: no move leaves u12, so
+    # d(u12) = -u11 u12, with u13 taken as zero
+    assert derivative_chain({(0, 0, 1): 1}, 1, [(1, 2)],
+                            [(1, 0, [1, 2])])[1] == {(0, 1, 1): -1}
 
 
 def test_log_second_derivative_of_variable():
-    # d(x1) = x1 u11; d^2(x1) = x1(u11^2 + u12 - u11^2) = x1 u12
-    r = ring(1, 2, LOG)
-    chain = derivative_chain(P("x1", r))
-    assert chain[1] == P("x1*u[1,1]", r)
-    assert chain[2] == P("x1*u[1,2]", r)
+    # d(x1) = x1 u11; d^2(x1) = x1(u11^2 + u12 - u11^2) = x1 u12;
+    # d^2(x1^2) = d(2 x1^2 u11) = 2 x1^2 (2 u11^2 + u12 - u11^2)
+    rl = ring(1, 2, LOG)
+    assert jet_chain(P("x1", ring(1, 0)), 2, LOG) == [
+        P("x1", rl), P("x1*u[1,1]", rl), P("x1*u[1,2]", rl)]
+    assert jet_chain(P("x1^2", ring(1, 0)), 2, LOG)[2] == \
+        P("2*x1^2*u[1,1]^2 + 2*x1^2*u[1,2]", rl)
 
 
 def test_leibniz_log():
     rng = random.Random(4)
-    r = ring(2, 3, LOG)
+    r = ring(2, 0)
     for _ in range(15):
-        f = _random_log(rng, r)
-        g = _random_log(rng, r)
-        assert derive_log(f * g) == derive_log(f) * g + f * derive_log(g)
-
-
-def test_mode_mismatch():
-    with pytest.raises(ModeMismatchError):
-        derive_log(P("x1", ring(1, 1, ORDINARY)))
-    with pytest.raises(ModeMismatchError):
-        derive_ordinary(P("x1", ring(1, 1, LOG)))
+        _leibniz(_random_base(rng, r, laurent=True),
+                 _random_base(rng, r, laurent=True), 3, LOG)
 
 
 # -- substitution oracle ---------------------------------------------------------
@@ -133,9 +149,7 @@ def test_expand_cusp():
 def test_expand_laurent_inverse():
     r = ring(1, 0)
     coeffs = expand_by_substitution(P("x1^-1", r), 2, ORDINARY)
-    rj = ring(1, 2)
-    chain = derivative_chain(P("x1^-1", rj))
-    assert coeffs == chain
+    assert coeffs == jet_chain(P("x1^-1", r), 2, ORDINARY)
 
 
 def _random_base(rng, r, laurent=False):
@@ -154,27 +168,14 @@ def _random_base(rng, r, laurent=False):
     return poly if poly else JetPoly.one(r)
 
 
-def _random_log(rng, r):
-    poly = _random_base(rng, r, laurent=True)
-    for _ in range(rng.randint(0, 2)):
-        i = rng.randint(1, r.n)
-        j = rng.randint(1, r.m)
-        poly = poly * JetPoly.jet_var(r, i, j)
-    return poly
-
-
 @pytest.mark.parametrize("mode", [ORDINARY, LOG])
 @pytest.mark.parametrize("seed", range(8))
 def test_oracle_agreement(mode, seed):
     rng = random.Random(seed)
     n = rng.randint(1, 3)
     m = rng.randint(1, 4)
-    base = ring(n, 0)
-    f = _random_base(rng, base, laurent=True)
-    jet_ring = ring(n, m, mode)
-    chain = derivative_chain(f.with_ring(jet_ring))
-    oracle = expand_by_substitution(f, m, mode)
-    assert chain == oracle
+    f = _random_base(rng, ring(n, 0), laurent=True)
+    assert jet_chain(f, m, mode) == expand_by_substitution(f, m, mode)
 
 
 # -- jet ideals ------------------------------------------------------------------
@@ -213,27 +214,41 @@ def test_jet_ideal_log_needs_monoid():
         jet_ideal(chart, 1, LOG)
 
 
+@pytest.mark.parametrize("mode", [ORDINARY, LOG])
+def test_jet_ideal_refuses_a_negative_order(mode):
+    chart = Chart.build(monoid=N2, equations=["x1 + x2 - 1"])
+    with pytest.raises(ValueError, match="jet order must be nonnegative"):
+        jet_ideal(chart, -1, mode)
+
+
+def _ordinary_moves(n, m):
+    """The moves x_k(j) -> x_k(j+1), j < m, in exponent_vector columns:
+    base variable k at k, jet (k, j) at n + k*m + j - 1."""
+    def col(k, j):
+        return k if j == 0 else n + k * m + j - 1
+    return [(col(k, j), col(k, j + 1)) for k in range(n) for j in range(m)]
+
+
 def test_nilpotency():
     # the derivation is nilpotent on the truncated ring: each step raises
     # the total jet weight, so d^(m*deg+1) kills a base polynomial; the
     # exponent m+1 suffices only for linear inputs (d^2(x^2) = 2 x(1)^2
-    # at m=1 is nonzero)
-    r = ring(2, 1)
-    f = P("x1^2", r)
-    chain = derivative_chain(f, 3)
-    assert chain[2] == P("2*x1(1)^2", r)
-    assert chain[3].is_zero
-    linear = P("x1 + 2*x2 - 1", r)
-    assert derivative_chain(linear, 2)[2].is_zero
+    # at m=1 is nonzero).  Columns x1, x2, x1(1), x2(1) at m = 1.
+    moves = _ordinary_moves(2, 1)
+    chain = derivative_chain({(2, 0, 0, 0): 1}, 3, moves)
+    assert chain[2] == {(0, 0, 2, 0): 2}
+    assert chain[3] == {}
+    linear = {(1, 0, 0, 0): 1, (0, 1, 0, 0): 2, (0, 0, 0, 0): -1}
+    assert derivative_chain(linear, 2, moves)[2] == {}
     rng = random.Random(11)
     for _ in range(5):
         m = rng.randint(1, 3)
-        r = ring(2, m)
-        f = _random_base(rng, r)
-        deg = max((sum(abs(e) for e in mono.base)
-                   for mono in f.term_map()), default=0)
-        chain = derivative_chain(f, m * deg + 1)
-        assert chain[m * deg + 1].is_zero
+        f = _random_base(rng, ring(2, 0))
+        pad = (0,) * (2 * m)
+        terms = {mono.base + pad: c for mono, c in f.term_map().items()}
+        deg = max(sum(mono.base) for mono in f.term_map())
+        chain = derivative_chain(terms, m * deg + 1, _ordinary_moves(2, m))
+        assert chain[m * deg + 1] == {}
 
 
 # -- specialization ---------------------------------------------------------------
@@ -248,19 +263,19 @@ def test_specialize_basics():
 
 
 def test_specialize_intertwines_derivations():
-    rl = ring(2, 2, LOG)
-    f = P("x1*x2^2", rl)
-    assert specialize_log_to_ordinary(derive_log(f)) == \
-        derive_ordinary(specialize_log_to_ordinary(f))
+    f = P("x1*x2^2", ring(2, 0))
+    log_chain = jet_chain(f, 2, LOG)
+    assert [specialize_log_to_ordinary(g) for g in log_chain] == \
+        jet_chain(f, 2, ORDINARY)
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_specialize_intertwines_random(seed):
     rng = random.Random(seed)
-    r = ring(2, 3, LOG)
-    g = _random_log(rng, r)
-    assert specialize_log_to_ordinary(derive_log(g)) == \
-        derive_ordinary(specialize_log_to_ordinary(g))
+    f = _random_base(rng, ring(2, 0), laurent=True)
+    log_chain = jet_chain(f, 3, LOG)
+    assert [specialize_log_to_ordinary(g) for g in log_chain] == \
+        jet_chain(f, 3, ORDINARY)
 
 
 def test_torus_consistency():

@@ -1,11 +1,13 @@
-"""Random Laurent systems: the integer jet-presentation builder against the
-JetPoly derivation.
+"""Random Laurent systems: the integer jet-presentation builder against
+power-series substitution.
 
-strata.jet_presentation derives on integer exponent tuples.  The reference
-here takes the JetPoly path: lift each polynomial (or clear it by the
-smallest monomial with nonnegative exponents, when localized), apply
-jets.derivative_chain, read each term's JetMonomial.exponent_vector and
-hand the Fraction maps to IdealPresentation.from_terms.
+strata.jet_presentation derives on integer exponent tuples with
+jets.derivative_chain.  The reference here shares none of that code: lift
+each polynomial (or clear it by the smallest monomial with nonnegative
+exponents, when localized), expand it by substitution
+(jet_oracle.expand_by_substitution), read each term's
+JetMonomial.exponent_vector and hand the Fraction maps to
+IdealPresentation.from_terms.
 """
 
 from fractions import Fraction
@@ -17,10 +19,11 @@ st = hypothesis.strategies
 
 from logjet.dimension import IdealPresentation  # noqa: E402
 from logjet.errors import UnlocalizedLaurentError  # noqa: E402
-from logjet.jets import derivative_chain  # noqa: E402
-from logjet.poly import (JetMonomial, JetPoly, RingDescriptor,  # noqa: E402
-                         lift_base_vars)
+from logjet.poly import (ORDINARY, JetMonomial, JetPoly,  # noqa: E402
+                         RingDescriptor, lift_base_vars)
 from logjet.strata import jet_presentation  # noqa: E402
+
+from jet_oracle import expand_by_substitution  # noqa: E402
 
 
 def _cleared(f, ring):
@@ -36,12 +39,13 @@ def _cleared(f, ring):
 
 def reference_presentation(variables, system, m, provenance, localized=False,
                            constraints=()):
+    base = RingDescriptor(len(variables), 0)
     ring = RingDescriptor(len(variables), m)
     lift = _cleared if localized else lift_base_vars
     polys = []
     for f in system:
-        polys.extend(derivative_chain(lift(f, ring)))
-    polys.extend(lift(g, ring) for g in constraints)
+        polys.extend(expand_by_substitution(lift(f, base), m, ORDINARY))
+    polys.extend(lift(g, base).with_ring(ring) for g in constraints)
     names = tuple(variables) + tuple(f"{variables[i - 1]}({j})"
                                      for i, j in ring.jet_positions())
     return IdealPresentation.from_terms(
