@@ -38,13 +38,13 @@ presentation over F_p.
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 
 from .dimension import EMPTY, Budgets, dimension_of, fp_dimension_estimate
 from .errors import CompleteIntersectionError, LogjetError, ResourceLimitError
 from .jets import derivative_chain  # noqa: F401  (patched by bench/tracing.py)
-from .poly import ORDINARY, JetMonomial, JetPoly, RingDescriptor
-from .strata import (base_presentation, check_assumption, jet_presentation,
-                     stratify, stratum_jet_presentation)
+from .strata import (base_presentation, check_assumption, equation_terms,
+                     jet_presentation, stratify, stratum_jet_presentation)
 
 
 @dataclass(frozen=True)
@@ -170,44 +170,37 @@ def _coordinates(chart):
 
 def ordinary_jet_presentation(chart, m):
     """J_m of the chart equations in plain affine space."""
-    return jet_presentation(_coordinates(chart), chart.equations, m,
+    return jet_presentation(_coordinates(chart), equation_terms(chart), m,
                             f"J_{m} of chart equations")
 
 
-def _jacobian_minors(chart):
-    """All c x c minors of (df_i/dx_k), as base polynomials."""
-    c = chart.codim
-    n = chart.ambient_rank
-    ring = RingDescriptor(n, 0, ORDINARY)
-    partials = []
-    for f in chart.equations:
-        row = []
-        for k in range(1, n + 1):
-            terms = {}
-            for mono, coeff in f.term_map().items():
-                a = mono.base[k - 1]
-                if a == 0:
-                    continue
-                base = list(mono.base)
-                base[k - 1] = a - 1
-                key = JetMonomial(base)
-                terms[key] = terms.get(key, Fraction(0)) + coeff * a
-            row.append(JetPoly(ring, terms))
-        partials.append(row)
-    return [_det_polys([[row[k] for k in cols] for row in partials], ring)
-            for cols in itertools.combinations(range(n), c)]
-
-
-def _det_polys(matrix, ring):
-    """Cofactor expansion along the first row; the 0 x 0 minor is 1."""
+def _det(matrix, n):
+    """Cofactor expansion along the first row of a matrix of {exponent
+    tuple: coefficient} maps in n variables; the 0 x 0 minor is 1."""
     if not matrix:
-        return JetPoly.one(ring)
-    total = JetPoly.zero(ring)
-    for k in range(len(matrix)):
-        sub = [row[:k] + row[k + 1:] for row in matrix[1:]]
-        term = matrix[0][k] * _det_polys(sub, ring)
-        total = total + term if k % 2 == 0 else total - term
-    return total
+        return {(0,) * n: 1}
+    total = {}
+    for k, entry in enumerate(matrix[0]):
+        minor = _det([row[:k] + row[k + 1:] for row in matrix[1:]], n)
+        for a, ca in entry.items():
+            for b, cb in minor.items():
+                e = tuple(map(add, a, b))
+                total[e] = total.get(e, 0) + (-1) ** k * ca * cb
+    return {e: c for e, c in total.items() if c}
+
+
+def _partial(f, k):
+    """df/dx_k of an exponent map, Laurent exponents included."""
+    return {e[:k] + (e[k] - 1,) + e[k + 1:]: c * e[k]
+            for e, c in f.items() if e[k]}
+
+
+def _jacobian_minors(equations, n):
+    """All c x c minors of (df_i/dx_k) for c exponent maps over x_1..x_n,
+    as exponent maps."""
+    partials = [[_partial(f, k) for k in range(n)] for f in equations]
+    return [_det([[row[k] for k in cols] for row in partials], n)
+            for cols in itertools.combinations(range(n), len(equations))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,10 +221,10 @@ class _OpenPart:
     def of(cls, chart, strata=()):
         """strata is stratify(chart) when the caller has it; faces() sorts
         the whole monoid, the l = 0 face, first."""
-        minors = tuple(_jacobian_minors(chart))
+        equations = equation_terms(chart)
+        minors = tuple(_jacobian_minors(equations, chart.ambient_rank))
         if chart.monoid is None:
-            return cls(chart, _coordinates(chart), chart.equations, False,
-                       minors)
+            return cls(chart, _coordinates(chart), equations, False, minors)
         stratum = (strata or stratify(chart))[0]
         return cls(chart, stratum.variables, stratum.equations, True, minors)
 

@@ -25,7 +25,7 @@ from .chartfile import load_chart
 from .dimension import dimension_of
 from .errors import LogjetError
 from .jets import jet_ideal
-from .poly import LOG, ORDINARY
+from .poly import LOG, ORDINARY, JetMonomial, JetPoly, RingDescriptor
 from .report import emit_report
 from .strata import stratify, stratum_jet_presentation
 
@@ -90,6 +90,14 @@ def _cmd_jets(args):
     return 0
 
 
+def _render(terms, names):
+    """An {exponent tuple: coefficient} map in the named base variables,
+    written as JetPoly.render writes it."""
+    ring = RingDescriptor(len(names))
+    return JetPoly(ring, {JetMonomial(e): c
+                          for e, c in terms.items()}).render(names)
+
+
 def _cmd_strata(args):
     chart, _opts = load_chart(args.file)
     lines = []
@@ -98,7 +106,7 @@ def _cmd_strata(args):
         face = s.face.generator_indices
         lines.append(f"stratum l={s.index} face generators {face}:")
         lines.append(f"  variables: {' '.join(s.variables)}")
-        eqs = [g.render(s.variables) for g in s.equations]
+        eqs = [_render(g, s.variables) for g in s.equations]
         for eq in eqs:
             lines.append(f"  equation: {eq}")
         payload.append({"l": s.index, "face": list(face),

@@ -329,17 +329,3 @@ class JetPoly:
     def base_exponent_vectors(self):
         return sorted({mono.base for mono in self._terms})
 
-
-def lift_base_vars(poly, ring):
-    """Embed a polynomial into a ring with more base variables.
-
-    New variables are appended after the existing ones with exponent 0.
-    Jet exponents carry over unchanged.
-    """
-    extra = ring.n - poly.ring.n
-    if extra < 0:
-        raise RingMismatchError("target ring has fewer base variables")
-    terms = {}
-    for mono, c in poly.term_map().items():
-        terms[JetMonomial(mono.base + (0,) * extra, mono.jets)] = c
-    return JetPoly(ring, terms)

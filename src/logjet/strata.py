@@ -12,9 +12,19 @@ The open stratum (l = 0, F the whole monoid) keeps only the equations and
 the localization of the torus.
 
 Everything is written in the chart's basis coordinates; monomials of the
-monoid may acquire negative exponents there.  The exponents of the monoid
-generators, and the chart equations lifted to the ring with w, are
-computed once per chart and shared by every face.
+monoid may acquire negative exponents there.  Base systems are
+{exponent tuple: coefficient} maps, never JetPoly: equation_terms converts
+the chart equations once, the one handoff from the parser's polynomials,
+and the exponents of the monoid generators are solved for once per chart;
+every face shares both.
+
+Of the chi^g only the minimal ones are kept.  jet_presentation clears the
+monomial chi^g, exponent e, to x^{e+} with e+ = max(e, 0), so a chi^g whose
+e+ another one's divides lies in the ideal of that one: dropping it leaves
+the same ideal, hence the same jet ideal (the jets of any generating set
+generate it) and the same reduced Groebner basis, with fewer S-pairs.
+Generators keep their order, so a chart with nothing to drop (N^n) gets
+the same presentations as before.
 
 Every jet presentation comes from one builder, jet_presentation.  It jets
 every polynomial of a base system with the ordinary derivation, the
@@ -40,11 +50,20 @@ then derives those tuples, with no JetPoly and no Fraction.
 
 import math
 from dataclasses import dataclass
+from operator import le
 
 from .dimension import EMPTY, IdealPresentation
 from .errors import ModeMismatchError
 from .jets import derivative_chain
-from .poly import ORDINARY, JetPoly, RingDescriptor, lift_base_vars
+
+
+def equation_terms(chart):
+    """The chart equations as {exponent tuple over x_1..x_n: coefficient}
+    maps, with their exact coefficients and Laurent exponents.  This is the
+    one handoff from the parser's JetPoly to exponent maps: strata, the
+    ordinary presentations and the Jacobian minors all start from it."""
+    return tuple({mono.base: c for mono, c in f.term_map().items()}
+                 for f in chart.equations)
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,8 +73,10 @@ class StratumPresentation:
     Variables are the chart coordinates x_1..x_n plus the inverse variable
     w, stored as the last base variable n+1, where jet_presentation looks
     for a localized system's inversion variable: its jet presentations
-    list w(m), ..., w(1), w before the coordinates.  Equations may be
-    Laurent; they are cleared by jet_presentation, which the w-equation
+    list w(m), ..., w(1), w before the coordinates.  equations are
+    {exponent tuple over x_1..x_n, w: coefficient} maps: the chart
+    equations, the minimal off-face monomials and the localization.  They
+    may be Laurent; jet_presentation clears them, which the w-equation
     makes legitimate.  Equality and hashing are by identity: the analyzer
     keys its maps by the stratum objects of one stratify call.
     """
@@ -63,34 +84,18 @@ class StratumPresentation:
     face: object
     index: int
     variables: tuple
-    ring: RingDescriptor
     equations: tuple
 
 
-def _monomial(ring, exps):
-    """The monomial with basis-coordinate exponents exps, lifted to ring."""
-    return JetPoly.monomial(ring, tuple(exps) + (0,) * (ring.n - len(exps)))
-
-
-def _lifted_equations(chart):
-    """The chart equations in the ring of x_1..x_n and w."""
-    ring = RingDescriptor(chart.ambient_rank + 1, 0, ORDINARY)
-    return [lift_base_vars(f, ring) for f in chart.equations]
-
-
-def _stratum(chart, lifted, face, off_face, p_f):
-    """The stratum of face, from the chart equations lifted to the ring
-    with w and the basis-coordinate exponents of the generators off the
-    face and of p_F."""
-    n = chart.ambient_rank
-    ring = RingDescriptor(n + 1, 0, ORDINARY)
-    eqs = list(lifted)
-    eqs.extend(_monomial(ring, exps) for exps in dict.fromkeys(off_face))
-    w = JetPoly.base_var(ring, n + 1)
-    eqs.append(w * _monomial(ring, p_f) - 1)
-    names = tuple(f"x{i}" for i in range(1, n + 1)) + ("w",)
-    return StratumPresentation(face, face.stratum_index, names, ring,
-                               tuple(eqs))
+def _minimal(off_face, cleared):
+    """The generators of off_face (indices, in order) whose cleared
+    exponent max(e, 0) is divisible by no other one's; of equal cleared
+    exponents the first is kept."""
+    first = {}
+    for gi in off_face:
+        first.setdefault(cleared[gi], gi)
+    return [gi for c, gi in first.items()
+            if not any(d != c and all(map(le, d, c)) for d in first)]
 
 
 def stratify(chart):
@@ -98,39 +103,45 @@ def stratify(chart):
 
     Each generator's exponents are solved for once; the basis-coordinate
     map is linear, so those of p_F are the sum of its face generators'.
-    The chart equations are lifted to the ring with w once, and every face
-    shares them.
+    The chart equations are converted to exponent maps once, and every
+    face shares them.  Of the off-face monomials only the minimal ones are
+    kept (see the module docstring).
     """
     if chart.monoid is None:
         raise ModeMismatchError(
             "stratification needs a monoid chart; an ordinary chart is a "
             "single stratum (the whole variety)")
-    exponents = tuple(chart.exponents_of(g) for g in chart.monoid.generators)
-    lifted = _lifted_equations(chart)
+    n = chart.ambient_rank
+    exponents = [chart.exponents_of(g) for g in chart.monoid.generators]
+    cleared = [tuple(max(a, 0) for a in e) for e in exponents]
+    lifted = [{e + (0,): c for e, c in f.items()}
+              for f in equation_terms(chart)]
+    names = tuple(f"x{i}" for i in range(1, n + 1)) + ("w",)
     strata = []
     for face in chart.monoid.faces():
         on = face.generator_indices
-        p_f = tuple(sum(exponents[gi][k] for gi in on)
-                    for k in range(chart.ambient_rank))
-        strata.append(_stratum(
-            chart, lifted, face,
-            [e for gi, e in enumerate(exponents) if gi not in on], p_f))
+        p_f = tuple(sum(exponents[gi][k] for gi in on) for k in range(n))
+        off = [gi for gi in range(len(exponents)) if gi not in on]
+        eqs = lifted + [{exponents[gi] + (0,): 1}
+                        for gi in _minimal(off, cleared)]
+        eqs.append({p_f + (1,): 1, (0,) * (n + 1): -1})
+        strata.append(StratumPresentation(face, face.stratum_index, names,
+                                          tuple(eqs)))
     return tuple(strata)
 
 
 def _integer_terms(f, columns, width, localized):
-    """The base polynomial f as {exponent vector of width: int}, base
-    variable k at columns[k], a positive integer multiple of f; when
-    localized, also times the smallest monomial that makes its exponents
-    nonnegative."""
-    terms = f.term_map()
-    denom = math.lcm(*(c.denominator for c in terms.values()))
-    low = ([min(0, *column) for column in zip(*[mono.base for mono in terms])]
-           if localized else [0] * f.ring.n)
+    """The base polynomial f, an {exponent tuple: coefficient} map, as
+    {exponent vector of width: int}, base variable k at columns[k], a
+    positive integer multiple of f; when localized, also times the
+    smallest monomial that makes its exponents nonnegative."""
+    denom = math.lcm(*(c.denominator for c in f.values()))
+    low = ([min(0, *column) for column in zip(*f)] if localized
+           else [0] * len(columns))
     out = {}
-    for mono, c in terms.items():
+    for exps, c in f.items():
         vec = [0] * width
-        for col, e, lo in zip(columns, mono.base, low):
+        for col, e, lo in zip(columns, exps, low):
             vec[col] = e - lo
         out[tuple(vec)] = c.numerator * (denom // c.denominator)
     return out
@@ -167,7 +178,9 @@ def jet_presentation(variables, system, m, provenance, localized=False,
     here, once, by the smallest monomial that makes its exponents
     nonnegative; clearing does not commute with the derivation, so it
     happens before jetting.  This is the only place where Laurent
-    polynomials are cleared.
+    polynomials are cleared.  Polynomials are {exponent tuple:
+    coefficient} maps, coefficients int or Fraction; a constraint's tuples
+    may be shorter than the base variables.
     """
     if m < 0:
         raise ValueError("jet order must be nonnegative")

@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 from logjet import cli
+from logjet.chartfile import load_chart
 from logjet.cli import main
+from logjet.poly import JetPoly, RingDescriptor
 
 CONE = {"format": "logjet-chart/1", "ambient_rank": 2,
         "monoid_generators": [[1, 0], [1, 1], [1, 2]],
@@ -23,9 +25,9 @@ CUSP = {"format": "logjet-chart/1", "ambient_rank": 2,
 # (l, face, equations) of `logjet strata` on CONE; variables are x1 x2 w.
 CONE_STRATA = (
     (0, [0, 1, 2], ["x1 + x2 - 1", "x2^3*w - 1"]),
-    (1, [0], ["x1 + x2 - 1", "x2", "x1^-1*x2^2", "x1*w - 1"]),
+    (1, [0], ["x1 + x2 - 1", "x2", "x1*w - 1"]),
     (1, [2], ["x1 + x2 - 1", "x1", "x2", "x1^-1*x2^2*w - 1"]),
-    (2, [], ["x1 + x2 - 1", "x1", "x2", "x1^-1*x2^2", "w - 1"]),
+    (2, [], ["x1 + x2 - 1", "x1", "x2", "w - 1"]),
 )
 
 
@@ -60,6 +62,75 @@ def test_strata_json(chart_file, capsys):
                 "lines": _strata_lines()}
     assert capsys.readouterr().out == json.dumps(
         expected, indent=2, sort_keys=True) + "\n"
+
+
+def _strata_run(capsys, path):
+    """(table, JSON) runs of `logjet strata`: (exit code, stdout, stderr)."""
+    runs = []
+    for fmt in ("table", "json"):
+        code = main(["--format", fmt, "strata", str(path)])
+        runs.append((code, *capsys.readouterr()))
+    return runs
+
+
+def _with_dropped_restored(chart, runs):
+    """The runs as they were before stratify dropped the non-minimal
+    off-face monomials: each stratum lists chi^g for every generator g off
+    its face, in generator order, between the chart equations and the
+    localization.  Also returns the number of equations restored."""
+    (code, _table, err), (_code, out, _err) = runs
+    if code:
+        return runs, 0
+    n, c = chart.ambient_rank, chart.codim
+    names = [f"x{i}" for i in range(1, n + 1)] + ["w"]
+    rendered = [JetPoly.monomial(RingDescriptor(n + 1),
+                                 chart.exponents_of(g) + (0,)).render(names)
+                for g in chart.monoid.generators]
+    payload = json.loads(out)
+    lines, restored = [], 0
+    for s in payload["strata"]:
+        off = [eq for gi, eq in enumerate(rendered) if gi not in s["face"]]
+        kept = iter(off)
+        assert all(eq in kept for eq in s["equations"][c:-1])
+        restored += len(off) - len(s["equations"][c:-1])
+        s["equations"][c:-1] = off
+        lines.append(f"stratum l={s['l']} face generators "
+                     f"{tuple(s['face'])}:")
+        lines.append(f"  variables: {' '.join(s['variables'])}")
+        lines.extend(f"  equation: {eq}" for eq in s["equations"])
+    payload["lines"] = lines
+    return [(code, "\n".join(lines) + "\n", err),
+            (code, json.dumps(payload, indent=2, sort_keys=True) + "\n",
+             err)], restored
+
+
+# sha256 of `strata` over the 18 corpus charts in name order (exit code,
+# stdout and stderr in the table and then the JSON format): as it is, and
+# with the dropped monomials restored, which is the output from before
+# stratify kept only the minimal off-face monomials.
+STRATA_SHA256 = (
+    "8ca87d70e9d72c1879866186a6f0c62e08ab9905830eae046d90125cca78aca4",
+    "473a820881655f9e1dae2e9c8d1c7e0c7d844fb2f2313721430d562d82bb2d5f",
+)
+
+
+def test_strata_over_the_corpus(capsys):
+    now, before = hashlib.sha256(), hashlib.sha256()
+    names = sorted(p.name for p in BENCH_CHARTS.glob("*.json"))
+    dropped_on = []
+    for name in names:
+        runs = _strata_run(capsys, BENCH_CHARTS / name)
+        restored_runs, restored = _with_dropped_restored(
+            load_chart(BENCH_CHARTS / name)[0], runs)
+        for digest, rs in ((now, runs), (before, restored_runs)):
+            for code, out, err in rs:
+                digest.update(f"{name}\n{code}\n{out}\0{err}\0".encode())
+        if restored:
+            dropped_on.append(name)
+    assert len(names) == 18
+    assert dropped_on == [name for name in names
+                          if name.startswith(("cone", "conifold"))]
+    assert (now.hexdigest(), before.hexdigest()) == STRATA_SHA256
 
 
 def test_dim_of_the_whole_chart(chart_file, capsys):

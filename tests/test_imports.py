@@ -1,5 +1,6 @@
-"""Every name a logjet module imports is used in that module, and every
-name the package exports is used by the package or the benchmark.
+"""Every name a logjet module imports is used in that module, every name
+the package exports is used by the package or the benchmark, and the
+analysis path does not import the JetPoly layer.
 
 __init__.py is skipped: its imports are the package's re-exports.  An
 import whose line carries "# noqa: F401" is kept on purpose: it must be a
@@ -106,3 +107,37 @@ def test_every_export_is_used():
     used = set().union(*(referenced_names(p.read_text(encoding="utf-8"))
                          for p in users))
     assert sorted(set(logjet.__all__) - used) == []
+
+
+# Past parsing, strata and the analyzer work on exponent maps; the one
+# handoff from JetPoly is strata.equation_terms, which needs no import.
+ANALYSIS_PATH = ("strata.py", "analyzer.py")
+
+
+def poly_imports(source):
+    """(line, name) of each import of logjet.poly or of a name from it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            if module in (".poly", "logjet.poly"):
+                found.extend((node.lineno, a.name) for a in node.names)
+            elif module in (".", "logjet"):
+                found.extend((node.lineno, a.name) for a in node.names
+                             if a.name == "poly")
+        elif isinstance(node, ast.Import):
+            found.extend((node.lineno, a.name) for a in node.names
+                         if a.name == "logjet.poly")
+    return found
+
+
+def test_finds_a_poly_import():
+    source = ("from .poly import JetPoly\nfrom . import poly, jets\n"
+              "import logjet.poly\nfrom .jets import derivative_chain\n")
+    assert poly_imports(source) == [
+        (1, "JetPoly"), (2, "poly"), (3, "logjet.poly")]
+
+
+@pytest.mark.parametrize("name", ANALYSIS_PATH)
+def test_analysis_path_imports_nothing_from_poly(name):
+    assert poly_imports((PACKAGE / name).read_text(encoding="utf-8")) == []

@@ -4,8 +4,7 @@ from fractions import Fraction
 import pytest
 
 from logjet.errors import ExponentError, RingMismatchError
-from logjet.poly import (LOG, ORDINARY, JetMonomial, JetPoly, RingDescriptor,
-                         lift_base_vars)
+from logjet.poly import LOG, ORDINARY, JetMonomial, JetPoly, RingDescriptor
 
 R2 = RingDescriptor(2, 0, ORDINARY)
 RJ = RingDescriptor(2, 2, ORDINARY)
@@ -105,15 +104,6 @@ def test_render_with_names():
     w = JetPoly.base_var(ring, 3)
     f = w * JetPoly.jet_var(ring, 3, 1) - 1
     assert f.render(("x1", "x2", "w")) == "w*w(1) - 1"
-
-
-def test_lift_base_vars():
-    wide = RingDescriptor(3, 2, ORDINARY)
-    f = JetPoly.base_var(RJ, 1) * JetPoly.jet_var(RJ, 2, 1)
-    g = lift_base_vars(f, wide)
-    assert g.ring == wide
-    (mono, c), = g.term_map().items()
-    assert mono.base == (1, 0, 0) and mono.jets == (((2, 1), 1),)
 
 
 def test_hashable_and_equal():

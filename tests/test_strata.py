@@ -3,7 +3,7 @@ import pytest
 from logjet import (EMPTY, AffineMonoid, AnalysisConfig, Chart, analyze,
                     dimension_of)
 from logjet.analyzer import open_part_jet_presentation
-from logjet.strata import (base_presentation, check_assumption,
+from logjet.strata import (_minimal, base_presentation, check_assumption,
                            stratify, stratum_jet_presentation)
 
 
@@ -59,20 +59,37 @@ def test_generator_exponents_are_solved_once_per_generator(cone,
     assert solved == list(cone.monoid.generators)
 
 
+def test_minimal_off_face_monomials(cone):
+    """In basis coordinates the generators are x1, x2 and chi^(1,2) =
+    x1^-1*x2^2, which clears to x2^2, a multiple of x2: the faces that
+    have both off drop it, and the kept ones stay in generator order."""
+    x1, x2 = {(1, 0, 0): 1}, {(0, 1, 0): 1}
+    assert [s.equations[1:-1] for s in stratify(cone)] == [
+        (), (x2,), (x1, x2), (x1, x2)]
+
+
+def test_equal_cleared_monomials_keep_the_first():
+    """Generators 0 and 1 clear to the same x2^2 and generator 3 to x1^2,
+    so the first of the pair stays; generator 2's x2 then takes it out."""
+    cleared = [(0, 2), (0, 2), (0, 1), (2, 0)]
+    assert _minimal([0, 1, 3], cleared) == [0, 3]
+    assert _minimal([0, 1, 2, 3], cleared) == [2, 3]
+
+
 def test_laurent_monomial_cleared_and_recorded(cone):
-    s = _stratum(cone, (0,))
-    # chi^(1,2) = x1^-1 x2^2 in basis coordinates
-    assert s.equations[2].render(s.variables) == "x1^-1*x2^2"
+    s = _stratum(cone, (2,))
+    # w * chi^(1,2) - 1 = x1^-1*x2^2*w - 1 in basis coordinates
+    assert s.equations[-1] == {(-1, 2, 1): 1, (0, 0, 0): -1}
     pres = base_presentation(s)
-    assert _named(pres)[2] == {"x2^2": 1}
+    assert _named(pres)[-1] == {"w*x2^2": 1, "x1": -1}
 
 
 def test_open_part_base_system(cone):
     """The open row starts from the l = 0 stratum's base system: the
     equations and the localization of the torus chi^(3,3) = x2^3."""
     s = stratify(cone)[0]
-    assert [g.render(s.variables) for g in s.equations] == [
-        "x1 + x2 - 1", "x2^3*w - 1"]
+    assert s.equations == ({(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 0): -1},
+                           {(0, 3, 1): 1, (0, 0, 0): -1})
     for m in (0, 1):
         stratum = stratum_jet_presentation(s, m)
         open_part = open_part_jet_presentation(cone, m)
@@ -89,10 +106,8 @@ def test_stratum_jet_presentation_pinned(cone):
     assert _named(pres) == [
         {"1": -1, "x1": 1, "x2": 1},                          # x1 + x2 - 1
         {"x1(1)": 1, "x2(1)": 1},
-        {"x2": 1},                                            # x2
+        {"x2": 1},                              # x2; x1^-1*x2^2 dropped
         {"x2(1)": 1},
-        {"x2^2": 1},                                          # x2^2, cleared
-        {"x2*x2(1)": 1},                                      # 2 x2 x2(1)
         {"1": -1, "w*x1": 1},                                 # x1 w - 1
         {"w*x1(1)": 1, "w(1)*x1": 1},
     ]

@@ -2,9 +2,10 @@
 power-series substitution.
 
 strata.jet_presentation derives on integer exponent tuples with
-jets.derivative_chain.  The reference here shares none of that code: lift
-each polynomial (or clear it by the smallest monomial with nonnegative
-exponents, when localized), expand it by substitution
+jets.derivative_chain, taking each polynomial as an {exponent tuple:
+coefficient} map.  The reference here shares none of that code: lift each
+JetPoly (and clear it by the smallest monomial with nonnegative exponents,
+when localized), expand it by substitution
 (jet_oracle.expand_by_substitution), read each term's
 JetMonomial.exponent_vector and hand the Fraction maps to
 IdealPresentation.from_terms.
@@ -20,17 +21,18 @@ st = hypothesis.strategies
 from logjet.dimension import IdealPresentation  # noqa: E402
 from logjet.errors import UnlocalizedLaurentError  # noqa: E402
 from logjet.poly import (ORDINARY, JetMonomial, JetPoly,  # noqa: E402
-                         RingDescriptor, lift_base_vars)
+                         RingDescriptor)
 from logjet.strata import jet_presentation  # noqa: E402
 
 from jet_oracle import expand_by_substitution  # noqa: E402
 
 
-def _cleared(f, ring):
-    """f lifted to ring, times the smallest monomial that makes its base
-    exponents nonnegative."""
+def _lifted(f, ring, localized):
+    """f lifted to ring; when localized, also times the smallest monomial
+    that makes its base exponents nonnegative."""
     terms = f.term_map()
-    low = [min(0, *column) for column in zip(*[mono.base for mono in terms])]
+    low = ([min(0, *column) for column in zip(*[mono.base for mono in terms])]
+           if localized else [0] * f.ring.n)
     pad = [0] * (ring.n - f.ring.n)
     return JetPoly(ring, {JetMonomial([a - b for a, b in zip(mono.base, low)]
                                       + pad, mono.jets): c
@@ -41,11 +43,12 @@ def reference_presentation(variables, system, m, provenance, localized=False,
                            constraints=()):
     base = RingDescriptor(len(variables), 0)
     ring = RingDescriptor(len(variables), m)
-    lift = _cleared if localized else lift_base_vars
     polys = []
     for f in system:
-        polys.extend(expand_by_substitution(lift(f, base), m, ORDINARY))
-    polys.extend(lift(g, base).with_ring(ring) for g in constraints)
+        polys.extend(expand_by_substitution(_lifted(f, base, localized), m,
+                                            ORDINARY))
+    polys.extend(_lifted(g, base, localized).with_ring(ring)
+                 for g in constraints)
     names = tuple(variables) + tuple(f"{variables[i - 1]}({j})"
                                      for i, j in ring.jet_positions())
     return IdealPresentation.from_terms(
@@ -89,6 +92,16 @@ def _in_columns(pres, variables):
         provenance=pres.provenance, jet_order=pres.jet_order)
 
 
+def integer_presentation(variables, system, m, provenance, localized=False,
+                         constraints=()):
+    """strata.jet_presentation of the same polynomials as exponent maps."""
+    def terms(f):
+        return {mono.base: c for mono, c in f.term_map().items()}
+    return jet_presentation(variables, [terms(f) for f in system], m,
+                            provenance, localized=localized,
+                            constraints=[terms(g) for g in constraints])
+
+
 def _outcome(build, case):
     variables, system, m, localized, constraints = case
     try:
@@ -106,7 +119,7 @@ def test_integer_builder_matches_the_jetpoly_path(case):
     order; the builder puts a localized system's inversion variable and its
     jets first, so the reference is compared in the builder's columns,
     variable by variable name."""
-    built = _outcome(jet_presentation, case)
+    built = _outcome(integer_presentation, case)
     reference = _outcome(reference_presentation, case)
     if isinstance(built, str) or isinstance(reference, str):
         assert built == reference
