@@ -206,12 +206,11 @@ def _jacobian_minors(equations, n):
 @dataclass(frozen=True, eq=False)
 class _OpenPart:
     """The pieces of the open row that do not depend on the order m: the
-    chart, the open stratum's base system (the chart itself for an
-    ordinary chart, the l = 0 stratum for a monoid chart) and the Jacobian
-    minors.  An analysis builds it once, from the strata it already has,
-    and uses it at every order."""
+    open stratum's base system (the chart itself for an ordinary chart,
+    the l = 0 stratum for a monoid chart) and the Jacobian minors.  An
+    analysis builds it once, from the strata it already has, before its
+    first row, and uses it at every order."""
 
-    chart: object
     variables: tuple
     system: tuple
     localized: bool
@@ -220,13 +219,16 @@ class _OpenPart:
     @classmethod
     def of(cls, chart, strata=()):
         """strata is stratify(chart) when the caller has it; faces() sorts
-        the whole monoid, the l = 0 face, first."""
+        the whole monoid, the l = 0 face, first.  A chart with no equation
+        has no open-part check, and raises here."""
+        if not chart.equations:
+            raise LogjetError("open-part check needs at least one equation")
         equations = equation_terms(chart)
         minors = tuple(_jacobian_minors(equations, chart.ambient_rank))
         if chart.monoid is None:
-            return cls(chart, _coordinates(chart), equations, False, minors)
+            return cls(_coordinates(chart), equations, False, minors)
         stratum = (strata or stratify(chart))[0]
-        return cls(chart, stratum.variables, stratum.equations, True, minors)
+        return cls(stratum.variables, stratum.equations, True, minors)
 
 
 def open_part_jet_presentation(chart, m):
@@ -238,8 +240,6 @@ def open_part_jet_presentation(chart, m):
     _OpenPart an analysis built from one.
     """
     part = chart if isinstance(chart, _OpenPart) else _OpenPart.of(chart)
-    if not part.chart.equations:
-        raise LogjetError("open-part check needs at least one equation")
     return jet_presentation(
         part.variables, part.system, m,
         f"J_{m} over singular locus of the open stratum",

@@ -5,9 +5,12 @@ criteria, normal selection) on primitive integer polynomials, reducing by
 integer pseudo-division (no rational arithmetic).  Reductors are found
 through a bitset index of the leading monomials (_LeadIndex): the leads
 dividing a monomial are one AND of per-variable columns, and the lowest set
-bit is the first alive divisor in element order.  Then comes the standard
-combinatorial dimension count: dim V(I) is the number of variables minus a
-minimum hitting set of the minimal leading-term supports.  A pruned
+bit is the first alive divisor in element order.  A dimension needs only
+the minimal leading monomials, the leads of the alive elements when the
+pair loop ends, so the run stops there; the reduced basis is built on
+first read of GroebnerResult.basis.  Then comes the standard combinatorial
+dimension count: dim V(I) is the number of variables minus a minimum
+hitting set of the minimal leading-term supports.  A pruned
 depth-first search over the variables finds it (at most 2^(nvars+1) nodes,
 bounded by the Groebner variable cap).  Budgets on the S-pair count and the
 total degree turn runaway inputs into ResourceLimit errors, never wrong
@@ -21,8 +24,9 @@ recheck a REDUCIBLE witness; they never answer a dimension query.
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from operator import add as _add, le as _le, sub as _sub
 
@@ -269,25 +273,63 @@ def _normal_form(p, index, usable):
     return _normalize(result)
 
 
+def _alive(index):
+    """Positions of the index's alive elements, ascending in degrevlex
+    order of their leads."""
+    return sorted((t for t in range(len(index.elements))
+                   if index.alive >> t & 1),
+                  key=lambda t: _key(index.elements[t].lead))
+
+
+def _reduced_basis(index):
+    """Each alive element reduced by the others and made monic over
+    Fraction; the reduced basis is unique, so any reductor order gives the
+    same one."""
+    monic = []
+    for t in _alive(index):
+        e = index.elements[t]
+        terms = _normal_form({e.lead: e.lc, **dict(e.tail)}, index,
+                             index.alive & ~(1 << t))
+        lc = terms[e.lead]
+        monic.append(tuple(sorted(
+            (m, Fraction(c, lc)) for m, c in terms.items())))
+    return tuple(monic)
+
+
 @dataclass
 class GroebnerResult:
-    """Reduced Groebner basis with monic Fraction coefficients."""
+    """A finished Buchberger run: its minimal leading monomials, and the
+    reduced basis with monic Fraction coefficients, built on first read.
+
+    leads are the leading monomials of the reduced basis in its ascending
+    degrevlex order, which are the minimal generators of the lead ideal;
+    a dimension needs only them.  basis inter-reduces the alive elements
+    of index, the run's _LeadIndex, once and keeps the result.
+    """
 
     variables: tuple
-    basis: tuple          # tuple of term-tuples ((mono, Fraction), ...)
+    leads: tuple          # minimal leading monomials, ascending
     pairs_processed: int
     provenance: str = ""
+    index: object = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def basis(self):
+        """tuple of term-tuples ((mono, Fraction), ...), ascending by lead"""
+        return _reduced_basis(self.index)
 
     def leading_monomials(self):
-        return tuple(max((m for m, _c in g), key=_key) for g in self.basis)
+        return self.leads
 
     @property
     def is_unit_ideal(self):
-        return any(len(g) == 1 and sum(g[0][0]) == 0 for g in self.basis)
+        """The zero monomial is a lead (then it is the only one)."""
+        return any(not any(m) for m in self.leads)
 
 
 def groebner_basis(pres, budgets=None):
-    """Reduced degrevlex Groebner basis of the presentation's ideal.
+    """Degrevlex Groebner basis of the presentation's ideal, as a
+    GroebnerResult: the minimal leads now, the reduced basis on first read.
 
     Buchberger with the Gebauer-Moeller pair update (product and chain
     criteria applied eagerly) and normal selection (smallest lcm first).
@@ -296,8 +338,9 @@ def groebner_basis(pres, budgets=None):
     minimal leading monomials: a new element is born dead when an alive
     lead divides its lead (a generator is not reduced on entry, so this
     can happen), and otherwise it retires the alive elements whose leads
-    its own lead divides.  The reduced basis is each alive element reduced
-    by the others.
+    its own lead divides.  The run ends with the pair loop: the alive leads
+    are the leads of the reduced basis, and the result builds that basis,
+    each alive element reduced by the others, only when it is read.
 
     A _LeadIndex holds the elements; its columns and alive bitset answer
     every divisibility query against the leads (reductor, born dead,
@@ -393,18 +436,9 @@ def groebner_basis(pres, budgets=None):
                 f"degree {new.degree} ({pres.provenance})")
         add_element(new)
 
-    # the reduced basis is unique, so any reductor order gives the same one
-    alive = [t for t in range(len(elements)) if index.alive >> t & 1]
-    monic = []
-    for t in sorted(alive, key=lambda t: _key(elements[t].lead)):
-        e = elements[t]
-        terms = _normal_form({e.lead: e.lc, **dict(e.tail)}, index,
-                             index.alive & ~(1 << t))
-        lc = terms[e.lead]
-        monic.append(tuple(sorted(
-            (m, Fraction(c, lc)) for m, c in terms.items())))
-    return GroebnerResult(pres.variables, tuple(monic), pairs_processed,
-                          pres.provenance)
+    leads = tuple(elements[t].lead for t in _alive(index))
+    return GroebnerResult(pres.variables, leads, pairs_processed,
+                          pres.provenance, index)
 
 
 @dataclass(frozen=True)
@@ -423,7 +457,9 @@ class DimResult:
 
 
 def krull_dim(gb):
-    """Dimension from a reduced basis: largest independent variable set.
+    """Dimension from the minimal leading monomials of a Groebner basis:
+    the largest independent variable set.  It reads gb.leading_monomials()
+    and gb.is_unit_ideal, never gb.basis, so nothing is inter-reduced.
 
     A set S is independent when no leading monomial has support inside S;
     dim V(I) is the largest size of such a set (n minus a minimum hitting
@@ -461,8 +497,9 @@ def krull_dim(gb):
 
 
 def dimension_of(pres, budgets=None):
-    """Exact dim V(I) from its reduced basis; a tripped budget raises
-    ResourceLimitError.  F_p counts only recheck a REDUCIBLE witness."""
+    """Exact dim V(I) from the minimal leads of its Groebner basis; a
+    tripped budget raises ResourceLimitError.  F_p counts only recheck a
+    REDUCIBLE witness."""
     return krull_dim(groebner_basis(pres, budgets))
 
 

@@ -5,8 +5,9 @@ import pytest
 
 from logjet import (EMPTY, AffineMonoid, AnalysisConfig, Chart, analyze,
                     dimension_of, emit_report, load_chart)
-from logjet import analyzer
+from logjet import analyzer, dimension
 from logjet.analyzer import open_part_jet_presentation
+from logjet.errors import LogjetError
 from logjet.poly import JetPoly
 from logjet.strata import stratify, stratum_jet_presentation
 
@@ -171,12 +172,58 @@ def test_rows_answered_without_a_build_are_empty(monkeypatch, name):
 
 
 def test_the_empty_minor_is_one():
-    """The 0 x 0 determinant is 1, so a chart with no equation (c = 0) has
-    the single Jacobian minor 1: its open part is smooth."""
+    """The 0 x 0 determinant is 1: no equation (c = 0) gives the single
+    Jacobian minor 1."""
     assert analyzer._jacobian_minors([], 2) == [{(0, 0): 1}]
+
+
+def test_a_chart_with_no_equation_raises_before_any_row(monkeypatch):
+    """A chart with no equation has no open-part check.  _OpenPart.of
+    raises, and analyze builds it before its first row, so cone2_bare
+    makes one Groebner run per face, for the base dimensions, and none
+    for a row."""
+    message = "^open-part check needs at least one equation$"
     bare = Chart.build(monoid=AffineMonoid(2, [(1, 0), (0, 1)]),
                        equations=[])
-    assert analyzer._OpenPart.of(bare).minors == ({(0, 0): 1},)
+    with pytest.raises(LogjetError, match=message):
+        analyzer._OpenPart.of(bare)
+    with pytest.raises(LogjetError, match=message):
+        open_part_jet_presentation(bare, 1)
+
+    chart = load_chart(BENCH_CHARTS / "cone2_bare.json")[0]
+    runs = []
+    groebner_basis = dimension.groebner_basis
+
+    def counting(pres, budgets=None):
+        runs.append(pres.provenance)
+        return groebner_basis(pres, budgets)
+
+    monkeypatch.setattr(dimension, "groebner_basis", counting)
+    with pytest.raises(LogjetError, match=message):
+        analyze(chart, AnalysisConfig(max_order=1))
+    assert len(runs) == len(stratify(chart)) == 4
+
+
+def test_analysis_never_reduces_a_basis(monkeypatch):
+    """A dimension reads only the minimal leads: with the final
+    inter-reduction made to raise, untraced analyses (an F_p witness
+    recheck and a budget-tripping row among them) give the same reports."""
+    entries = [("a1.json", 2), ("cusp.json", 2), ("cone3_hyperplane.json", 1),
+               ("conifold_hyperplane.json", 1),
+               ("n2_hyperplane_pairs8.json", 3)]
+
+    def reports():
+        return [emit_report(_analyzed(name, m)[1], fmt)
+                for name, m in entries for fmt in ("table", "json")]
+
+    before = reports()
+    assert "REDUCIBLE" in before[2] and "INCONCLUSIVE" in before[8]
+
+    def refuse(_index):
+        raise AssertionError("a Groebner basis reduced in the analysis path")
+
+    monkeypatch.setattr(dimension, "_reduced_basis", refuse)
+    assert reports() == before
 
 
 def test_analysis_builds_no_jetpoly(monkeypatch):

@@ -298,9 +298,8 @@ def scan_krull_dim(gb):
 
 
 def leads_only(variables, leading_monomials):
-    """A GroebnerResult whose elements are just the given monomials."""
-    return GroebnerResult(tuple(variables),
-                          tuple(((m, F(1)),) for m in leading_monomials), 0)
+    """A GroebnerResult whose leads are just the given monomials."""
+    return GroebnerResult(tuple(variables), tuple(leading_monomials), 0)
 
 
 def test_search_certificate_is_the_first_largest_set():

@@ -1,6 +1,7 @@
 """Random inputs for the dimension engine against independent oracles: the
 2^n subset scan for krull_dim, a linear scan for the lead index, reduction
-over Fraction for _normal_form, and sympy for groebner_basis."""
+over Fraction for _normal_form, and sympy for groebner_basis and its
+leads."""
 
 from fractions import Fraction
 
@@ -9,9 +10,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from logjet.dimension import (IdealPresentation, _LeadIndex,  # noqa: E402
-                              _mono_divides, _Reductor, groebner_basis,
-                              krull_dim)
+from logjet.dimension import (IdealPresentation, _key,  # noqa: E402
+                              _LeadIndex, _mono_divides, _Reductor,
+                              groebner_basis, krull_dim)
 
 from test_dimension import (fraction_normal_form,  # noqa: E402
                             integer_normal_form, leads_only, scan_krull_dim)
@@ -131,18 +132,22 @@ def presentation(nvars, gens):
         [{e: Fraction(c) for e, c in g.items()} for g in gens])
 
 
-def assert_matches_sympy(sympy, ideal):
+def sympy_basis(sympy, ideal):
+    """sympy's reduced grevlex basis over QQ, as nonzero Polys."""
     nvars, gens = ideal
-    names = [f"x{k + 1}" for k in range(nvars)]
-    mine = monic_basis(groebner_basis(presentation(nvars, gens)))
-    symbols = sympy.symbols(names)
+    symbols = sympy.symbols([f"x{k + 1}" for k in range(nvars)])
     polys = [sympy.Poly.from_dict(g, *symbols, domain="QQ").as_expr()
              for g in gens]
     ref = sympy.groebner(polys, *symbols, order="grevlex", domain="QQ")
+    return [p for p in (sympy.Poly(q, *symbols, domain="QQ")
+                        for q in ref.exprs) if not p.is_zero]
+
+
+def assert_matches_sympy(sympy, ideal):
+    mine = monic_basis(groebner_basis(presentation(*ideal)))
     theirs = sorted(
         tuple(sorted((m, Fraction(str(c))) for m, c in p.terms()))
-        for p in (sympy.Poly(q, *symbols, domain="QQ") for q in ref.exprs)
-        if not p.is_zero)
+        for p in sympy_basis(sympy, ideal))
     assert mine == theirs
 
 
@@ -179,3 +184,21 @@ def test_redundant_generators_leave_the_basis_unchanged(ideal):
     padded = gens[::-1] + [first, shifted]
     assert groebner_basis(presentation(nvars, padded)).basis == \
         groebner_basis(presentation(nvars, gens)).basis
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(small_ideals(max_vars=4, max_degree=2, bound=7))
+@hypothesis.example(ideal=(2, [{(1, 1): 1, (0, 0): -1}, {(1, 0): 1}]))
+def test_leads_are_those_of_the_reduced_basis_and_of_sympy(sympy, ideal):
+    """leading_monomials() and is_unit_ideal, read before the reduced basis
+    is built, are its leads in its order, and sympy's; the example is the
+    unit ideal."""
+    nvars = ideal[0]
+    gb = groebner_basis(presentation(*ideal))
+    leads, unit = gb.leading_monomials(), gb.is_unit_ideal
+    assert leads == tuple(max((m for m, _c in g), key=_key)
+                          for g in gb.basis)
+    assert unit == (leads == ((0,) * nvars,))
+    theirs = [p.monoms(order="grevlex")[0] for p in sympy_basis(sympy, ideal)]
+    assert sorted(leads) == sorted(theirs)
+    assert unit == (theirs == [(0,) * nvars])

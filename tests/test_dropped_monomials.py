@@ -56,7 +56,7 @@ def _built(chart, max_order, budgets):
         try:
             analyze(chart, AnalysisConfig(max_order=max_order,
                                           budgets=budgets))
-        except LogjetError:     # cone2_bare: after its stratum rows
+        except LogjetError:     # cone2_bare: after its base dimensions
             pass
     return built
 
