@@ -7,10 +7,9 @@ from .chartfile import load_chart
 from .dimension import (EMPTY, Budgets, DimResult, IdealPresentation,
                         dimension_of, fp_count_points, fp_dimension_estimate,
                         groebner_basis, krull_dim)
-from .jets import derivative_chain, jet_ideal
+from .jets import LOG, ORDINARY, derivative_chain, jet_ideal
 from .monoid import AffineMonoid, Face
 from .parse import parse_poly
-from .poly import LOG, ORDINARY, JetMonomial, JetPoly, RingDescriptor
 from .report import emit_report, report_to_dict
 from .strata import check_assumption, stratify, stratum_jet_presentation
 
@@ -18,11 +17,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffineMonoid", "AnalysisConfig", "AnalysisReport", "Budgets", "Chart",
-    "DimResult", "EMPTY", "Face", "IdealPresentation", "JetMonomial",
-    "JetPoly", "LOG", "ORDINARY", "RingDescriptor", "analyze",
-    "check_assumption", "derivative_chain", "dimension_of", "emit_report",
-    "estimate_lct", "fp_count_points", "fp_dimension_estimate",
-    "groebner_basis", "jet_ideal", "krull_dim",
+    "DimResult", "EMPTY", "Face", "IdealPresentation", "LOG", "ORDINARY",
+    "analyze", "check_assumption", "derivative_chain", "dimension_of",
+    "emit_report", "estimate_lct", "fp_count_points",
+    "fp_dimension_estimate", "groebner_basis", "jet_ideal", "krull_dim",
     "load_chart", "open_part_jet_presentation", "ordinary_jet_presentation",
     "parse_poly", "report_to_dict", "stratify", "stratum_jet_presentation",
 ]

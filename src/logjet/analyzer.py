@@ -43,8 +43,9 @@ from operator import add
 from .dimension import EMPTY, Budgets, dimension_of, fp_dimension_estimate
 from .errors import CompleteIntersectionError, LogjetError, ResourceLimitError
 from .jets import derivative_chain  # noqa: F401  (patched by bench/tracing.py)
-from .strata import (base_presentation, check_assumption, equation_terms,
-                     jet_presentation, stratify, stratum_jet_presentation)
+from .parse import render
+from .strata import (base_presentation, check_assumption, jet_presentation,
+                     stratify, stratum_jet_presentation)
 
 
 @dataclass(frozen=True)
@@ -164,13 +165,9 @@ class AnalysisReport:
 # -- presentations used by the analyzer ---------------------------------------
 
 
-def _coordinates(chart):
-    return tuple(f"x{i}" for i in range(1, chart.ambient_rank + 1))
-
-
 def ordinary_jet_presentation(chart, m):
     """J_m of the chart equations in plain affine space."""
-    return jet_presentation(_coordinates(chart), equation_terms(chart), m,
+    return jet_presentation(chart.variables, chart.equations, m,
                             f"J_{m} of chart equations")
 
 
@@ -223,10 +220,9 @@ class _OpenPart:
         has no open-part check, and raises here."""
         if not chart.equations:
             raise LogjetError("open-part check needs at least one equation")
-        equations = equation_terms(chart)
-        minors = tuple(_jacobian_minors(equations, chart.ambient_rank))
+        minors = tuple(_jacobian_minors(chart.equations, chart.ambient_rank))
         if chart.monoid is None:
-            return cls(_coordinates(chart), equations, False, minors)
+            return cls(chart.variables, chart.equations, False, minors)
         stratum = (strata or stratify(chart))[0]
         return cls(stratum.variables, stratum.equations, True, minors)
 
@@ -356,7 +352,7 @@ def analyze(chart, cfg=None):
         "monoid_generators": (list(map(list, chart.monoid.generators))
                               if is_log else None),
         "basis": list(map(list, chart.basis)) if is_log else None,
-        "equations": [f.render() for f in chart.equations],
+        "equations": [render(f, chart.variables) for f in chart.equations],
         "max_order": cfg.max_order,
     }
 

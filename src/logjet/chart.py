@@ -4,7 +4,9 @@ A log chart presents X as a closed subscheme of Spec k[P] cut out by
 equations with support in P, written as Laurent polynomials in the basis
 monomials x_i.  An ordinary chart (monoid None) is a closed subscheme of
 A^n with the trivial log structure; its equations must be honest
-polynomials.
+polynomials.  Each equation is held as parse_poly reads it, an {exponent
+tuple over x_1..x_n: Fraction} map, the format strata, jets and the
+analyzer work on.
 """
 
 from dataclasses import dataclass
@@ -12,17 +14,25 @@ from dataclasses import dataclass
 from . import intlinalg
 from .errors import MonoidError, SupportError
 from .parse import parse_poly
-from .poly import ORDINARY, RingDescriptor
 
 
 @dataclass(frozen=True)
 class Chart:
-    """Unit of analysis: ambient rank, equations, optional monoid and basis."""
+    """Unit of analysis: ambient rank, equations, optional monoid and basis.
+
+    A Chart is not hashable: its equations are dicts.
+    """
 
     ambient_rank: int
     equations: tuple
     monoid: object = None
     basis: tuple = None
+
+    @property
+    def variables(self):
+        """The chart coordinates x_1..x_n, one per exponent column of the
+        equations."""
+        return tuple(f"x{i}" for i in range(1, self.ambient_rank + 1))
 
     @property
     def codim(self):
@@ -34,7 +44,7 @@ class Chart:
               basis=None):
         """Validate and construct a chart.
 
-        equations are strings, parsed over the base ring of the chart's
+        equations are strings, parsed into exponent maps over the chart's
         ambient rank.  For a monoid chart the basis defaults to
         select_gp_basis; explicit basis vectors must lie in the monoid and
         form a Z-basis.  Every equation's support is checked.
@@ -43,19 +53,18 @@ class Chart:
             ambient_rank = monoid.ambient_rank
         if ambient_rank is None:
             raise MonoidError("ambient rank required for an ordinary chart")
-        ring = RingDescriptor(ambient_rank, 0, ORDINARY)
         polys = []
         for idx, eq in enumerate(equations):
             if not isinstance(eq, str):
                 raise TypeError(f"equation {idx}: expected str")
-            eq = parse_poly(eq, ring)
-            if eq.is_zero:
+            eq = parse_poly(eq, ambient_rank)
+            if not eq:
                 raise SupportError(f"equation {idx} is identically zero")
             polys.append(eq)
 
         if monoid is None:
             for idx, eq in enumerate(polys):
-                for vec in eq.base_exponent_vectors():
+                for vec in sorted(eq):
                     if any(a < 0 for a in vec):
                         raise SupportError(
                             f"equation {idx}: exponent {vec} is negative; "
@@ -101,8 +110,9 @@ class Chart:
         return tuple(intlinalg.solve_unimodular(cols, list(point)))
 
     def support_violation(self, poly):
-        """First (exponent vector, lattice point) outside the monoid, if any."""
-        for vec in poly.base_exponent_vectors():
+        """First (exponent vector, lattice point) outside the monoid, if
+        any, of an exponent map, its exponents taken in sorted order."""
+        for vec in sorted(poly):
             point = self.lattice_point(vec)
             if not self.monoid.membership(point):
                 return vec, point

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 from .chart import Chart
 from .dimension import Budgets
-from .errors import (ChartParseError, ExponentError, ExpressionSyntaxError,
-                     ModeMismatchError, MonoidError, SupportError)
+from .errors import (ChartParseError, ExpressionSyntaxError, MonoidError,
+                     SupportError)
 from .monoid import AffineMonoid
 
 FORMAT = "logjet-chart/1"
@@ -134,7 +134,7 @@ def load_chart(path):
     try:
         chart = Chart.build(ambient_rank=n, equations=equations,
                             monoid=monoid, basis=basis)
-    except (ExpressionSyntaxError, ExponentError, ModeMismatchError) as exc:
+    except ExpressionSyntaxError as exc:
         raise ChartParseError(f"{path}: bad equation: {exc}") from exc
     except SupportError as exc:
         raise SupportError(f"{path}: {exc}") from exc

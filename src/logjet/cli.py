@@ -6,6 +6,9 @@ Commands:
     dim --order M [--stratum L] FILE
     analyze --max-order M FILE
 
+Polynomials print as parse.render writes them, in degrevlex order; jets
+names its columns x1(1) in ordinary mode and u[1,1] in log mode.
+
 Global flags: --format table|json, and --verbose, which adds the
 certificate of each dimension to dim's table and changes nothing else.  A
 certificate is the first largest independent set of variables in the
@@ -24,8 +27,8 @@ from .analyzer import AnalysisConfig, analyze, ordinary_jet_presentation
 from .chartfile import load_chart
 from .dimension import dimension_of
 from .errors import LogjetError
-from .jets import jet_ideal
-from .poly import LOG, ORDINARY, JetMonomial, JetPoly, RingDescriptor
+from .jets import LOG, ORDINARY, jet_ideal
+from .parse import render
 from .report import emit_report
 from .strata import stratify, stratum_jet_presentation
 
@@ -80,22 +83,15 @@ def _cmd_jets(args):
     mode = LOG if args.log else ORDINARY
     lines = []
     gens = []
-    for i, row in enumerate(jet_ideal(chart, args.order, mode)):
+    names, chains = jet_ideal(chart, args.order, mode)
+    for i, row in enumerate(chains):
         for j, g in enumerate(row):
-            text = g.render()
+            text = render(g, names)
             lines.append(f"d^{j} f_{i + 1} = {text}")
             gens.append({"equation": i + 1, "order": j, "poly": text})
     _emit({"schema": "logjet-jets/1", "mode": mode, "order": args.order,
            "generators": gens, "lines": lines}, args.format)
     return 0
-
-
-def _render(terms, names):
-    """An {exponent tuple: coefficient} map in the named base variables,
-    written as JetPoly.render writes it."""
-    ring = RingDescriptor(len(names))
-    return JetPoly(ring, {JetMonomial(e): c
-                          for e, c in terms.items()}).render(names)
 
 
 def _cmd_strata(args):
@@ -106,7 +102,7 @@ def _cmd_strata(args):
         face = s.face.generator_indices
         lines.append(f"stratum l={s.index} face generators {face}:")
         lines.append(f"  variables: {' '.join(s.variables)}")
-        eqs = [_render(g, s.variables) for g in s.equations]
+        eqs = [render(g, s.variables) for g in s.equations]
         for eq in eqs:
             lines.append(f"  equation: {eq}")
         payload.append({"l": s.index, "face": list(face),

@@ -17,16 +17,8 @@ class RankTooLargeError(MonoidError):
     """Ambient rank exceeds the desk-scale bound for face enumeration."""
 
 
-class RingMismatchError(LogjetError):
-    """Operands live in different polynomial rings."""
-
-
 class ModeMismatchError(LogjetError):
     """Operation requires the other jet-variable mode (ordinary vs log)."""
-
-
-class ExponentError(LogjetError):
-    """Negative exponent on a jet variable."""
 
 
 class ExpressionSyntaxError(LogjetError):

@@ -31,7 +31,9 @@ every coefficient of both modes.
 """
 
 from .errors import ModeMismatchError
-from .poly import LOG, JetMonomial, JetPoly, RingDescriptor
+
+ORDINARY = "ordinary"
+LOG = "log"
 
 
 def derivative_chain(terms, m, moves, grows=()):
@@ -72,19 +74,27 @@ def derivative_chain(terms, m, moves, grows=()):
 
 
 def jet_ideal(chart, m, mode):
-    """Generators of the order-m jet ideal of a chart, in the given mode.
+    """Generators of the order-m jet ideal of a chart, in the given mode,
+    as (names, chains).
 
-    Entry i is the chain (f_i, d f_i, ..., d^m f_i) of the i-th chart
-    equation; together the chains cut out J_m(X) inside the jet space of
-    the ambient chart.  The equations are laid out as the columns of
-    JetMonomial.exponent_vector, base variables then the jets of
-    ring.jet_positions(), derived, and read back as JetPoly.
+    chains[i] is (f_i, d f_i, ..., d^m f_i) for the i-th chart equation;
+    together the chains cut out J_m(X) inside the jet space of the ambient
+    chart.  Each polynomial is an {exponent tuple: coefficient} map whose
+    columns are names: the chart variables x_1..x_n, then the jets of x_i
+    ordered by (i, j), named x_i(j) in ordinary mode and u[i,j] in log
+    mode.
     """
+    if mode not in (ORDINARY, LOG):
+        raise ValueError(f"unknown mode {mode!r}")
+    if m < 0:
+        raise ValueError("jet order must be nonnegative")
     if mode == LOG and chart.monoid is None:
         raise ModeMismatchError("log jet ideal needs a chart with a monoid")
-    ring = RingDescriptor(chart.ambient_rank, m, mode)
-    n = ring.n
-    jets = ring.jet_positions()
+    xs = chart.variables
+    n = len(xs)
+    jets = [(i, j) for i in range(1, n + 1) for j in range(1, m + 1)]
+    names = xs + tuple(f"u[{i},{j}]" if mode == LOG else f"{xs[i - 1]}({j})"
+                       for i, j in jets)
     column = {(i, 0): i - 1 for i in range(1, n + 1)}
     column.update({ij: n + k for k, ij in enumerate(jets)})
     first = 1 if mode == LOG else 0
@@ -94,13 +104,7 @@ def jet_ideal(chart, m, mode):
               [column[i, j] for j in range(1, m + 1)])
              for i in range(1, n + 1)] if mode == LOG and m else []
     pad = (0,) * len(jets)
-
-    def jet_poly(terms):
-        return JetPoly(ring, {JetMonomial(vec[:n], zip(jets, vec[n:])): c
-                              for vec, c in terms.items()})
-
-    return tuple(
-        tuple(jet_poly(g) for g in derivative_chain(
-            {mono.base + pad: c for mono, c in f.term_map().items()},
-            m, moves, grows))
+    return names, tuple(
+        tuple(derivative_chain({e + pad: c for e, c in f.items()},
+                               m, moves, grows))
         for f in chart.equations)

@@ -1,23 +1,25 @@
-"""Recursive-descent parser for the polynomial expression grammar.
+"""Chart equations as text: a recursive-descent parser and its inverse.
 
     expr     := ['+'|'-'] term (('+'|'-') term)*
     term     := factor ('*' factor)*
     factor   := atom ('^' int)?
     atom     := rational | var | '(' expr ')'
-    var      := 'x' index | 'x' index '(' index ')' | 'u' '[' index ',' index ']'
+    var      := 'x' index
     rational := int ('/' posint)?
 
-Whitespace is insignificant.  'x3(2)' denotes the ordinary jet variable
-x_3^(2); 'u[3,2]' denotes the log jet variable u_{3,2}.  Negative exponents
-are allowed on base variables only.
+Whitespace is insignificant.  A polynomial in x_1..x_n is an {exponent
+tuple: Fraction} map with no zero coefficient, the one format of the
+engine from the chart to the report; exponents may be negative
+(Laurent).  parse_poly reads text into a map, render writes a map back
+in degrevlex order, and parse_poly(render(f, ("x1", ..., "xn")), n) == f.
 """
 
 from fractions import Fraction
+from operator import add
 
-from .errors import ExponentError, ExpressionSyntaxError, ModeMismatchError
-from .poly import LOG, ORDINARY, JetPoly
+from .errors import ExpressionSyntaxError
 
-_OPS = set("+-*/^()[],")
+_OPS = set("+-*/^()")
 
 
 class _Token:
@@ -49,29 +51,62 @@ def _tokenize(text):
             tokens.append(_Token("int", int(text[i:j]), i))
             i = j
             continue
-        if ch in ("x", "u"):
-            if ch == "x":
-                j = i + 1
-                while j < n and text[j].isdigit():
-                    j += 1
-                if j == i + 1:
-                    raise ExpressionSyntaxError(
-                        "variable 'x' without index", i, "digits")
-                tokens.append(_Token("xvar", int(text[i + 1:j]), i))
-                i = j
-            else:
-                tokens.append(_Token("u", "u", i))
-                i += 1
+        if ch == "x":
+            j = i + 1
+            while j < n and text[j].isdigit():
+                j += 1
+            if j == i + 1:
+                raise ExpressionSyntaxError(
+                    "variable 'x' without index", i, "digits")
+            tokens.append(_Token("xvar", int(text[i + 1:j]), i))
+            i = j
             continue
         raise ExpressionSyntaxError(f"unexpected character {ch!r}", i)
     tokens.append(_Token("end", None, n))
     return tokens
 
 
+# -- arithmetic on {exponent tuple: Fraction} maps ---------------------------
+
+
+def _add(f, g, sign=1):
+    out = dict(f)
+    for e, c in g.items():
+        s = out.get(e, 0) + sign * c
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return out
+
+
+def _mul(f, g):
+    out = {}
+    for a, ca in f.items():
+        for b, cb in g.items():
+            e = tuple(map(add, a, b))
+            s = out.get(e, 0) + ca * cb
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return out
+
+
+def _pow(f, k, n):
+    result = {(0,) * n: Fraction(1)}
+    while k:
+        if k & 1:
+            result = _mul(result, f)
+        k >>= 1
+        if k:
+            f = _mul(f, f)
+    return result
+
+
 class _Parser:
-    def __init__(self, text, ring):
-        self.text = text
-        self.ring = ring
+    def __init__(self, text, n):
+        self.n = n
         self.tokens = _tokenize(text)
         self.pos = 0
 
@@ -107,41 +142,32 @@ class _Parser:
         if self.peek().kind in ("+", "-"):
             if self.advance().kind == "-":
                 sign = -1
-        poly = self.term() * sign
+        poly = _add({}, self.term(), sign)
         while self.peek().kind in ("+", "-"):
             op = self.advance().kind
-            rhs = self.term()
-            poly = poly + rhs if op == "+" else poly - rhs
+            poly = _add(poly, self.term(), 1 if op == "+" else -1)
         return poly
 
     def term(self):
         poly = self.factor()
         while self.peek().kind == "*":
             self.advance()
-            poly = poly * self.factor()
+            poly = _mul(poly, self.factor())
         return poly
 
     def factor(self):
-        atom, jet_like = self.atom()
+        atom = self.atom()
         if self.peek().kind != "^":
             return atom
         self.advance()
         expo = self.signed_int()
-        if jet_like and expo < 0:
-            raise ExponentError(
-                f"negative exponent {expo} on jet variable")
         if expo >= 0:
-            return atom ** expo
-        # negative power: single-term base monomials and nonzero rationals only
-        terms = atom.term_map()
-        if len(terms) != 1:
+            return _pow(atom, expo, self.n)
+        # negative power: single-term monomials and nonzero rationals only
+        if len(atom) != 1:
             self.fail("negative exponent on a non-monomial")
-        mono, coeff = next(iter(terms.items()))
-        if mono.jets:
-            raise ExponentError(f"negative exponent {expo} on jet variable")
-        inv = JetPoly.monomial(atom.ring, [-a for a in mono.base],
-                               coeff=Fraction(1) / coeff)
-        return inv ** (-expo)
+        ((mono, coeff),) = atom.items()
+        return _pow({tuple(-a for a in mono): 1 / coeff}, -expo, self.n)
 
     def signed_int(self):
         sign = 1
@@ -152,7 +178,6 @@ class _Parser:
         return sign * tok.value
 
     def atom(self):
-        """Returns (polynomial, jet_like) where jet_like marks jet variables."""
         tok = self.peek()
         if tok.kind == "int":
             self.advance()
@@ -163,55 +188,58 @@ class _Parser:
                 if den.value == 0:
                     raise ExpressionSyntaxError("zero denominator", den.pos)
                 value = value / den.value
-            return JetPoly.constant(self.ring, value), False
+            return {(0,) * self.n: value} if value else {}
         if tok.kind == "(":
             self.advance()
             poly = self.expr()
             self.expect(")")
-            return poly, False
+            return poly
         if tok.kind == "xvar":
             self.advance()
             i = tok.value
-            if not (1 <= i <= self.ring.n):
+            if not (1 <= i <= self.n):
                 raise ExpressionSyntaxError(
-                    f"variable x{i} outside ring (n={self.ring.n})", tok.pos)
-            if self.peek().kind == "(":
-                self.advance()
-                jtok = self.expect("int")
-                self.expect(")")
-                j = jtok.value
-                if self.ring.mode != ORDINARY:
-                    raise ModeMismatchError(
-                        f"ordinary jet variable x{i}({j}) in log-mode ring")
-                if not (1 <= j <= self.ring.m):
-                    raise ExpressionSyntaxError(
-                        f"jet order {j} outside ring (m={self.ring.m})",
-                        jtok.pos)
-                return JetPoly.jet_var(self.ring, i, j), True
-            return JetPoly.base_var(self.ring, i), False
-        if tok.kind == "u":
-            self.advance()
-            self.expect("[")
-            itok = self.expect("int")
-            self.expect(",")
-            jtok = self.expect("int")
-            self.expect("]")
-            if self.ring.mode != LOG:
-                raise ModeMismatchError(
-                    f"log jet variable u[{itok.value},{jtok.value}] "
-                    "in ordinary-mode ring")
-            i, j = itok.value, jtok.value
-            if not (1 <= i <= self.ring.n):
-                raise ExpressionSyntaxError(
-                    f"variable index {i} outside ring (n={self.ring.n})",
-                    itok.pos)
-            if not (1 <= j <= self.ring.m):
-                raise ExpressionSyntaxError(
-                    f"jet order {j} outside ring (m={self.ring.m})", jtok.pos)
-            return JetPoly.jet_var(self.ring, i, j), True
+                    f"variable x{i} outside ring (n={self.n})", tok.pos)
+            return {tuple(int(k == i) for k in range(1, self.n + 1)):
+                    Fraction(1)}
         self.fail(f"unexpected token {tok.value!r}", "atom")
 
 
-def parse_poly(text, ring):
-    """Parse an expression into a JetPoly over the given ring."""
-    return _Parser(text, ring).parse()
+def parse_poly(text, n):
+    """Parse an expression in x_1..x_n into an {exponent tuple: Fraction}
+    map."""
+    return _Parser(text, n).parse()
+
+
+def _degrevlex(term):
+    """Sort key of a (exponent tuple, coefficient) term: larger key =
+    larger monomial in degrevlex."""
+    vec = term[0]
+    return sum(vec), tuple(-e for e in reversed(vec))
+
+
+def render(terms, names):
+    """The canonical text of an {exponent tuple: coefficient} map whose
+    column k is the variable names[k], one name per column (ValueError
+    otherwise): terms in descending degrevlex, each
+    a signed coefficient (left out when 1) times name^e factors; the zero
+    map is "0".  The text of a chart equation in the chart variables
+    parses back to the same map."""
+    if not terms:
+        return "0"
+    parts = []
+    for vec, coeff in sorted(terms.items(), key=_degrevlex, reverse=True):
+        mag = -coeff if coeff < 0 else coeff
+        factors = [name + (f"^{a}" if a != 1 else "")
+                   for name, a in zip(names, vec, strict=True) if a]
+        if not factors:
+            body = str(mag)
+        elif mag == 1:
+            body = "*".join(factors)
+        else:
+            body = str(mag) + "*" + "*".join(factors)
+        if not parts:
+            parts.append("-" + body if coeff < 0 else body)
+        else:
+            parts.append(f" {'-' if coeff < 0 else '+'} {body}")
+    return "".join(parts)

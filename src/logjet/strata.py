@@ -13,10 +13,9 @@ the localization of the torus.
 
 Everything is written in the chart's basis coordinates; monomials of the
 monoid may acquire negative exponents there.  Base systems are
-{exponent tuple: coefficient} maps, never JetPoly: equation_terms converts
-the chart equations once, the one handoff from the parser's polynomials,
-and the exponents of the monoid generators are solved for once per chart;
-every face shares both.
+{exponent tuple: coefficient} maps, the format the chart holds its
+equations in, so every face shares the chart's equations as they are;
+the exponents of the monoid generators are solved for once per chart.
 
 Of the chi^g only the minimal ones are kept.  jet_presentation clears the
 monomial chi^g, exponent e, to x^{e+} with e+ = max(e, 0), so a chi^g whose
@@ -45,7 +44,7 @@ jet_presentation is also where Laurent polynomials are cleared, against
 the inverted locus and before jetting: each base polynomial is turned once
 into integer coefficients on exponent tuples, cleared of denominators and
 (for a localized system) of negative exponents, and jets.derivative_chain
-then derives those tuples, with no JetPoly and no Fraction.
+then derives those tuples, with no Fraction.
 """
 
 import math
@@ -55,15 +54,6 @@ from operator import le
 from .dimension import EMPTY, IdealPresentation
 from .errors import ModeMismatchError
 from .jets import derivative_chain
-
-
-def equation_terms(chart):
-    """The chart equations as {exponent tuple over x_1..x_n: coefficient}
-    maps, with their exact coefficients and Laurent exponents.  This is the
-    one handoff from the parser's JetPoly to exponent maps: strata, the
-    ordinary presentations and the Jacobian minors all start from it."""
-    return tuple({mono.base: c for mono, c in f.term_map().items()}
-                 for f in chart.equations)
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,9 +93,9 @@ def stratify(chart):
 
     Each generator's exponents are solved for once; the basis-coordinate
     map is linear, so those of p_F are the sum of its face generators'.
-    The chart equations are converted to exponent maps once, and every
-    face shares them.  Of the off-face monomials only the minimal ones are
-    kept (see the module docstring).
+    Every face shares the chart equations, lifted once by the column of w.
+    Of the off-face monomials only the minimal ones are kept (see the
+    module docstring).
     """
     if chart.monoid is None:
         raise ModeMismatchError(
@@ -114,9 +104,8 @@ def stratify(chart):
     n = chart.ambient_rank
     exponents = [chart.exponents_of(g) for g in chart.monoid.generators]
     cleared = [tuple(max(a, 0) for a in e) for e in exponents]
-    lifted = [{e + (0,): c for e, c in f.items()}
-              for f in equation_terms(chart)]
-    names = tuple(f"x{i}" for i in range(1, n + 1)) + ("w",)
+    lifted = [{e + (0,): c for e, c in f.items()} for f in chart.equations]
+    names = chart.variables + ("w",)
     strata = []
     for face in chart.monoid.faces():
         on = face.generator_indices
@@ -152,8 +141,8 @@ def _jet_names(base_names, layout):
     presentation: the base name at j = 0, else name(j).  The layout lists
     a localized system's inversion variable first, as w(m), ..., w(1), w,
     then the other base variables, then their jets x_k(j) ordered by
-    (k, j); an ordinary system has no w, and its order is
-    JetMonomial.exponent_vector's."""
+    (k, j); an ordinary system has no w, and its order is the one
+    jets.jet_ideal lays its chains out in."""
     return tuple(base_names[k] if j == 0 else f"{base_names[k]}({j})"
                  for k, j in layout)
 

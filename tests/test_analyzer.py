@@ -8,7 +8,6 @@ from logjet import (EMPTY, AffineMonoid, AnalysisConfig, Chart, analyze,
 from logjet import analyzer, dimension
 from logjet.analyzer import open_part_jet_presentation
 from logjet.errors import LogjetError
-from logjet.poly import JetPoly
 from logjet.strata import stratify, stratum_jet_presentation
 
 A1 = "(x1-1)^2 + (x2-1)^2 + (x3-1)^2"
@@ -224,24 +223,6 @@ def test_analysis_never_reduces_a_basis(monkeypatch):
 
     monkeypatch.setattr(dimension, "_reduced_basis", refuse)
     assert reports() == before
-
-
-def test_analysis_builds_no_jetpoly(monkeypatch):
-    """Past parsing, the analysis path works on exponent maps: with
-    JetPoly's constructor made to raise, a loaded cone chart and A1 give
-    the same reports."""
-    charts = [load_chart(BENCH_CHARTS / name)[0]
-              for name in ("cone3_hyperplane.json", "a1.json")]
-    cfg = AnalysisConfig(max_order=2)
-    before = [emit_report(analyze(chart, cfg), fmt)
-              for chart in charts for fmt in ("table", "json")]
-
-    def refuse(*_args, **_kwargs):
-        raise AssertionError("JetPoly built in the analysis path")
-
-    monkeypatch.setattr(JetPoly, "__init__", refuse)
-    assert [emit_report(analyze(chart, cfg), fmt)
-            for chart in charts for fmt in ("table", "json")] == before
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -23,8 +23,7 @@ import pytest
 from logjet.analyzer import AnalysisConfig, analyze
 from logjet.chartfile import load_chart
 from logjet.dimension import EMPTY, IdealPresentation, dimension_of
-from logjet.jets import jet_ideal
-from logjet.poly import LOG
+from logjet.jets import LOG, jet_ideal
 
 CHARTS = Path(__file__).resolve().parents[1] / "bench" / "charts"
 
@@ -50,33 +49,27 @@ def bundle_presentation(chart, m, face):
     """The order-m log jet ideal of chart restricted to the stratum of face
     (generator indices): terms with x_i off the face dropped, the x_i on
     the face inverted by w * prod x_i - 1, every u_{i,j} kept."""
-    n = chart.ambient_rank
     coord = _orbit_coordinate(chart)
-    on_face = sorted(coord[k] for k in face)
-    jets = [(i, j) for i in range(1, n + 1) for j in range(1, m + 1)]
-    variables = ([f"x{i}" for i in on_face] + ["w"]
-                 + [f"u[{i},{j}]" for i, j in jets])
+    names, chains = jet_ideal(chart, m, LOG)
+    jets = names[chart.ambient_rank:]
+    variables = ([f"x{i}" for i in sorted(coord[k] for k in face)] + ["w"]
+                 + list(jets))
     nv = len(variables)
-    slot = {("x", i): s for s, i in enumerate(on_face)}
-    slot.update({("u", key): len(on_face) + 1 + s
-                 for s, key in enumerate(jets)})
+    slot = {name: s for s, name in enumerate(variables)}
     raw = []
-    for chain in jet_ideal(chart, m, LOG):
+    for chain in chains:
         for g in chain:
             terms = {}
-            for mono, c in g.term_map().items():
-                if any(a and ("x", i) not in slot
-                       for i, a in enumerate(mono.base, start=1)):
+            for vec, c in g.items():
+                if any(a and names[k] not in slot for k, a in enumerate(vec)):
                     continue
                 e = [0] * nv
-                for i, a in enumerate(mono.base, start=1):
+                for k, a in enumerate(vec):
                     if a:
-                        e[slot[("x", i)]] = a
-                for key, a in mono.jets:
-                    e[slot[("u", key)]] = a
+                        e[slot[names[k]]] = a
                 terms[tuple(e)] = terms.get(tuple(e), 0) + c
             raw.append(terms)
-    inverse = [1] * len(on_face) + [1] + [0] * len(jets)
+    inverse = [1] * (nv - len(jets)) + [0] * len(jets)
     raw.append({tuple(inverse): 1, (0,) * nv: -1})
     return IdealPresentation.from_terms(variables, raw,
                                         provenance=f"bundle {face}",

@@ -48,6 +48,18 @@ def test_chart_parse_errors(tmp_path, doc):
         load_chart(write(tmp_path, doc))
 
 
+@pytest.mark.parametrize("equation, position", [
+    ("x1(1) + x2", 2), ("x1 + u[1,1]", 5)], ids=["ordinary-jet", "log-jet"])
+def test_jet_variable_in_an_equation_is_a_bad_equation(tmp_path, equation,
+                                                       position):
+    path = write(tmp_path, dict(N2_DOC, equations=[equation]))
+    with pytest.raises(ChartParseError) as err:
+        load_chart(path)
+    message = str(err.value)
+    assert message.startswith(f"{path}: bad equation: ")
+    assert f"at position {position}" in message
+
+
 @pytest.mark.parametrize("rank", [0, -2])
 def test_non_positive_ambient_rank_is_a_parse_error(tmp_path, rank):
     path = write(tmp_path, {"ambient_rank": rank, "equations": []})

@@ -11,7 +11,7 @@ import pytest
 from logjet import cli
 from logjet.chartfile import load_chart
 from logjet.cli import main
-from logjet.poly import JetPoly, RingDescriptor
+from logjet.parse import render
 
 CONE = {"format": "logjet-chart/1", "ambient_rank": 2,
         "monoid_generators": [[1, 0], [1, 1], [1, 2]],
@@ -81,10 +81,9 @@ def _with_dropped_restored(chart, runs):
     (code, _table, err), (_code, out, _err) = runs
     if code:
         return runs, 0
-    n, c = chart.ambient_rank, chart.codim
-    names = [f"x{i}" for i in range(1, n + 1)] + ["w"]
-    rendered = [JetPoly.monomial(RingDescriptor(n + 1),
-                                 chart.exponents_of(g) + (0,)).render(names)
+    c = chart.codim
+    names = chart.variables + ("w",)
+    rendered = [render({chart.exponents_of(g) + (0,): 1}, names)
                 for g in chart.monoid.generators]
     payload = json.loads(out)
     lines, restored = [], 0

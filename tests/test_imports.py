@@ -1,6 +1,6 @@
 """Every name a logjet module imports is used in that module, every name
 the package exports is used by the package or the benchmark, and the
-analysis path does not import the JetPoly layer.
+engine does not import the chart-text layer.
 
 __init__.py is skipped: its imports are the package's re-exports.  An
 import whose line carries "# noqa: F401" is kept on purpose: it must be a
@@ -66,11 +66,11 @@ def test_finds_an_unused_import():
 
 def test_finds_a_stale_marker():
     source = ("from .jets import derivative_chain  # noqa: F401\n"
-              "from .poly import JetPoly  # noqa: F401\n"
+              "from .parse import render  # noqa: F401\n"
               "from .dimension import dimension_of  # noqa: F401\n"
               "print(dimension_of)\n")
     assert stale_markers("logjet.analyzer", source) == [
-        (2, "JetPoly"), (3, "dimension_of")]
+        (2, "render"), (3, "dimension_of")]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
@@ -109,35 +109,35 @@ def test_every_export_is_used():
     assert sorted(set(logjet.__all__) - used) == []
 
 
-# Past parsing, strata and the analyzer work on exponent maps; the one
-# handoff from JetPoly is strata.equation_terms, which needs no import.
-ANALYSIS_PATH = ("strata.py", "analyzer.py")
+# The engine works on the exponent maps the chart holds; only the chart,
+# the analyzer's report summary and the CLI read or write chart text.
+ENGINE = ("jets.py", "strata.py", "dimension.py")
 
 
-def poly_imports(source):
-    """(line, name) of each import of logjet.poly or of a name from it."""
+def parse_imports(source):
+    """(line, name) of each import of logjet.parse or of a name from it."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom):
             module = "." * node.level + (node.module or "")
-            if module in (".poly", "logjet.poly"):
+            if module in (".parse", "logjet.parse"):
                 found.extend((node.lineno, a.name) for a in node.names)
             elif module in (".", "logjet"):
                 found.extend((node.lineno, a.name) for a in node.names
-                             if a.name == "poly")
+                             if a.name == "parse")
         elif isinstance(node, ast.Import):
             found.extend((node.lineno, a.name) for a in node.names
-                         if a.name == "logjet.poly")
+                         if a.name == "logjet.parse")
     return found
 
 
-def test_finds_a_poly_import():
-    source = ("from .poly import JetPoly\nfrom . import poly, jets\n"
-              "import logjet.poly\nfrom .jets import derivative_chain\n")
-    assert poly_imports(source) == [
-        (1, "JetPoly"), (2, "poly"), (3, "logjet.poly")]
+def test_finds_a_parse_import():
+    source = ("from .parse import render\nfrom . import parse, jets\n"
+              "import logjet.parse\nfrom .jets import derivative_chain\n")
+    assert parse_imports(source) == [
+        (1, "render"), (2, "parse"), (3, "logjet.parse")]
 
 
-@pytest.mark.parametrize("name", ANALYSIS_PATH)
-def test_analysis_path_imports_nothing_from_poly(name):
-    assert poly_imports((PACKAGE / name).read_text(encoding="utf-8")) == []
+@pytest.mark.parametrize("name", ENGINE)
+def test_engine_imports_nothing_from_parse(name):
+    assert parse_imports((PACKAGE / name).read_text(encoding="utf-8")) == []

@@ -1,21 +1,22 @@
 """The jet derivation on chains of base polynomials, and jet ideals.
 
 jet_chain (tests/jet_oracle.py) reads a chain off jets.jet_ideal; the
-hand-written tuple examples call jets.derivative_chain directly.
+hand-written tuple examples call jets.derivative_chain directly.  Expected
+jets are {exponent tuple: coefficient} maps in jet_ideal's columns: the
+base variables x_1..x_n, then the jets of x_i ordered by (i, j).
 """
 
 import random
 from fractions import Fraction
 from math import comb
+from operator import add
 
 import pytest
 
 from logjet.chart import Chart
 from logjet.errors import ModeMismatchError
-from logjet.jets import derivative_chain, jet_ideal
+from logjet.jets import LOG, ORDINARY, derivative_chain, jet_ideal
 from logjet.monoid import AffineMonoid
-from logjet.parse import parse_poly
-from logjet.poly import LOG, ORDINARY, JetPoly, RingDescriptor
 
 from jet_oracle import (expand_by_substitution, jet_chain,
                         specialize_log_to_ordinary)
@@ -23,21 +24,31 @@ from jet_oracle import (expand_by_substitution, jet_chain,
 N2 = AffineMonoid(2, [(1, 0), (0, 1)])
 
 
-def ring(n, m, mode=ORDINARY):
-    return RingDescriptor(n, m, mode)
+def _product(f, g, scale=1):
+    """scale * f * g of two maps with the same columns."""
+    out = {}
+    for a, ca in f.items():
+        for b, cb in g.items():
+            e = tuple(map(add, a, b))
+            out[e] = out.get(e, 0) + scale * ca * cb
+    return {e: c for e, c in out.items() if c}
 
 
-def P(text, r):
-    return parse_poly(text, r)
+def _sum(maps):
+    out = {}
+    for f in maps:
+        for e, c in f.items():
+            out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
 
 
 # -- ordinary derivation -------------------------------------------------------
 
 
 def test_derive_square():
-    r = ring(1, 2)
-    assert jet_chain(P("x1^2", ring(1, 0)), 2, ORDINARY) == [
-        P("x1^2", r), P("2*x1*x1(1)", r), P("2*x1(1)^2 + 2*x1*x1(2)", r)]
+    # columns x1, x1(1), x1(2): x1^2, 2 x1 x1(1), 2 x1(1)^2 + 2 x1 x1(2)
+    assert jet_chain({(2,): 1}, 2, ORDINARY) == [
+        {(2, 0, 0): 1}, {(1, 1, 0): 2}, {(0, 2, 0): 2, (1, 0, 1): 2}]
 
 
 def test_derive_kills_top_order():
@@ -49,42 +60,39 @@ def test_derive_kills_top_order():
 
 def test_derive_laurent():
     # d(x1^-1) = -x1^-2 x1(1), as the Leibniz rule on x1 * x1^-1 = 1 forces
-    r = ring(1, 2)
-    assert jet_chain(P("x1^-1", ring(1, 0)), 2, ORDINARY) == [
-        P("x1^-1", r), P("-x1^-2*x1(1)", r),
-        P("2*x1^-3*x1(1)^2 - x1^-2*x1(2)", r)]
+    # columns x1, x1(1), x1(2): -x1^-2 x1(1), 2 x1^-3 x1(1)^2 - x1^-2 x1(2)
+    assert jet_chain({(-1,): 1}, 2, ORDINARY) == [
+        {(-1, 0, 0): 1}, {(-2, 1, 0): -1}, {(-3, 2, 0): 2, (-2, 0, 1): -1}]
 
 
 def test_derive_order_zero_ring():
-    f = P("x1*x2", ring(2, 0))
+    f = {(1, 1): 1}
     assert jet_chain(f, 0, ORDINARY) == [f]
-    assert jet_chain(f, 0, LOG) == [P("x1*x2", ring(2, 0, LOG))]
+    assert jet_chain(f, 0, LOG) == [f]
 
 
 def _leibniz(f, g, m, mode):
     """d^k(fg) = sum_i binom(k, i) d^i f d^(k-i) g for every k <= m."""
     cf, cg = jet_chain(f, m, mode), jet_chain(g, m, mode)
-    for k, dk in enumerate(jet_chain(f * g, m, mode)):
-        assert dk == sum((cf[i] * cg[k - i] * comb(k, i)
-                          for i in range(k + 1)), JetPoly.zero(dk.ring))
+    for k, dk in enumerate(jet_chain(_product(f, g), m, mode)):
+        assert dk == _sum(_product(cf[i], cg[k - i], comb(k, i))
+                          for i in range(k + 1))
 
 
 def test_leibniz_ordinary():
     rng = random.Random(3)
-    r = ring(2, 0)
     for _ in range(15):
-        _leibniz(_random_base(rng, r, laurent=True),
-                 _random_base(rng, r, laurent=True), 3, ORDINARY)
+        _leibniz(_random_base(rng, 2, laurent=True),
+                 _random_base(rng, 2, laurent=True), 3, ORDINARY)
 
 
 # -- log derivation ------------------------------------------------------------
 
 
 def test_log_monomial_identity():
-    f = P("x1*x2^2", ring(2, 0))
-    rl = ring(2, 1, LOG)
-    assert jet_chain(f, 1, LOG)[1] == \
-        P("x1*x2^2", rl) * P("u[1,1] + 2*u[2,1]", rl)
+    # columns x1, x2, u11, u21: d(x1 x2^2) = x1 x2^2 (u11 + 2 u21)
+    assert jet_chain({(1, 2): 1}, 1, LOG)[1] == \
+        {(1, 2, 1, 0): 1, (1, 2, 0, 1): 2}
 
 
 def test_log_jet_identity():
@@ -105,67 +113,59 @@ def test_log_truncation():
 def test_log_second_derivative_of_variable():
     # d(x1) = x1 u11; d^2(x1) = x1(u11^2 + u12 - u11^2) = x1 u12;
     # d^2(x1^2) = d(2 x1^2 u11) = 2 x1^2 (2 u11^2 + u12 - u11^2)
-    rl = ring(1, 2, LOG)
-    assert jet_chain(P("x1", ring(1, 0)), 2, LOG) == [
-        P("x1", rl), P("x1*u[1,1]", rl), P("x1*u[1,2]", rl)]
-    assert jet_chain(P("x1^2", ring(1, 0)), 2, LOG)[2] == \
-        P("2*x1^2*u[1,1]^2 + 2*x1^2*u[1,2]", rl)
+    # columns x1, u11, u12
+    assert jet_chain({(1,): 1}, 2, LOG) == [
+        {(1, 0, 0): 1}, {(1, 1, 0): 1}, {(1, 0, 1): 1}]
+    assert jet_chain({(2,): 1}, 2, LOG)[2] == {(2, 2, 0): 2, (2, 0, 1): 2}
 
 
 def test_leibniz_log():
     rng = random.Random(4)
-    r = ring(2, 0)
     for _ in range(15):
-        _leibniz(_random_base(rng, r, laurent=True),
-                 _random_base(rng, r, laurent=True), 3, LOG)
+        _leibniz(_random_base(rng, 2, laurent=True),
+                 _random_base(rng, 2, laurent=True), 3, LOG)
 
 
 # -- substitution oracle ---------------------------------------------------------
 
 
 def test_expand_log_variable():
-    r = ring(1, 0)
-    coeffs = expand_by_substitution(P("x1", r), 3, LOG)
-    rl = ring(1, 3, LOG)
-    assert coeffs == [P("x1", rl), P("x1*u[1,1]", rl),
-                      P("x1*u[1,2]", rl), P("x1*u[1,3]", rl)]
+    # columns x1, u11, u12, u13
+    assert expand_by_substitution({(1,): 1}, 3, LOG) == [
+        {(1, 0, 0, 0): 1}, {(1, 1, 0, 0): 1}, {(1, 0, 1, 0): 1},
+        {(1, 0, 0, 1): 1}]
 
 
 def test_expand_ordinary_product():
-    r = ring(2, 0)
-    coeffs = expand_by_substitution(P("x1*x2", r), 1, ORDINARY)
-    r1 = ring(2, 1)
-    assert coeffs == [P("x1*x2", r1), P("x1(1)*x2 + x1*x2(1)", r1)]
+    # columns x1, x2, x1(1), x2(1): x1(1) x2 + x1 x2(1)
+    assert expand_by_substitution({(1, 1): 1}, 1, ORDINARY) == [
+        {(1, 1, 0, 0): 1}, {(0, 1, 1, 0): 1, (1, 0, 0, 1): 1}]
 
 
 def test_expand_cusp():
-    r = ring(2, 0)
-    coeffs = expand_by_substitution(P("x1^2 - x2^3", r), 1, ORDINARY)
-    r1 = ring(2, 1)
-    assert coeffs == [P("x1^2 - x2^3", r1),
-                      P("2*x1*x1(1) - 3*x2^2*x2(1)", r1)]
+    # columns x1, x2, x1(1), x2(1): 2 x1 x1(1) - 3 x2^2 x2(1)
+    assert expand_by_substitution({(2, 0): 1, (0, 3): -1}, 1, ORDINARY) == [
+        {(2, 0, 0, 0): 1, (0, 3, 0, 0): -1},
+        {(1, 0, 1, 0): 2, (0, 2, 0, 1): -3}]
 
 
 def test_expand_laurent_inverse():
-    r = ring(1, 0)
-    coeffs = expand_by_substitution(P("x1^-1", r), 2, ORDINARY)
-    assert coeffs == jet_chain(P("x1^-1", r), 2, ORDINARY)
+    coeffs = expand_by_substitution({(-1,): 1}, 2, ORDINARY)
+    assert coeffs == jet_chain({(-1,): 1}, 2, ORDINARY)
 
 
-def _random_base(rng, r, laurent=False):
-    terms = []
+def _random_base(rng, n, laurent=False):
+    """A nonzero map in n base variables, 1 when the drawn terms cancel."""
+    poly = {}
     for _ in range(rng.randint(1, 4)):
         lo = -2 if laurent else 0
-        base = tuple(rng.randint(lo, 4 if r.n == 1 else 2)
-                     for _ in range(r.n))
+        base = tuple(rng.randint(lo, 4 if n == 1 else 2) for _ in range(n))
         if sum(abs(b) for b in base) > 4:
             continue
         coeff = Fraction(rng.randint(-3, 3), rng.choice([1, 2]))
-        terms.append((base, coeff))
-    poly = JetPoly.zero(r)
-    for base, coeff in terms:
-        poly = poly + JetPoly.monomial(r, base, coeff=coeff)
-    return poly if poly else JetPoly.one(r)
+        poly[base] = poly.get(base, 0) + coeff
+    poly = {e: c for e, c in poly.items() if c}
+    return poly or {(0,) * n: Fraction(1)}
 
 
 @pytest.mark.parametrize("mode", [ORDINARY, LOG])
@@ -174,7 +174,7 @@ def test_oracle_agreement(mode, seed):
     rng = random.Random(seed)
     n = rng.randint(1, 3)
     m = rng.randint(1, 4)
-    f = _random_base(rng, ring(n, 0), laurent=True)
+    f = _random_base(rng, n, laurent=True)
     assert jet_chain(f, m, mode) == expand_by_substitution(f, m, mode)
 
 
@@ -183,29 +183,32 @@ def test_oracle_agreement(mode, seed):
 
 def test_jet_ideal_line_log():
     chart = Chart.build(monoid=N2, equations=["x1 + x2 - 1"])
-    (chain,) = jet_ideal(chart, 2, LOG)
-    rl = ring(2, 2, LOG)
-    assert chain == (P("x1 + x2 - 1", rl),
-                     P("x1*u[1,1] + x2*u[2,1]", rl),
-                     P("x1*u[1,2] + x2*u[2,2]", rl))
+    names, (chain,) = jet_ideal(chart, 2, LOG)
+    assert names == ("x1", "x2", "u[1,1]", "u[1,2]", "u[2,1]", "u[2,2]")
+    # x1 + x2 - 1, x1 u11 + x2 u21, x1 u12 + x2 u22
+    assert chain == ({(1, 0, 0, 0, 0, 0): 1, (0, 1, 0, 0, 0, 0): 1,
+                      (0, 0, 0, 0, 0, 0): -1},
+                     {(1, 0, 1, 0, 0, 0): 1, (0, 1, 0, 0, 1, 0): 1},
+                     {(1, 0, 0, 1, 0, 0): 1, (0, 1, 0, 0, 0, 1): 1})
     # oracle recomputation
-    oracle = expand_by_substitution(P("x1 + x2 - 1", ring(2, 0)), 2, LOG)
+    oracle = expand_by_substitution(chart.equations[0], 2, LOG)
     assert list(chain) == oracle
 
 
 def test_jet_ideal_ordinary():
     chart = Chart.build(ambient_rank=2, equations=["x1*x2"])
-    (chain,) = jet_ideal(chart, 1, ORDINARY)
-    r1 = ring(2, 1)
-    assert chain == (P("x1*x2", r1), P("x1(1)*x2 + x1*x2(1)", r1))
+    names, (chain,) = jet_ideal(chart, 1, ORDINARY)
+    assert names == ("x1", "x2", "x1(1)", "x2(1)")
+    # x1 x2, x1(1) x2 + x1 x2(1)
+    assert chain == ({(1, 1, 0, 0): 1}, {(0, 1, 1, 0): 1, (1, 0, 0, 1): 1})
     # oracle recomputation
-    oracle = expand_by_substitution(P("x1*x2", ring(2, 0)), 1, ORDINARY)
+    oracle = expand_by_substitution(chart.equations[0], 1, ORDINARY)
     assert list(chain) == oracle
 
 
 def test_jet_ideal_empty_equations():
     chart = Chart.build(monoid=N2, equations=[])
-    assert jet_ideal(chart, 2, LOG) == ()
+    assert jet_ideal(chart, 2, LOG)[1] == ()
 
 
 def test_jet_ideal_log_needs_monoid():
@@ -243,10 +246,10 @@ def test_nilpotency():
     rng = random.Random(11)
     for _ in range(5):
         m = rng.randint(1, 3)
-        f = _random_base(rng, ring(2, 0))
+        f = _random_base(rng, 2)
         pad = (0,) * (2 * m)
-        terms = {mono.base + pad: c for mono, c in f.term_map().items()}
-        deg = max(sum(mono.base) for mono in f.term_map())
+        terms = {e + pad: c for e, c in f.items()}
+        deg = max(map(sum, f))
         chain = derivative_chain(terms, m * deg + 1, _ordinary_moves(2, m))
         assert chain[m * deg + 1] == {}
 
@@ -255,26 +258,25 @@ def test_nilpotency():
 
 
 def test_specialize_basics():
-    rl = ring(1, 2, LOG)
-    ro = ring(1, 2, ORDINARY)
-    assert specialize_log_to_ordinary(P("u[1,1]", rl)) == \
-        P("x1(1)*x1^-1", ro)
-    assert specialize_log_to_ordinary(P("x1*u[1,2]", rl)) == P("x1(2)", ro)
+    # columns x1, u11, u12 -> x1, x1(1), x1(2): u11 -> x1(1) x1^-1 and
+    # x1 u12 -> x1(2)
+    assert specialize_log_to_ordinary({(0, 1, 0): 1}, 1) == {(-1, 1, 0): 1}
+    assert specialize_log_to_ordinary({(1, 0, 1): 1}, 1) == {(0, 0, 1): 1}
 
 
 def test_specialize_intertwines_derivations():
-    f = P("x1*x2^2", ring(2, 0))
+    f = {(1, 2): 1}
     log_chain = jet_chain(f, 2, LOG)
-    assert [specialize_log_to_ordinary(g) for g in log_chain] == \
+    assert [specialize_log_to_ordinary(g, 2) for g in log_chain] == \
         jet_chain(f, 2, ORDINARY)
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_specialize_intertwines_random(seed):
     rng = random.Random(seed)
-    f = _random_base(rng, ring(2, 0), laurent=True)
+    f = _random_base(rng, 2, laurent=True)
     log_chain = jet_chain(f, 3, LOG)
-    assert [specialize_log_to_ordinary(g) for g in log_chain] == \
+    assert [specialize_log_to_ordinary(g, 2) for g in log_chain] == \
         jet_chain(f, 3, ORDINARY)
 
 
@@ -284,7 +286,7 @@ def test_torus_consistency():
     z2 = AffineMonoid(2, [(1, 0), (-1, 0), (0, 1), (0, -1)])
     chart = Chart.build(monoid=z2, equations=["x1 + x2 - 1"],
                         basis=[(1, 0), (0, 1)])
-    (log_rows,) = jet_ideal(chart, 2, LOG)
-    (ord_rows,) = jet_ideal(chart, 2, ORDINARY)
+    _names, (log_rows,) = jet_ideal(chart, 2, LOG)
+    _names, (ord_rows,) = jet_ideal(chart, 2, ORDINARY)
     for lg, od in zip(log_rows, ord_rows):
-        assert specialize_log_to_ordinary(lg) == od
+        assert specialize_log_to_ordinary(lg, 2) == od

@@ -8,26 +8,23 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from logjet.poly import LOG, ORDINARY, JetPoly, RingDescriptor  # noqa: E402
+from logjet.jets import LOG, ORDINARY  # noqa: E402
 
 from jet_oracle import expand_by_substitution, jet_chain  # noqa: E402
 
 
 @st.composite
 def base_polys(draw):
-    """(f, m): a Laurent polynomial in 1-3 base variables and a jet order."""
+    """(f, m): a Laurent polynomial in 1-3 base variables, as an {exponent
+    tuple: Fraction} map, and a jet order."""
     n = draw(st.integers(1, 3))
     m = draw(st.integers(0, 3))
-    ring = RingDescriptor(n, 0)
     exponents = st.tuples(*[st.integers(-2, 3)] * n).filter(
         lambda e: sum(map(abs, e)) <= 4)
     coeffs = st.builds(Fraction, st.integers(-3, 3).filter(bool),
                        st.integers(1, 2))
-    terms = draw(st.dictionaries(exponents, coeffs, min_size=1, max_size=4))
-    f = JetPoly.zero(ring)
-    for base, c in terms.items():
-        f = f + JetPoly.monomial(ring, base, coeff=c)
-    return f, m
+    return draw(st.dictionaries(exponents, coeffs, min_size=1,
+                                max_size=4)), m
 
 
 @pytest.mark.parametrize("mode", [ORDINARY, LOG])

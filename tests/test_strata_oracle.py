@@ -3,12 +3,11 @@ power-series substitution.
 
 strata.jet_presentation derives on integer exponent tuples with
 jets.derivative_chain, taking each polynomial as an {exponent tuple:
-coefficient} map.  The reference here shares none of that code: lift each
-JetPoly (and clear it by the smallest monomial with nonnegative exponents,
-when localized), expand it by substitution
-(jet_oracle.expand_by_substitution), read each term's
-JetMonomial.exponent_vector and hand the Fraction maps to
-IdealPresentation.from_terms.
+coefficient} map.  The reference here shares none of that code: clear
+each map by the smallest monomial with nonnegative exponents (when
+localized), expand it by substitution in sympy
+(jet_oracle.expand_by_substitution), and hand the Fraction maps, in the
+substitution's (i, j) columns, to IdealPresentation.from_terms.
 """
 
 from fractions import Fraction
@@ -20,53 +19,46 @@ st = hypothesis.strategies
 
 from logjet.dimension import IdealPresentation  # noqa: E402
 from logjet.errors import UnlocalizedLaurentError  # noqa: E402
-from logjet.poly import (ORDINARY, JetMonomial, JetPoly,  # noqa: E402
-                         RingDescriptor)
+from logjet.jets import ORDINARY  # noqa: E402
 from logjet.strata import jet_presentation  # noqa: E402
 
 from jet_oracle import expand_by_substitution  # noqa: E402
 
 
-def _lifted(f, ring, localized):
-    """f lifted to ring; when localized, also times the smallest monomial
-    that makes its base exponents nonnegative."""
-    terms = f.term_map()
-    low = ([min(0, *column) for column in zip(*[mono.base for mono in terms])]
-           if localized else [0] * f.ring.n)
-    pad = [0] * (ring.n - f.ring.n)
-    return JetPoly(ring, {JetMonomial([a - b for a, b in zip(mono.base, low)]
-                                      + pad, mono.jets): c
-                          for mono, c in terms.items()})
+def _lifted(f, n, localized):
+    """f padded to n base variables; when localized, also times the
+    smallest monomial that makes its exponents nonnegative."""
+    low = ([min(0, *column) for column in zip(*f)] if localized
+           else [0] * len(next(iter(f))))
+    pad = (0,) * (n - len(low))
+    return {tuple(a - b for a, b in zip(e, low)) + pad: c
+            for e, c in f.items()}
 
 
 def reference_presentation(variables, system, m, provenance, localized=False,
                            constraints=()):
-    base = RingDescriptor(len(variables), 0)
-    ring = RingDescriptor(len(variables), m)
+    n = len(variables)
     polys = []
     for f in system:
-        polys.extend(expand_by_substitution(_lifted(f, base, localized), m,
+        polys.extend(expand_by_substitution(_lifted(f, n, localized), m,
                                             ORDINARY))
-    polys.extend(_lifted(g, base, localized).with_ring(ring)
+    jets = (0,) * (n * m)
+    polys.extend({e + jets: c for e, c in _lifted(g, n, localized).items()}
                  for g in constraints)
-    names = tuple(variables) + tuple(f"{variables[i - 1]}({j})"
-                                     for i, j in ring.jet_positions())
-    return IdealPresentation.from_terms(
-        names, [{mono.exponent_vector(ring): c
-                 for mono, c in g.term_map().items()} for g in polys],
-        provenance=provenance, jet_order=m)
+    names = tuple(variables) + tuple(f"{x}({j})" for x in variables
+                                     for j in range(1, m + 1))
+    return IdealPresentation.from_terms(names, polys, provenance=provenance,
+                                        jet_order=m)
 
 
 def laurent_polys(n):
-    """Nonzero Laurent polynomials in n base variables."""
-    ring = RingDescriptor(n, 0)
+    """Nonzero Laurent polynomials in n base variables, as {exponent tuple:
+    Fraction} maps."""
     exponents = st.tuples(*[st.integers(-2, 3)] * n).filter(
         lambda e: sum(map(abs, e)) <= 4)
     coeffs = st.builds(Fraction, st.integers(-3, 3).filter(bool),
                        st.integers(1, 3))
-    return st.dictionaries(exponents, coeffs, min_size=1, max_size=4).map(
-        lambda terms: JetPoly(ring, {JetMonomial(e): c
-                                     for e, c in terms.items()}))
+    return st.dictionaries(exponents, coeffs, min_size=1, max_size=4)
 
 
 @st.composite
@@ -92,16 +84,6 @@ def _in_columns(pres, variables):
         provenance=pres.provenance, jet_order=pres.jet_order)
 
 
-def integer_presentation(variables, system, m, provenance, localized=False,
-                         constraints=()):
-    """strata.jet_presentation of the same polynomials as exponent maps."""
-    def terms(f):
-        return {mono.base: c for mono, c in f.term_map().items()}
-    return jet_presentation(variables, [terms(f) for f in system], m,
-                            provenance, localized=localized,
-                            constraints=[terms(g) for g in constraints])
-
-
 def _outcome(build, case):
     variables, system, m, localized, constraints = case
     try:
@@ -113,13 +95,13 @@ def _outcome(build, case):
 
 @hypothesis.settings(max_examples=300, deadline=None)
 @hypothesis.given(systems())
-def test_integer_builder_matches_the_jetpoly_path(case):
+def test_integer_builder_matches_substitution(case):
     """Equal presentations, or the same UnlocalizedLaurentError when an
     unlocalized system is Laurent.  The reference keeps the (i, j) column
     order; the builder puts a localized system's inversion variable and its
     jets first, so the reference is compared in the builder's columns,
     variable by variable name."""
-    built = _outcome(integer_presentation, case)
+    built = _outcome(jet_presentation, case)
     reference = _outcome(reference_presentation, case)
     if isinstance(built, str) or isinstance(reference, str):
         assert built == reference
