@@ -23,6 +23,11 @@ n - dim J_m(X) / (m+1), the same number since d + c = n.  Every estimate
 is an upper bound (lct = n - max_m dim J_m / (m+1), Mustata 2002), so the
 row marked best for each l is the smallest.
 
+Every presentation is strata.stratum_jet_presentation(source, m) of a row
+source: the strata of a log chart, or an ordinary chart's whole variety,
+whose base (m = 0) dimensions come first, then the open part.  An
+ordinary chart's lct orders jet its whole variety.
+
 A row whose source is known to be empty is answered EMPTY without
 building its presentation: a stratum X_l whose base (order 0) dimension,
 computed once for the Assumption-1 check, is EMPTY, and the open part at
@@ -35,17 +40,16 @@ A REDUCIBLE witness is rechecked by counting points of its own
 presentation over F_p.
 """
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add
 
 from .dimension import EMPTY, Budgets, dimension_of, fp_dimension_estimate
 from .errors import CompleteIntersectionError, LogjetError, ResourceLimitError
 from .jets import derivative_chain  # noqa: F401  (patched by bench/tracing.py)
 from .parse import render
-from .strata import (base_presentation, check_assumption, jet_presentation,
-                     stratify, stratum_jet_presentation)
+from .strata import base_presentation  # noqa: F401  (a bench/tracing.py hook)
+from .strata import (check_assumption, open_part, stratify,
+                     stratum_jet_presentation, whole_chart)
 
 
 @dataclass(frozen=True)
@@ -162,84 +166,17 @@ class AnalysisReport:
                 "ASSUMPTION_FAIL": 20, "INCONCLUSIVE": 30}[self.verdict]
 
 
-# -- presentations used by the analyzer ---------------------------------------
+# -- presentations by their public names ---------------------------------------
 
 
 def ordinary_jet_presentation(chart, m):
-    """J_m of the chart equations in plain affine space."""
-    return jet_presentation(chart.variables, chart.equations, m,
-                            f"J_{m} of chart equations")
-
-
-def _det(matrix, n):
-    """Cofactor expansion along the first row of a matrix of {exponent
-    tuple: coefficient} maps in n variables; the 0 x 0 minor is 1."""
-    if not matrix:
-        return {(0,) * n: 1}
-    total = {}
-    for k, entry in enumerate(matrix[0]):
-        minor = _det([row[:k] + row[k + 1:] for row in matrix[1:]], n)
-        for a, ca in entry.items():
-            for b, cb in minor.items():
-                e = tuple(map(add, a, b))
-                total[e] = total.get(e, 0) + (-1) ** k * ca * cb
-    return {e: c for e, c in total.items() if c}
-
-
-def _partial(f, k):
-    """df/dx_k of an exponent map, Laurent exponents included."""
-    return {e[:k] + (e[k] - 1,) + e[k + 1:]: c * e[k]
-            for e, c in f.items() if e[k]}
-
-
-def _jacobian_minors(equations, n):
-    """All c x c minors of (df_i/dx_k) for c exponent maps over x_1..x_n,
-    as exponent maps."""
-    partials = [[_partial(f, k) for k in range(n)] for f in equations]
-    return [_det([[row[k] for k in cols] for row in partials], n)
-            for cols in itertools.combinations(range(n), len(equations))]
-
-
-@dataclass(frozen=True, eq=False)
-class _OpenPart:
-    """The pieces of the open row that do not depend on the order m: the
-    open stratum's base system (the chart itself for an ordinary chart,
-    the l = 0 stratum for a monoid chart) and the Jacobian minors.  An
-    analysis builds it once, from the strata it already has, before its
-    first row, and uses it at every order."""
-
-    variables: tuple
-    system: tuple
-    localized: bool
-    minors: tuple
-
-    @classmethod
-    def of(cls, chart, strata=()):
-        """strata is stratify(chart) when the caller has it; faces() sorts
-        the whole monoid, the l = 0 face, first.  A chart with no equation
-        has no open-part check, and raises here."""
-        if not chart.equations:
-            raise LogjetError("open-part check needs at least one equation")
-        minors = tuple(_jacobian_minors(chart.equations, chart.ambient_rank))
-        if chart.monoid is None:
-            return cls(chart.variables, chart.equations, False, minors)
-        stratum = (strata or stratify(chart))[0]
-        return cls(stratum.variables, stratum.equations, True, minors)
+    """J_m of the chart equations in affine space (strata.whole_chart)."""
+    return stratum_jet_presentation(whole_chart(chart), m)
 
 
 def open_part_jet_presentation(chart, m):
-    """Jets of X constrained over the singular locus of the open stratum.
-
-    The jet presentation of the open stratum plus the Jacobian minors as
-    base-only constraints.  The dimension is compared against d*(m+1) per
-    the local complete intersection theorem.  chart is a Chart, or the
-    _OpenPart an analysis built from one.
-    """
-    part = chart if isinstance(chart, _OpenPart) else _OpenPart.of(chart)
-    return jet_presentation(
-        part.variables, part.system, m,
-        f"J_{m} over singular locus of the open stratum",
-        localized=part.localized, constraints=part.minors)
+    """J_m of the open stratum over its singular locus (strata.open_part)."""
+    return stratum_jet_presentation(open_part(chart), m)
 
 
 # -- the analysis --------------------------------------------------------------
@@ -254,25 +191,24 @@ def estimate_lct(d, c, dim_jets, m):
 
 def _rows(chart, cfg, d, strata, empty):
     """(row, presentation) of every inequality row: per order m, one per
-    stratum of index l > 0 (an ordinary chart has none), then the open row.
+    stratum of index l > 0 (an ordinary chart's one source has l = 0),
+    then the open row.
 
-    A row source (a stratum, or the open part) in empty is known to be
-    empty, and gets an EMPTY row with no presentation built; a source whose
-    computed row is EMPTY joins empty for the higher orders.  See the
-    module docstring.
+    A row source in empty is known to be empty, and gets an EMPTY row with
+    no presentation built; a source whose computed row is EMPTY joins empty
+    for the higher orders.  See the module docstring.
     """
     empty = set(empty)
-    sources = [(s, s.index, s.face.generator_indices)
-               for s in strata if s.index]
-    sources.append((_OpenPart.of(chart, strata), 0, None))
+    sources = [(s, s.face.generator_indices) for s in strata if s.index]
+    sources.append((open_part(chart, strata), None))
     for m in range(1, cfg.max_order + 1):
-        for source, l, face in sources:
+        for source, face in sources:
+            l = source.index
             if source in empty:
                 yield InequalityRow(l, m, face, EMPTY, d * (m + 1),
                                     "EMPTY"), None
                 continue
-            pres = (open_part_jet_presentation(source, m) if face is None
-                    else stratum_jet_presentation(source, m))
+            pres = stratum_jet_presentation(source, m)
             row = _row(pres, l, m, face, d, cfg)
             if row.status == "EMPTY":
                 empty.add(source)
@@ -330,20 +266,13 @@ def analyze(chart, cfg=None):
     is_log = chart.monoid is not None
     n, c = chart.ambient_rank, chart.codim
 
-    if is_log:
-        strata = stratify(chart)
-        base_dims = {s: dimension_of(base_presentation(s),
-                                     budgets=cfg.budgets).dimension
-                     for s in strata}
-        assumption = check_assumption(chart, base_dims)
-        d = assumption.dim_x
-        empty = [s for s, dim in base_dims.items() if dim == EMPTY]
-    else:
-        strata, empty = (), []
-        assumption = None
-        d = (dimension_of(ordinary_jet_presentation(chart, 0),
-                          budgets=cfg.budgets).dimension
-             if chart.equations else n)
+    strata = stratify(chart) if is_log else (whole_chart(chart),)
+    base_dims = {s: dimension_of(stratum_jet_presentation(s, 0),
+                                 budgets=cfg.budgets).dimension
+                 for s in strata}
+    assumption = check_assumption(chart, base_dims) if is_log else None
+    d = assumption.dim_x if is_log else base_dims[strata[0]]
+    empty = [s for s, dim in base_dims.items() if dim == EMPTY]
 
     summary = {
         "ambient_rank": n,
@@ -391,7 +320,7 @@ def analyze(chart, cfg=None):
             for m in range(1, cfg.max_order + 1):
                 try:
                     lct_sources.append(("X", m, dimension_of(
-                        ordinary_jet_presentation(chart, m),
+                        stratum_jet_presentation(strata[0], m),
                         budgets=cfg.budgets).dimension))
                 except ResourceLimitError as exc:
                     notes.append(f"lct at order {m} skipped: {exc}")

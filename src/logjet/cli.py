@@ -3,8 +3,13 @@
 Commands:
     jets --order M [--log] FILE          print jet ideal generators
     strata FILE                          print stratum presentations
-    dim --order M [--stratum L] FILE
+    dim --order M [--stratum L] FILE     dim J_M of X, or of each X_L piece
     analyze --max-order M FILE
+
+dim without --stratum measures the chart's whole variety in A^n, its basis
+coordinates (strata.whole_chart): an ordinary chart, or a log chart whose
+monoid P is N*basis.  Any other log chart is refused (exit 1): Spec k[P]
+is not A^n in its basis coordinates, so measure it stratum by stratum.
 
 Polynomials print as parse.render writes them, in degrevlex order; jets
 names its columns x1(1) in ordinary mode and u[1,1] in log mode.
@@ -23,14 +28,14 @@ import argparse
 import json
 import sys
 
-from .analyzer import AnalysisConfig, analyze, ordinary_jet_presentation
+from .analyzer import AnalysisConfig, analyze
 from .chartfile import load_chart
 from .dimension import dimension_of
-from .errors import LogjetError
+from .errors import LogjetError, ModeMismatchError
 from .jets import LOG, ORDINARY, jet_ideal
 from .parse import render
 from .report import emit_report
-from .strata import stratify, stratum_jet_presentation
+from .strata import stratify, stratum_jet_presentation, whole_chart
 
 
 class _Parser(argparse.ArgumentParser):
@@ -114,23 +119,23 @@ def _cmd_strata(args):
 
 def _cmd_dim(args):
     chart, opts = load_chart(args.file)
-    results = []
     if args.stratum is None:
-        pres = ordinary_jet_presentation(chart, args.order)
-        res = dimension_of(pres, opts.budgets)
-        results.append(("X", res))
+        try:
+            sources = [("X", whole_chart(chart))]
+        except ModeMismatchError as exc:
+            raise LogjetError(
+                f"{exc}; measure one stratum with --stratum L") from exc
     else:
         found = [s for s in stratify(chart) if s.index == args.stratum]
         if not found:
             raise LogjetError(f"no stratum with index {args.stratum}")
-        for s in found:
-            pres = stratum_jet_presentation(s, args.order)
-            res = dimension_of(pres, opts.budgets)
-            results.append((f"l={s.index} face "
-                            f"{s.face.generator_indices}", res))
+        sources = [(f"l={s.index} face {s.face.generator_indices}", s)
+                   for s in found]
     lines = []
     payload = []
-    for label, res in results:
+    for label, source in sources:
+        res = dimension_of(stratum_jet_presentation(source, args.order),
+                           opts.budgets)
         lines.append(f"{label}: dim = {res.dimension}")
         if args.verbose and res.certificate is not None:
             lines.append(f"  certificate: {res.certificate}")

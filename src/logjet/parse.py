@@ -12,14 +12,19 @@ tuple: Fraction} map with no zero coefficient, the one format of the
 engine from the chart to the report; exponents may be negative
 (Laurent).  parse_poly reads text into a map, render writes a map back
 in degrevlex order, and parse_poly(render(f, ("x1", ..., "xn")), n) == f.
+Expanding products and powers is budgeted: a product of more than
+MAX_POLY_TERMS terms raises ResourceLimitError.
 """
 
 from fractions import Fraction
 from operator import add
 
-from .errors import ExpressionSyntaxError
+from .errors import ExpressionSyntaxError, ResourceLimitError
 
 _OPS = set("+-*/^()")
+# Terms a product may hold while an expression is expanded: x^k expands by
+# repeated squaring, and (x1 + x2 + x3 + 1)^k has binomial(k + 3, 3) terms.
+MAX_POLY_TERMS = 2500
 
 
 class _Token:
@@ -90,6 +95,10 @@ def _mul(f, g):
                 out[e] = s
             else:
                 out.pop(e, None)
+        if len(out) > MAX_POLY_TERMS:
+            raise ResourceLimitError(
+                f"expanding a product reached {len(out)} terms, over the "
+                f"limit of {MAX_POLY_TERMS}")
     return out
 
 

@@ -1,5 +1,5 @@
-"""Stratification of a chart by torus orbits, and the one jet-presentation
-builder.
+"""Row sources: the strata of a chart by torus orbits, the open part and
+an ordinary chart's whole variety, and the one jet-presentation builder.
 
 Each face F of the chart monoid yields a locally closed stratum X_l: the
 points where exactly the monomials with exponent in F are invertible.  Its
@@ -25,12 +25,16 @@ generate it) and the same reduced Groebner basis, with fewer S-pairs.
 Generators keep their order, so a chart with nothing to drop (N^n) gets
 the same presentations as before.
 
+Every row has one source, a StratumPresentation: a stratum; whole_chart,
+an ordinary chart's whole variety (no face, no w); or open_part, the open
+stratum plus the Jacobian minors as constraints.  stratum_jet_presentation
+builds the jets of each, its base system at m = 0.
+
 Every jet presentation comes from one builder, jet_presentation.  It jets
 every polynomial of a base system with the ordinary derivation, the
 localization included, so w and its jets are fixed by the jetted
-localization, the same for strata and for the open row.  Base-only
-constraints are added without jetting: the open row is the l = 0 stratum's
-presentation plus the Jacobian minors (analyzer.open_part_jet_presentation).
+localization, the same for strata and for the open row.  Constraints are
+added without jetting.
 
 A localized presentation lists the jets of w first, highest order first
 (w(m), ..., w(1), w), then the coordinates and their jets.  w * chi^{p_F}
@@ -47,34 +51,39 @@ into integer coefficients on exponent tuples, cleared of denominators and
 then derives those tuples, with no Fraction.
 """
 
+import itertools
 import math
-from dataclasses import dataclass
-from operator import le
+from dataclasses import dataclass, replace
+from operator import add, le
 
 from .dimension import EMPTY, IdealPresentation
-from .errors import ModeMismatchError
+from .errors import LogjetError, ModeMismatchError
 from .jets import derivative_chain
 
 
 @dataclass(frozen=True, eq=False)
 class StratumPresentation:
-    """Closed presentation of one stratum piece (one face of the monoid).
+    """One row source: a stratum piece (one face of the monoid), or with
+    face None a whole variety in A^n (x_1..x_n, not localized, no w).
 
-    Variables are the chart coordinates x_1..x_n plus the inverse variable
-    w, stored as the last base variable n+1, where jet_presentation looks
-    for a localized system's inversion variable: its jet presentations
-    list w(m), ..., w(1), w before the coordinates.  equations are
-    {exponent tuple over x_1..x_n, w: coefficient} maps: the chart
-    equations, the minimal off-face monomials and the localization.  They
-    may be Laurent; jet_presentation clears them, which the w-equation
-    makes legitimate.  Equality and hashing are by identity: the analyzer
-    keys its maps by the stratum objects of one stratify call.
+    For a face, variables are the chart coordinates x_1..x_n plus the
+    inverse variable w, stored as the last base variable n+1, where
+    jet_presentation looks for a localized system's inversion variable:
+    its jet presentations list w(m), ..., w(1), w before the coordinates.
+    equations are {exponent tuple over x_1..x_n, w: coefficient} maps: the
+    chart equations, the minimal off-face monomials and the localization.
+    They may be Laurent; jet_presentation clears them, which the
+    w-equation makes legitimate.  constraints are polynomials over
+    x_1..x_n added unjetted (the open part's Jacobian minors).  Equality
+    and hashing are by identity: the analyzer keys its maps by the source
+    objects it builds.
     """
 
     face: object
     index: int
     variables: tuple
     equations: tuple
+    constraints: tuple = ()
 
 
 def _minimal(off_face, cleared):
@@ -194,25 +203,85 @@ def jet_presentation(variables, system, m, provenance, localized=False,
         jet_order=m)
 
 
-def base_presentation(stratum):
-    """The stratum itself (jet order 0) as dimension-engine input."""
-    return jet_presentation(
-        stratum.variables, stratum.equations, 0,
-        f"stratum l={stratum.index} {stratum.face.generator_indices}",
-        localized=True)
+def whole_chart(chart):
+    """The chart's whole variety in A^n, its basis coordinates, as a
+    source: an ordinary chart, or a log chart whose monoid P is N*basis
+    (no generator has a negative basis exponent).  Any other log chart is
+    no subscheme of A^n and raises ModeMismatchError."""
+    if chart.monoid is not None:
+        for g in chart.monoid.generators:
+            e = chart.exponents_of(g)
+            if min(e) < 0:
+                raise ModeMismatchError(
+                    f"monoid generator {g} has basis exponents {e}, so the "
+                    "chart is not a subscheme of affine space in its basis "
+                    "coordinates")
+    return StratumPresentation(None, 0, chart.variables, chart.equations)
+
+
+def _det(matrix, n):
+    """Cofactor expansion along the first row of a matrix of {exponent
+    tuple: coefficient} maps in n variables; the 0 x 0 minor is 1."""
+    if not matrix:
+        return {(0,) * n: 1}
+    total = {}
+    for k, entry in enumerate(matrix[0]):
+        minor = _det([row[:k] + row[k + 1:] for row in matrix[1:]], n)
+        for a, ca in entry.items():
+            for b, cb in minor.items():
+                e = tuple(map(add, a, b))
+                total[e] = total.get(e, 0) + (-1) ** k * ca * cb
+    return {e: c for e, c in total.items() if c}
+
+
+def _partial(f, k):
+    """df/dx_k of an exponent map, Laurent exponents included."""
+    return {e[:k] + (e[k] - 1,) + e[k + 1:]: c * e[k]
+            for e, c in f.items() if e[k]}
+
+
+def _jacobian_minors(equations, n):
+    """All c x c minors of (df_i/dx_k) for c exponent maps over x_1..x_n,
+    as exponent maps."""
+    partials = [[_partial(f, k) for k in range(n)] for f in equations]
+    return [_det([[row[k] for k in cols] for row in partials], n)
+            for cols in itertools.combinations(range(n), len(equations))]
+
+
+def open_part(chart, strata=()):
+    """The open row's source: the open stratum strata[0] with the Jacobian
+    minors of the chart equations as constraints, so its jets lie over the
+    singular locus.  strata is stratify(chart), whose faces() put the
+    whole monoid first, or (whole_chart(chart),); built when not given.  A
+    chart with no equation has no open-part check, and raises here."""
+    if not chart.equations:
+        raise LogjetError("open-part check needs at least one equation")
+    if not strata:
+        strata = (stratify(chart) if chart.monoid is not None
+                  else (whole_chart(chart),))
+    return replace(strata[0], constraints=tuple(
+        _jacobian_minors(chart.equations, chart.ambient_rank)))
 
 
 def stratum_jet_presentation(stratum, m):
-    """Ordinary jet ideal of the stratum presentation, for dim J_m(X_l).
+    """J_m of a source as dimension-engine input, m = 0 its base system.
 
-    The jetted localization fixes the jets of w, so the dimension is that
-    of the jets of the locally closed stratum X_l.
+    A stratum's jetted localization fixes the jets of w, so the dimension
+    is that of the jets of the locally closed stratum X_l.
     """
-    return jet_presentation(
-        stratum.variables, stratum.equations, m,
-        f"J_{m} of stratum l={stratum.index} "
-        f"{stratum.face.generator_indices}",
-        localized=True)
+    where = ("over singular locus of the open stratum" if stratum.constraints
+             else "of chart equations" if stratum.face is None
+             else f"of stratum l={stratum.index} "
+                  f"{stratum.face.generator_indices}")
+    return jet_presentation(stratum.variables, stratum.equations, m,
+                            f"J_{m} {where}",
+                            localized=stratum.face is not None,
+                            constraints=stratum.constraints)
+
+
+def base_presentation(stratum):
+    """The stratum itself (jet order 0) as dimension-engine input."""
+    return stratum_jet_presentation(stratum, 0)
 
 
 @dataclass(frozen=True)

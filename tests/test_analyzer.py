@@ -3,9 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from logjet import (EMPTY, AffineMonoid, AnalysisConfig, Chart, analyze,
-                    dimension_of, emit_report, load_chart)
-from logjet import analyzer, dimension
+from logjet import (EMPTY, AffineMonoid, AnalysisConfig, Budgets, Chart,
+                    analyze, dimension_of, emit_report, load_chart)
+from logjet import analyzer, dimension, strata
 from logjet.analyzer import open_part_jet_presentation
 from logjet.errors import LogjetError
 from logjet.strata import stratify, stratum_jet_presentation
@@ -32,6 +32,29 @@ def test_log_open_row_matches_ordinary_chart(a1_charts):
             open_part_jet_presentation(ordinary, m)).dimension == expected
         assert dimension_of(
             open_part_jet_presentation(log, m)).dimension == expected
+
+
+@pytest.mark.parametrize("mode, source, text", [
+    ("log", (0, 1), "8 variables exceeds the Groebner bound 7 "
+                    "(J_1 of stratum l=1 (0, 1))"),
+    ("log", None, "8 variables exceeds the Groebner bound 7 "
+                  "(J_1 over singular locus of the open stratum)"),
+    ("ordinary", None, "6 variables exceeds the Groebner bound 5 "
+                       "(J_1 over singular locus of the open stratum)"),
+    ("ordinary", "lct", "lct at order 1 skipped: 6 variables exceeds the "
+                        "Groebner bound 5 (J_1 of chart equations)"),
+], ids=["stratum", "log_open", "ordinary_open", "lct_note"])
+def test_a_budget_error_names_its_row_source(a1_charts, mode, source, text):
+    """Every row source has one provenance, which a tripped budget quotes:
+    with the variable bound one below the order-1 presentations (w and
+    its jet make the log ones 8 variables, the ordinary ones have 6), each
+    row is UNKNOWN with its source's text, and so is the lct note."""
+    chart = a1_charts[0] if mode == "log" else a1_charts[1]
+    budgets = Budgets(max_groebner_vars=7 if mode == "log" else 5)
+    report = analyze(chart, AnalysisConfig(max_order=1, budgets=budgets))
+    texts = {r.face: r.error for r in report.rows}
+    texts["lct"] = "\n".join(report.notes)
+    assert texts[source] == text
 
 
 def test_du_val_point_in_torus_has_no_obstruction(a1_charts):
@@ -115,21 +138,25 @@ def test_empty_sources_are_answered_past_the_variable_cap(name, empty_rows):
 
 
 def _recording(monkeypatch):
-    """Patch the analyzer's two row builders to record (source, m)."""
+    """Patch the analyzer's presentation builder to record (source, m) of
+    every presentation it builds at m >= 1, the base presentations (m = 0)
+    being no rows.  The source is "open" for the open row's, the one with
+    constraints, "X" for an ordinary chart's lct order, else the face."""
     built = []
-    stratum_pres = analyzer.stratum_jet_presentation
-    open_pres = analyzer.open_part_jet_presentation
+    build = analyzer.stratum_jet_presentation
 
-    def stratum(s, m):
-        built.append((s.face.generator_indices, m))
-        return stratum_pres(s, m)
+    def recording(source, m):
+        if source.constraints:
+            key = "open"
+        elif source.face is None:
+            key = "X"
+        else:
+            key = source.face.generator_indices
+        if m:
+            built.append((key, m))
+        return build(source, m)
 
-    def open_part(chart, m):
-        built.append(("open", m))
-        return open_pres(chart, m)
-
-    monkeypatch.setattr(analyzer, "stratum_jet_presentation", stratum)
-    monkeypatch.setattr(analyzer, "open_part_jet_presentation", open_part)
+    monkeypatch.setattr(analyzer, "stratum_jet_presentation", recording)
     return built
 
 
@@ -152,13 +179,13 @@ def test_rows_answered_without_a_build_are_empty(monkeypatch, name):
     built = _recording(monkeypatch)
     chart, report = _analyzed(name, 2 if "n5" not in name else 1)
     monkeypatch.undo()
-    strata = {s.face.generator_indices: s
-              for s in stratify(chart)} if chart.monoid else {}
+    by_face = {s.face.generator_indices: s
+               for s in stratify(chart)} if chart.monoid else {}
     for r in report.rows:
         if r.status == "UNKNOWN":       # a budget tripped on a built row
             continue
         if r.kind == "stratum":
-            s = strata[r.face]
+            s = by_face[r.face]
             if (r.face, r.m) in built:
                 continue
             pres = stratum_jet_presentation(s, r.m)
@@ -173,19 +200,19 @@ def test_rows_answered_without_a_build_are_empty(monkeypatch, name):
 def test_the_empty_minor_is_one():
     """The 0 x 0 determinant is 1: no equation (c = 0) gives the single
     Jacobian minor 1."""
-    assert analyzer._jacobian_minors([], 2) == [{(0, 0): 1}]
+    assert strata._jacobian_minors([], 2) == [{(0, 0): 1}]
 
 
 def test_a_chart_with_no_equation_raises_before_any_row(monkeypatch):
-    """A chart with no equation has no open-part check.  _OpenPart.of
-    raises, and analyze builds it before its first row, so cone2_bare
-    makes one Groebner run per face, for the base dimensions, and none
-    for a row."""
+    """A chart with no equation has no open-part check.  strata.open_part
+    raises, and analyze builds the open source before its first row, so
+    cone2_bare makes one Groebner run per face, for the base dimensions,
+    and none for a row."""
     message = "^open-part check needs at least one equation$"
     bare = Chart.build(monoid=AffineMonoid(2, [(1, 0), (0, 1)]),
                        equations=[])
     with pytest.raises(LogjetError, match=message):
-        analyzer._OpenPart.of(bare)
+        strata.open_part(bare)
     with pytest.raises(LogjetError, match=message):
         open_part_jet_presentation(bare, 1)
 

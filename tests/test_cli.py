@@ -145,6 +145,44 @@ def test_dim_of_one_stratum(chart_file, capsys):
         "l=1 face (2,): dim = EMPTY\n")
 
 
+@pytest.mark.parametrize("generators, equation", [
+    ([[1, 0], [1, 1], [1, 2]], "x1"),
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, -1]], "x1*x2*x3^-1 - 2"),
+], ids=["double_line", "t_conifold"])
+def test_dim_refuses_a_log_chart_that_is_not_affine_space(
+        chart_file, capsys, generators, equation):
+    """Without --stratum, dim jets the equations in A^n with the basis
+    coordinates, which is Spec k[P] only when P = N*basis.  x1 on the cone
+    <(1,0),(1,1),(1,2)> is Spec k[t,v]/(t^2), whose J_1 has dimension 3,
+    not the 2 of x1 = 0 in A^2; on the conifold, t = x1*x2*x3^-1 is
+    Laurent in the basis coordinates.  Both are refused, naming
+    --stratum."""
+    doc = {"format": "logjet-chart/1", "ambient_rank": len(generators[0]),
+           "monoid_generators": generators, "equations": [equation]}
+    assert main(["dim", "--order", "1", chart_file(doc)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("logjet: error: monoid generator ")
+    assert captured.err.endswith(
+        "; measure one stratum with --stratum L\n")
+
+
+@pytest.mark.parametrize("fmt, out", [
+    ("table", "X: dim = 4\n  certificate: ('x2', 'x3', 'x2(1)', 'x3(1)')\n"),
+    ("json", {"schema": "logjet-dim/1", "order": 1,
+              "lines": ["X: dim = 4",
+                        "  certificate: ('x2', 'x3', 'x2(1)', 'x3(1)')"],
+              "results": [{"stratum": "X", "dimension": 4}]}),
+])
+def test_dim_of_a_log_chart_on_n3_is_its_affine_chart(capsys, fmt, out):
+    """N^3 is N*basis, so Spec k[P] is A^3 and dim measures X there."""
+    chart = BENCH_CHARTS / "n3_hyperplane.json"
+    assert main(["--format", fmt, "--verbose", "dim", "--order", "1",
+                 str(chart)]) == 0
+    printed = capsys.readouterr().out
+    assert (json.loads(printed) if fmt == "json" else printed) == out
+
+
 def test_dim_json(chart_file, capsys):
     assert main(["--format", "json", "dim", "--order", "1",
                  chart_file(CUSP)]) == 0

@@ -37,21 +37,18 @@ def _restored(chart, stratum):
 
 
 def _built(chart, max_order, budgets):
-    """(stratum, m) of every stratum presentation analyze builds."""
+    """(stratum, m) of every stratum presentation analyze builds, its base
+    presentations (m = 0) included; the open row's source, the one with
+    constraints, is no stratum."""
     built = []
-    base = analyzer.base_presentation
     jets = analyzer.stratum_jet_presentation
 
-    def base_recording(stratum):
-        built.append((stratum, 0))
-        return base(stratum)
-
     def jets_recording(stratum, m):
-        built.append((stratum, m))
+        if not stratum.constraints:
+            built.append((stratum, m))
         return jets(stratum, m)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(analyzer, "base_presentation", base_recording)
         patch.setattr(analyzer, "stratum_jet_presentation", jets_recording)
         try:
             analyze(chart, AnalysisConfig(max_order=max_order,

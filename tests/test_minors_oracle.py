@@ -1,6 +1,6 @@
 """The Jacobian minors on exponent maps against sympy.
 
-analyzer._jacobian_minors differentiates {exponent tuple: coefficient}
+strata._jacobian_minors differentiates {exponent tuple: coefficient}
 maps and expands each c x c determinant by cofactors.  sympy here builds
 the same Laurent polynomials as expressions, differentiates them and takes
 Matrix.det, sharing none of that code.  Random systems have n <= 3
@@ -16,7 +16,7 @@ sympy = pytest.importorskip("sympy")
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from logjet import analyzer  # noqa: E402
+from logjet import strata  # noqa: E402
 
 
 def _expr(terms, xs):
@@ -51,7 +51,7 @@ def systems(draw):
 @hypothesis.given(systems())
 def test_minors_match_sympy(case):
     equations, n = case
-    minors = analyzer._jacobian_minors(equations, n)
+    minors = strata._jacobian_minors(equations, n)
     xs, expected = sympy_minors(equations, n)
     assert len(minors) == len(expected)
     for minor, det in zip(minors, expected):
@@ -62,5 +62,5 @@ def test_minors_match_sympy(case):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_the_empty_system_has_the_minor_one(n):
-    assert analyzer._jacobian_minors([], n) == [{(0,) * n: 1}]
+    assert strata._jacobian_minors([], n) == [{(0,) * n: 1}]
     assert sympy_minors([], n)[1] == [1]

@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from logjet.errors import ExpressionSyntaxError
-from logjet.parse import parse_poly, render
+from logjet.errors import ExpressionSyntaxError, ResourceLimitError
+from logjet.parse import MAX_POLY_TERMS, parse_poly, render
 
 XS = ("x1", "x2")
 
@@ -126,3 +126,16 @@ def test_round_trip_of_random_laurent_maps():
         assert parse_poly(render(f, names), n) == f
 
     round_trip()
+
+
+def test_a_large_power_parses():
+    """(x1 + x2 + x3 + 1)^20 has binomial(23, 3) = 1771 terms."""
+    assert len(parse_poly("(x1 + x2 + x3 + 1)^20", 3)) == 1771 < MAX_POLY_TERMS
+
+
+def test_expansion_past_the_term_limit_is_refused():
+    """^80 would have binomial(83, 3) = 91881 terms; the product that
+    first holds more than MAX_POLY_TERMS raises, so this is quick."""
+    with pytest.raises(ResourceLimitError) as err:
+        parse_poly("(x1 + x2 + x3 + 1)^80", 3)
+    assert str(MAX_POLY_TERMS) in str(err.value)
