@@ -32,6 +32,7 @@ from operator import add as _add, le as _le, sub as _sub
 
 from .errors import (PrimeTooSmallError, ResourceLimitError,
                      TooManyVariablesError, UnlocalizedLaurentError)
+from .jets import degrevlex
 
 DEFAULT_PRIMES = (101, 103, 107)
 
@@ -73,8 +74,8 @@ class IdealPresentation:
         int or a Fraction).  It is stored in its primitive integer form (no
         denominators, content 1, positive leading coefficient); zero
         generators are dropped.  Laurent input must be cleared by the
-        caller (strata.jet_presentation does it against the inverted
-        locus): a negative exponent raises UnlocalizedLaurentError.
+        caller (strata.stratum_jet_presentation does it against the
+        inverted locus): a negative exponent raises UnlocalizedLaurentError.
         """
         variables = tuple(variables)
         gens = []
@@ -100,16 +101,11 @@ class IdealPresentation:
 # -- internal integer polynomials --------------------------------------------
 #
 # A polynomial is a dict exponent-tuple -> int, content-free with positive
-# leading coefficient.  Degrevlex order key: (total degree, reversed negated
-# exponents), so bigger key = bigger monomial.  Every polynomial
+# leading coefficient, ordered by jets.degrevlex.  Every polynomial
 # _normal_form returns is lead-first: it moves terms to its result in
 # descending order, so _normalize reads the sign from the first term.  Only
 # from_terms (once per generator) and _Reductor (once per basis element)
 # search for a lead.
-
-
-def _key(mono):
-    return (sum(mono), tuple(-e for e in reversed(mono)))
 
 
 def _support_mask(mono):
@@ -121,7 +117,7 @@ def _support_mask(mono):
 
 
 def _lead(terms):
-    return max(terms, key=_key)
+    return max(terms, key=degrevlex)
 
 
 def _normalize(terms):
@@ -278,7 +274,7 @@ def _alive(index):
     order of their leads."""
     return sorted((t for t in range(len(index.elements))
                    if index.alive >> t & 1),
-                  key=lambda t: _key(index.elements[t].lead))
+                  key=lambda t: degrevlex(index.elements[t].lead))
 
 
 def _reduced_basis(index):
@@ -390,7 +386,7 @@ def groebner_basis(pres, budgets=None):
             if deg == elements[g].degree + new.degree:
                 continue  # coprime leads
             pairs[(g, t)] = lcm_g
-            heapq.heappush(heap, (_key(lcm_g), g, t))
+            heapq.heappush(heap, (degrevlex(lcm_g), g, t))
 
     for gen in pres.generators:
         add_element(_Reductor(dict(gen)))

@@ -12,19 +12,17 @@ tuple: Fraction} map with no zero coefficient, the one format of the
 engine from the chart to the report; exponents may be negative
 (Laurent).  parse_poly reads text into a map, render writes a map back
 in degrevlex order, and parse_poly(render(f, ("x1", ..., "xn")), n) == f.
-Expanding products and powers is budgeted: a product of more than
-MAX_POLY_TERMS terms raises ResourceLimitError.
+The arithmetic is that of jets.py, whose products are budgeted: one of
+more than jets.MAX_PRODUCT_WORK coefficient products raises
+ResourceLimitError.
 """
 
 from fractions import Fraction
-from operator import add
 
-from .errors import ExpressionSyntaxError, ResourceLimitError
+from .errors import ExpressionSyntaxError
+from .jets import degrevlex, poly_add, poly_mul, poly_pow
 
 _OPS = set("+-*/^()")
-# Terms a product may hold while an expression is expanded: x^k expands by
-# repeated squaring, and (x1 + x2 + x3 + 1)^k has binomial(k + 3, 3) terms.
-MAX_POLY_TERMS = 2500
 
 
 class _Token:
@@ -71,48 +69,6 @@ def _tokenize(text):
     return tokens
 
 
-# -- arithmetic on {exponent tuple: Fraction} maps ---------------------------
-
-
-def _add(f, g, sign=1):
-    out = dict(f)
-    for e, c in g.items():
-        s = out.get(e, 0) + sign * c
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
-    return out
-
-
-def _mul(f, g):
-    out = {}
-    for a, ca in f.items():
-        for b, cb in g.items():
-            e = tuple(map(add, a, b))
-            s = out.get(e, 0) + ca * cb
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        if len(out) > MAX_POLY_TERMS:
-            raise ResourceLimitError(
-                f"expanding a product reached {len(out)} terms, over the "
-                f"limit of {MAX_POLY_TERMS}")
-    return out
-
-
-def _pow(f, k, n):
-    result = {(0,) * n: Fraction(1)}
-    while k:
-        if k & 1:
-            result = _mul(result, f)
-        k >>= 1
-        if k:
-            f = _mul(f, f)
-    return result
-
-
 class _Parser:
     def __init__(self, text, n):
         self.n = n
@@ -151,17 +107,17 @@ class _Parser:
         if self.peek().kind in ("+", "-"):
             if self.advance().kind == "-":
                 sign = -1
-        poly = _add({}, self.term(), sign)
+        poly = poly_add({}, self.term(), sign)
         while self.peek().kind in ("+", "-"):
             op = self.advance().kind
-            poly = _add(poly, self.term(), 1 if op == "+" else -1)
+            poly = poly_add(poly, self.term(), 1 if op == "+" else -1)
         return poly
 
     def term(self):
         poly = self.factor()
         while self.peek().kind == "*":
             self.advance()
-            poly = _mul(poly, self.factor())
+            poly = poly_mul(poly, self.factor())
         return poly
 
     def factor(self):
@@ -171,12 +127,12 @@ class _Parser:
         self.advance()
         expo = self.signed_int()
         if expo >= 0:
-            return _pow(atom, expo, self.n)
+            return poly_pow(atom, expo, self.n)
         # negative power: single-term monomials and nonzero rationals only
         if len(atom) != 1:
             self.fail("negative exponent on a non-monomial")
         ((mono, coeff),) = atom.items()
-        return _pow({tuple(-a for a in mono): 1 / coeff}, -expo, self.n)
+        return poly_pow({tuple(-a for a in mono): 1 / coeff}, -expo, self.n)
 
     def signed_int(self):
         sign = 1
@@ -220,13 +176,6 @@ def parse_poly(text, n):
     return _Parser(text, n).parse()
 
 
-def _degrevlex(term):
-    """Sort key of a (exponent tuple, coefficient) term: larger key =
-    larger monomial in degrevlex."""
-    vec = term[0]
-    return sum(vec), tuple(-e for e in reversed(vec))
-
-
 def render(terms, names):
     """The canonical text of an {exponent tuple: coefficient} map whose
     column k is the variable names[k], one name per column (ValueError
@@ -237,7 +186,8 @@ def render(terms, names):
     if not terms:
         return "0"
     parts = []
-    for vec, coeff in sorted(terms.items(), key=_degrevlex, reverse=True):
+    for vec in sorted(terms, key=degrevlex, reverse=True):
+        coeff = terms[vec]
         mag = -coeff if coeff < 0 else coeff
         factors = [name + (f"^{a}" if a != 1 else "")
                    for name, a in zip(names, vec, strict=True) if a]

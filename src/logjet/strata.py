@@ -17,66 +17,51 @@ monoid may acquire negative exponents there.  Base systems are
 equations in, so every face shares the chart's equations as they are;
 the exponents of the monoid generators are solved for once per chart.
 
-Of the chi^g only the minimal ones are kept.  jet_presentation clears the
-monomial chi^g, exponent e, to x^{e+} with e+ = max(e, 0), so a chi^g whose
-e+ another one's divides lies in the ideal of that one: dropping it leaves
-the same ideal, hence the same jet ideal (the jets of any generating set
-generate it) and the same reduced Groebner basis, with fewer S-pairs.
-Generators keep their order, so a chart with nothing to drop (N^n) gets
-the same presentations as before.
+Of the chi^g only the minimal ones are kept.  A stratum's presentation
+clears the monomial chi^g, exponent e, to x^{e+} with e+ = max(e, 0), so
+a chi^g whose e+ another one's divides lies in the ideal of that one:
+dropping it leaves the same ideal, hence the same jet ideal (the jets of
+any generating set generate it) and the same reduced Groebner basis, with
+fewer S-pairs.  Generators keep their order, so a chart with nothing to
+drop (N^n) gets the same presentations as before.
 
 Every row has one source, a StratumPresentation: a stratum; whole_chart,
 an ordinary chart's whole variety (no face, no w); or open_part, the open
 stratum plus the Jacobian minors as constraints.  stratum_jet_presentation
-builds the jets of each, its base system at m = 0.
-
-Every jet presentation comes from one builder, jet_presentation.  It jets
-every polynomial of a base system with the ordinary derivation, the
+builds the jets of each, its base system at m = 0, in the columns of
+jets.JetLayout, with w as the inversion variable of a stratum.  It jets
+every polynomial of the base system with the ordinary derivation, the
 localization included, so w and its jets are fixed by the jetted
-localization, the same for strata and for the open row.  Constraints are
-added without jetting.
-
-A localized presentation lists the jets of w first, highest order first
-(w(m), ..., w(1), w), then the coordinates and their jets.  w * chi^{p_F}
-= 1 and its derivatives determine each w(j) by the coordinates, so with
-w(m) leading degrevlex, Buchberger eliminates w before it works on the
-coordinates: fewer S-pairs for the same dimension, which does not depend
-on the order of the variables.  Ordinary presentations have no w and keep
-the (i, j) order.
-
-jet_presentation is also where Laurent polynomials are cleared, against
-the inverted locus and before jetting: each base polynomial is turned once
-into integer coefficients on exponent tuples, cleared of denominators and
-(for a localized system) of negative exponents, and jets.derivative_chain
-then derives those tuples, with no Fraction.
+localization, the same for strata and for the open row; constraints are
+added without jetting.  It is also the one place that clears Laurent
+polynomials, on integer exponent tuples, with no Fraction.
 """
 
 import itertools
 import math
 from dataclasses import dataclass, replace
-from operator import add, le
+from operator import le
 
 from .dimension import EMPTY, IdealPresentation
 from .errors import LogjetError, ModeMismatchError
-from .jets import derivative_chain
+from .jets import JetLayout, derivative_chain, poly_add, poly_mul, poly_partial
 
 
 @dataclass(frozen=True, eq=False)
 class StratumPresentation:
     """One row source: a stratum piece (one face of the monoid), or with
-    face None a whole variety in A^n (x_1..x_n, not localized, no w).
+    face None a whole variety in A^n (x_1..x_n, no w).
 
     For a face, variables are the chart coordinates x_1..x_n plus the
-    inverse variable w, stored as the last base variable n+1, where
-    jet_presentation looks for a localized system's inversion variable:
-    its jet presentations list w(m), ..., w(1), w before the coordinates.
-    equations are {exponent tuple over x_1..x_n, w: coefficient} maps: the
-    chart equations, the minimal off-face monomials and the localization.
-    They may be Laurent; jet_presentation clears them, which the
-    w-equation makes legitimate.  constraints are polynomials over
-    x_1..x_n added unjetted (the open part's Jacobian minors).  Equality
-    and hashing are by identity: the analyzer keys its maps by the source
-    objects it builds.
+    inverse variable w, stored as the last base variable n+1, the
+    inversion variable of jets.JetLayout: its jet presentations list w(m),
+    ..., w(1), w before the coordinates.  equations are {exponent tuple
+    over x_1..x_n, w: coefficient} maps: the chart equations, the minimal
+    off-face monomials and the localization.  They may be Laurent;
+    stratum_jet_presentation clears them, which the w-equation makes
+    legitimate.  constraints are polynomials over x_1..x_n added unjetted
+    (the open part's Jacobian minors).  Equality and hashing are by
+    identity: the analyzer keys its maps by the source objects it builds.
     """
 
     face: object
@@ -128,79 +113,21 @@ def stratify(chart):
     return tuple(strata)
 
 
-def _integer_terms(f, columns, width, localized):
-    """The base polynomial f, an {exponent tuple: coefficient} map, as
-    {exponent vector of width: int}, base variable k at columns[k], a
-    positive integer multiple of f; when localized, also times the
+def _integer_terms(f, layout, clear):
+    """The base polynomial f, an {exponent tuple: coefficient} map over the
+    leading base variables of layout, in its columns, as {exponent tuple:
+    int}, a positive integer multiple of f; with clear, also times the
     smallest monomial that makes its exponents nonnegative."""
     denom = math.lcm(*(c.denominator for c in f.values()))
-    low = ([min(0, *column) for column in zip(*f)] if localized
-           else [0] * len(columns))
+    low = ([min(0, *column) for column in zip(*f)] if clear
+           else [0] * len(layout.base))
     out = {}
     for exps, c in f.items():
-        vec = [0] * width
-        for col, e, lo in zip(columns, exps, low):
+        vec = [0] * len(layout.order)
+        for col, e, lo in zip(layout.base, exps, low):
             vec[col] = e - lo
         out[tuple(vec)] = c.numerator * (denom // c.denominator)
     return out
-
-
-def _jet_names(base_names, layout):
-    """The name of each (base variable k, jet order j) column of a jet
-    presentation: the base name at j = 0, else name(j).  The layout lists
-    a localized system's inversion variable first, as w(m), ..., w(1), w,
-    then the other base variables, then their jets x_k(j) ordered by
-    (k, j); an ordinary system has no w, and its order is the one
-    jets.jet_ideal lays its chains out in."""
-    return tuple(base_names[k] if j == 0 else f"{base_names[k]}({j})"
-                 for k, j in layout)
-
-
-def jet_presentation(variables, system, m, provenance, localized=False,
-                     constraints=()):
-    """J_m of a base system as dimension-engine input.
-
-    Every polynomial of system, written in the given base variables, is
-    jetted with the ordinary derivation up to order m; every polynomial of
-    constraints, in the same or a leading subset of them, is added as it
-    is.  The last base variable of a localized system is its inversion
-    variable w, and the presentation's variables are w(m), ..., w(1), w,
-    then the other base variables, then their jets x_i(j) ordered by
-    (i, j); an ordinary system's are its base variables followed by their
-    jets in (i, j) order.  Degrevlex then leads with the jets of w, which
-    the jetted localization determines, so Buchberger eliminates them
-    before the coordinates (see the module docstring).  The names, the
-    derivation's moves and the columns of the base exponents all come from
-    that one layout.  A localized system may be Laurent: every system
-    polynomial (at every m, m = 0 included) and every constraint is cleared
-    here, once, by the smallest monomial that makes its exponents
-    nonnegative; clearing does not commute with the derivation, so it
-    happens before jetting.  This is the only place where Laurent
-    polynomials are cleared.  Polynomials are {exponent tuple:
-    coefficient} maps, coefficients int or Fraction; a constraint's tuples
-    may be shorter than the base variables.
-    """
-    if m < 0:
-        raise ValueError("jet order must be nonnegative")
-    n = len(variables)
-    coords = n - 1 if localized else n
-    layout = [(n - 1, j) for j in range(m, -1, -1)] if localized else []
-    layout += [(k, 0) for k in range(coords)]
-    layout += [(k, j) for k in range(coords) for j in range(1, m + 1)]
-    width = len(layout)
-    column = {kj: c for c, kj in enumerate(layout)}
-    base = [column[k, 0] for k in range(n)]
-    # d moves one unit of x_k(j) to x_k(j+1), x_k(0) being x_k
-    moves = [(column[k, j], column[k, j + 1])
-             for k in range(n) for j in range(m)]
-    raw = []
-    for f in system:
-        raw.extend(derivative_chain(_integer_terms(f, base, width, localized),
-                                    m, moves))
-    raw.extend(_integer_terms(g, base, width, localized) for g in constraints)
-    return IdealPresentation.from_terms(
-        _jet_names(variables, layout), raw, provenance=provenance,
-        jet_order=m)
 
 
 def whole_chart(chart):
@@ -219,33 +146,29 @@ def whole_chart(chart):
     return StratumPresentation(None, 0, chart.variables, chart.equations)
 
 
-def _det(matrix, n):
-    """Cofactor expansion along the first row of a matrix of {exponent
-    tuple: coefficient} maps in n variables; the 0 x 0 minor is 1."""
-    if not matrix:
-        return {(0,) * n: 1}
-    total = {}
-    for k, entry in enumerate(matrix[0]):
-        minor = _det([row[:k] + row[k + 1:] for row in matrix[1:]], n)
-        for a, ca in entry.items():
-            for b, cb in minor.items():
-                e = tuple(map(add, a, b))
-                total[e] = total.get(e, 0) + (-1) ** k * ca * cb
-    return {e: c for e, c in total.items() if c}
-
-
-def _partial(f, k):
-    """df/dx_k of an exponent map, Laurent exponents included."""
-    return {e[:k] + (e[k] - 1,) + e[k + 1:]: c * e[k]
-            for e, c in f.items() if e[k]}
-
-
 def _jacobian_minors(equations, n):
     """All c x c minors of (df_i/dx_k) for c exponent maps over x_1..x_n,
-    as exponent maps."""
-    partials = [[_partial(f, k) for k in range(n)] for f in equations]
-    return [_det([[row[k] for k in cols] for row in partials], n)
-            for cols in itertools.combinations(range(n), len(equations))]
+    as exponent maps, columns in combinations order; the 0 x 0 minor is 1.
+
+    Each minor is expanded along its rows, and the minor of the last rows
+    on a column set is shared by every minor containing it: bottom-up, the
+    minors of each row count are built once per column set from those of
+    one row fewer, at most 2^n in all instead of c! products per minor.
+    """
+    partials = [[poly_partial(f, k) for k in range(n)] for f in equations]
+    below = {(): {(0,) * n: 1}}
+    for size, row in enumerate(reversed(partials), 1):
+        minors = {}
+        for cols in itertools.combinations(range(n), size):
+            total = {}
+            for t, k in enumerate(cols):
+                if row[k]:
+                    minor = below[cols[:t] + cols[t + 1:]]
+                    total = poly_add(total, poly_mul(row[k], minor),
+                                     (-1) ** t)
+            minors[cols] = total
+        below = minors
+    return list(below.values())
 
 
 def open_part(chart, strata=()):
@@ -266,17 +189,33 @@ def open_part(chart, strata=()):
 def stratum_jet_presentation(stratum, m):
     """J_m of a source as dimension-engine input, m = 0 its base system.
 
-    A stratum's jetted localization fixes the jets of w, so the dimension
-    is that of the jets of the locally closed stratum X_l.
+    Every polynomial of stratum.equations is jetted with the ordinary
+    derivation up to order m, and every one of stratum.constraints, over
+    x_1..x_n, is added as it is, in the columns of jets.JetLayout; a
+    stratum's w is its inversion variable.  A stratum's polynomials may be
+    Laurent: each is cleared once, at every m (m = 0 included), by the
+    smallest monomial that makes its exponents nonnegative; clearing does
+    not commute with the derivation, so it happens before jetting.  This
+    is the only place where Laurent polynomials are cleared.  A stratum's
+    jetted localization fixes the jets of w, so the dimension is that of
+    the jets of the locally closed stratum X_l.
     """
     where = ("over singular locus of the open stratum" if stratum.constraints
              else "of chart equations" if stratum.face is None
              else f"of stratum l={stratum.index} "
                   f"{stratum.face.generator_indices}")
-    return jet_presentation(stratum.variables, stratum.equations, m,
-                            f"J_{m} {where}",
-                            localized=stratum.face is not None,
-                            constraints=stratum.constraints)
+    inverted = stratum.face is not None
+    layout = JetLayout(len(stratum.variables), m, inverted)
+    moves = layout.moves()
+    raw = []
+    for f in stratum.equations:
+        raw.extend(derivative_chain(_integer_terms(f, layout, inverted),
+                                    m, moves))
+    raw.extend(_integer_terms(g, layout, inverted)
+               for g in stratum.constraints)
+    return IdealPresentation.from_terms(
+        layout.names(stratum.variables), raw, provenance=f"J_{m} {where}",
+        jet_order=m)
 
 
 def base_presentation(stratum):

@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,7 +20,7 @@ from logjet.dimension import (EMPTY, Budgets, DimResult, GroebnerResult,
                               krull_dim)
 from logjet.errors import (PrimeTooSmallError, ResourceLimitError,
                            TooManyVariablesError, UnlocalizedLaurentError)
-from logjet.strata import jet_presentation
+from logjet.strata import StratumPresentation, stratum_jet_presentation
 
 BENCH_CHARTS = Path(__file__).resolve().parents[1] / "bench" / "charts"
 
@@ -163,9 +164,10 @@ def test_laurent_refused_without_localization():
 
 
 def test_laurent_cleared_with_localization():
-    system = [{(-1, 0): 1, (0, 0): 1}, {(1, 1): 1, (0, 0): -1}]
-    p = jet_presentation(("x", "w"), system, 0, "x^-1 + 1 with w*x = 1",
-                         localized=True)
+    system = ({(-1, 0): 1, (0, 0): 1}, {(1, 1): 1, (0, 0): -1})
+    face = SimpleNamespace(generator_indices=())   # read for the provenance
+    p = stratum_jet_presentation(
+        StratumPresentation(face, 1, ("x", "w"), system), 0)
     # cleared generator is 1 + x; with w*x = 1 the zero set is x = -1, w = -1
     assert {tuple(sorted(zip(p.variables, exps))): c
             for exps, c in p.generators[0]} == {

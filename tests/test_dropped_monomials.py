@@ -10,6 +10,7 @@ tests/test_bench_margins.py): each is rebuilt with every off-face chi^g,
 its exponents solved here from the generator, and both are reduced.
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ import pytest
 from logjet import (AnalysisConfig, analyze, analyzer, groebner_basis,
                     load_chart)
 from logjet.errors import LogjetError
-from logjet.strata import jet_presentation
+from logjet.strata import stratum_jet_presentation
 
 BENCH_CHARTS = Path(__file__).resolve().parents[1] / "bench" / "charts"
 LOG_CHARTS = sorted(p.name for p in BENCH_CHARTS.glob("*.json")
@@ -72,10 +73,9 @@ def test_restoring_dropped_monomials_keeps_every_reduced_basis(name):
     for stratum, m in built:
         full = _restored(chart, stratum)
         dropped += len(full) - len(stratum.equations)
-        pres = jet_presentation(stratum.variables, stratum.equations, m,
-                                "kept", localized=True)
-        restored = jet_presentation(stratum.variables, full, m, "restored",
-                                    localized=True)
+        pres = stratum_jet_presentation(stratum, m)
+        restored = stratum_jet_presentation(
+            replace(stratum, equations=full), m)
         assert groebner_basis(pres).basis == groebner_basis(restored).basis
     # only the cone and conifold charts have a monoid generator whose
     # cleared monomial is a multiple of another's

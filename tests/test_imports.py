@@ -1,6 +1,7 @@
 """Every name a logjet module imports is used in that module, every name
-the package exports is used by the package or the benchmark, and the
-engine does not import the chart-text layer.
+the package exports is used by the package or the benchmark, the engine
+does not import the chart-text layer, and jets.py, the home of the map
+arithmetic, imports no logjet module but errors.
 
 __init__.py is skipped: its imports are the package's re-exports.  An
 import whose line carries "# noqa: F401" is kept on purpose: it must be a
@@ -141,3 +142,43 @@ def test_finds_a_parse_import():
 @pytest.mark.parametrize("name", ENGINE)
 def test_engine_imports_nothing_from_parse(name):
     assert parse_imports((PACKAGE / name).read_text(encoding="utf-8")) == []
+
+
+def package_imports(source):
+    """(line, module) of each import from the logjet package, relative or
+    absolute; the module is named relative to the package ("logjet" for
+    the package itself)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and module.split(".")[0] != "logjet":
+                continue
+            if node.level:
+                module = "logjet." + module if module else "logjet"
+            if module == "logjet":
+                found.extend((node.lineno, a.name) for a in node.names)
+            else:
+                found.append((node.lineno, module[len("logjet."):]))
+        elif isinstance(node, ast.Import):
+            found.extend((node.lineno, a.name.partition(".")[2] or a.name)
+                         for a in node.names
+                         if a.name.split(".")[0] == "logjet")
+    return found
+
+
+def test_finds_package_imports():
+    source = ("from .errors import LogjetError\nfrom . import parse, jets\n"
+              "import logjet.dimension\nfrom logjet.strata import stratify\n"
+              "import os, logjet\nfrom operator import add\n")
+    assert package_imports(source) == [
+        (1, "errors"), (2, "parse"), (2, "jets"), (3, "dimension"),
+        (4, "strata"), (5, "logjet")]
+
+
+def test_jets_imports_only_errors():
+    """jets.py holds the arithmetic of the map format, which parse, strata
+    and dimension share, so it stays at the bottom of the import graph."""
+    source = (PACKAGE / "jets.py").read_text(encoding="utf-8")
+    assert {module for _line, module in package_imports(source)} == {
+        "errors"}

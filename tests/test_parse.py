@@ -1,9 +1,11 @@
+import time
 from fractions import Fraction
 
 import pytest
 
 from logjet.errors import ExpressionSyntaxError, ResourceLimitError
-from logjet.parse import MAX_POLY_TERMS, parse_poly, render
+from logjet.jets import MAX_PRODUCT_WORK
+from logjet.parse import parse_poly, render
 
 XS = ("x1", "x2")
 
@@ -129,13 +131,27 @@ def test_round_trip_of_random_laurent_maps():
 
 
 def test_a_large_power_parses():
-    """(x1 + x2 + x3 + 1)^20 has binomial(23, 3) = 1771 terms."""
-    assert len(parse_poly("(x1 + x2 + x3 + 1)^20", 3)) == 1771 < MAX_POLY_TERMS
+    """(x1 + x2 + x3 + 1)^20 has binomial(23, 3) = 1771 terms; its costliest
+    product, f^4 times f^16, takes 35 * 969 coefficient products."""
+    assert len(parse_poly("(x1 + x2 + x3 + 1)^20", 3)) == 1771
+    assert 35 * 969 <= MAX_PRODUCT_WORK
 
 
-def test_expansion_past_the_term_limit_is_refused():
-    """^80 would have binomial(83, 3) = 91881 terms; the product that
-    first holds more than MAX_POLY_TERMS raises, so this is quick."""
+def test_expansion_past_the_work_limit_is_refused():
+    """^80 squares f^16, of binomial(19, 3) = 969 terms: 969^2 coefficient
+    products, refused before the product starts."""
     with pytest.raises(ResourceLimitError) as err:
         parse_poly("(x1 + x2 + x3 + 1)^80", 3)
-    assert str(MAX_POLY_TERMS) in str(err.value)
+    assert str(err.value) == (
+        "a product of 969 by 969 terms takes 938961 coefficient products, "
+        f"over the limit of {MAX_PRODUCT_WORK}")
+
+
+def test_a_costly_product_of_few_terms_is_refused_quickly():
+    """(x1 + x2)^2000 never holds more than 2001 terms, but its products
+    multiply coefficients of hundreds of digits: bounding the terms let it
+    run for seconds, bounding the work refuses it at once."""
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError):
+        parse_poly("(x1 + x2)^2000", 2)
+    assert time.perf_counter() - start < 1
