@@ -223,6 +223,13 @@ def test_analyze_exit_codes(chart_file, capsys, doc, code):
     assert verdict in capsys.readouterr().out
 
 
+def test_analyze_refuses_max_order_zero(chart_file, capsys):
+    assert main(["analyze", "--max-order", "0", chart_file(CUSP)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "logjet: error: max order must be at least 1\n"
+
+
 def test_analyze_missing_file(tmp_path, capsys):
     assert main(["analyze", str(tmp_path / "absent.json")]) == 1
     assert "logjet: error: cannot read" in capsys.readouterr().err
