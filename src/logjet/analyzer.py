@@ -40,8 +40,8 @@ A REDUCIBLE witness is rechecked by counting points of its own
 presentation over F_p.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .dimension import EMPTY, Budgets, dimension_of, fp_dimension_estimate
 from .errors import CompleteIntersectionError, LogjetError, ResourceLimitError
@@ -52,24 +52,30 @@ from .strata import (check_assumption, open_part, stratify,
                      stratum_jet_presentation, whole_chart)
 
 
-@dataclass(frozen=True)
 class AnalysisConfig:
     """Settings of one analysis: the highest jet order and the budgets.
+    Read-only; a max_order below 1 raises ValueError.
 
     Every row comes from the exact Groebner path under budgets; F_p counts
     (over dimension.DEFAULT_PRIMES) only recheck a REDUCIBLE witness.
     """
 
-    max_order: int = 2
-    budgets: Budgets = field(default_factory=Budgets)
+    __slots__ = ("max_order", "budgets")
 
-    def __post_init__(self):
-        if self.max_order < 1:
+    def __init__(self, max_order=2, budgets=Budgets()):
+        if max_order < 1:
             raise ValueError("max order must be at least 1")
+        object.__setattr__(self, "max_order", max_order)
+        object.__setattr__(self, "budgets", budgets)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):       # copy and pickle through the constructor
+        return AnalysisConfig, (self.max_order, self.budgets)
 
 
-@dataclass(frozen=True)
-class InequalityRow:
+class InequalityRow(NamedTuple):
     """One (stratum, order) irreducibility check.
 
     face is the generator indices of the face of X_l for a stratum row,
@@ -113,8 +119,7 @@ class InequalityRow:
         return self.dim_jets + self.added
 
 
-@dataclass(frozen=True)
-class LctRow:
+class LctRow(NamedTuple):
     l: object               # stratum index, or "X" in ordinary convention
     m: int
     dim_jets: object
@@ -132,15 +137,13 @@ class LctRow:
         return tuple(t for t in range(2, 7) if (self.m + 1) % t == 0)
 
 
-@dataclass(frozen=True)
-class WitnessConfirmation:
+class WitnessConfirmation(NamedTuple):
     confirmed: object       # True | False | None (unavailable)
     counts: object = None
     note: str = ""
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     chart_summary: dict
     dim_x: object
     assumption: object      # AssumptionReport or None for ordinary charts

@@ -9,15 +9,14 @@ tuple over x_1..x_n: Fraction} map, the format strata, jets and the
 analyzer work on.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import intlinalg
 from .errors import MonoidError, SupportError
 from .parse import parse_poly
 
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(NamedTuple):
     """Unit of analysis: ambient rank, equations, optional monoid and basis.
 
     A Chart is not hashable: its equations are dicts.

@@ -20,7 +20,7 @@ since a mistyped key would otherwise leave its budget at the default.
 """
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .chart import Chart
 from .dimension import Budgets
@@ -36,8 +36,7 @@ _BUDGET_FIELDS = {"pairs": "max_pairs", "degree": "max_degree",
                  "fp_nodes": "fp_node_budget"}
 
 
-@dataclass(frozen=True)
-class ChartFileOptions:
+class ChartFileOptions(NamedTuple):
     budgets: Budgets = Budgets()
 
 

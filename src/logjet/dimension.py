@@ -24,11 +24,10 @@ recheck a REDUCIBLE witness; they never answer a dimension query.
 
 import heapq
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from math import gcd
 from operator import add as _add, le as _le, sub as _sub
+from typing import NamedTuple
 
 from .errors import (PrimeTooSmallError, ResourceLimitError,
                      TooManyVariablesError, UnlocalizedLaurentError)
@@ -39,8 +38,7 @@ DEFAULT_PRIMES = (101, 103, 107)
 EMPTY = "EMPTY"
 
 
-@dataclass(frozen=True)
-class Budgets:
+class Budgets(NamedTuple):
     """Computation limits; exceeding any of them raises ResourceLimit."""
 
     max_pairs: int = 50_000
@@ -50,8 +48,7 @@ class Budgets:
     fp_node_budget: int = 500_000
 
 
-@dataclass(frozen=True)
-class IdealPresentation:
+class IdealPresentation(NamedTuple):
     """Variables plus generating polynomials with nonnegative exponents.
 
     generators: tuple of primitive integer polynomials, each a sorted tuple
@@ -292,7 +289,6 @@ def _reduced_basis(index):
     return tuple(monic)
 
 
-@dataclass
 class GroebnerResult:
     """A finished Buchberger run: its minimal leading monomials, and the
     reduced basis with monic Fraction coefficients, built on first read.
@@ -303,16 +299,24 @@ class GroebnerResult:
     of index, the run's _LeadIndex, once and keeps the result.
     """
 
-    variables: tuple
-    leads: tuple          # minimal leading monomials, ascending
-    pairs_processed: int
-    provenance: str = ""
-    index: object = field(default=None, repr=False, compare=False)
+    __slots__ = ("variables", "leads", "pairs_processed", "provenance",
+                 "index", "_basis")
 
-    @cached_property
+    def __init__(self, variables, leads, pairs_processed, provenance="",
+                 index=None):
+        self.variables = variables
+        self.leads = leads              # minimal leading monomials, ascending
+        self.pairs_processed = pairs_processed
+        self.provenance = provenance
+        self.index = index
+        self._basis = None
+
+    @property
     def basis(self):
         """tuple of term-tuples ((mono, Fraction), ...), ascending by lead"""
-        return _reduced_basis(self.index)
+        if self._basis is None:
+            self._basis = _reduced_basis(self.index)
+        return self._basis
 
     def leading_monomials(self):
         return self.leads
@@ -437,8 +441,7 @@ def groebner_basis(pres, budgets=None):
                           pres.provenance, index)
 
 
-@dataclass(frozen=True)
-class DimResult:
+class DimResult(NamedTuple):
     """Dimension answer with its certificate.
 
     dimension is an int or the string EMPTY.  krull_dim results are exact,

@@ -5,8 +5,9 @@ A polynomial is an {exponent tuple: coefficient} map with no zero
 coefficient, one column per variable, exponents possibly negative
 (Laurent), coefficients int or Fraction: the one format of the engine.
 Its operations live here: the sum poly_add, the product poly_mul (refused
-past MAX_PRODUCT_WORK coefficient products, so every product of the
-engine is bounded by its work), the power poly_pow, the partial
+past MAX_PRODUCT_WORK products of 64-bit coefficient words, so every
+product of the engine is bounded by its work, whatever the size of its
+coefficients), the power poly_pow, the partial
 derivative poly_partial, and degrevlex, the sort key of an exponent tuple.
 
 J_m over n base variables has one column layout, JetLayout: the base
@@ -56,9 +57,13 @@ from .errors import ModeMismatchError, ResourceLimitError
 ORDINARY = "ordinary"
 LOG = "log"
 
-# Coefficient products one poly_mul may take.  The largest product of any
-# corpus or test chart, (x1 + x2 + x3 + 1)^20, takes 33915; (x1 + x2)^2000
-# would take 263169 in one squaring on coefficients of hundreds of digits.
+# Coefficient work one poly_mul may take, in products of 64-bit words: a
+# coefficient of a words (numerator and denominator together) times one of
+# b words counts a*b, so the bound covers the size of the coefficients as
+# well as their number.  The largest product of any corpus or test chart,
+# (x1 + x2 + x3 + 1)^20, takes 33915, all its coefficients of one word.
+# (3*x1)^4000000 would square a coefficient of about 52000 words in one
+# product of 1 by 1 terms.
 MAX_PRODUCT_WORK = 50_000
 
 
@@ -82,14 +87,22 @@ def poly_add(f, g, sign=1):
     return out
 
 
+def _words(f):
+    """The 64-bit words of f's coefficients, at least one each."""
+    return sum((c.numerator.bit_length() + c.denominator.bit_length() - 1)
+               // 64 + 1 for c in f.values())
+
+
 def poly_mul(f, g):
-    """f*g, refused with ResourceLimitError when its len(f)*len(g)
-    coefficient products are over MAX_PRODUCT_WORK."""
-    work = len(f) * len(g)
+    """f*g, refused with ResourceLimitError when its coefficient work,
+    _words(f) * _words(g) word products (len(f) * len(g) when every
+    coefficient fits a word), is over MAX_PRODUCT_WORK."""
+    work = _words(f) * _words(g)
     if work > MAX_PRODUCT_WORK:
         raise ResourceLimitError(
             f"a product of {len(f)} by {len(g)} terms takes {work} "
-            f"coefficient products, over the limit of {MAX_PRODUCT_WORK}")
+            f"coefficient word products, over the limit of "
+            f"{MAX_PRODUCT_WORK}")
     out = {}
     for a, ca in f.items():
         for b, cb in g.items():

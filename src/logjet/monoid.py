@@ -13,8 +13,8 @@ generator set.
 """
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from . import intlinalg
 from .errors import (MonoidError, NoUnimodularSubsetError, RankTooLargeError,
@@ -30,8 +30,7 @@ def _pairing(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(NamedTuple):
     """A face of the cone, recorded by the generator indices lying on it."""
 
     generator_indices: tuple

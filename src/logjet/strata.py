@@ -39,15 +39,14 @@ polynomials, on integer exponent tuples, with no Fraction.
 
 import itertools
 import math
-from dataclasses import dataclass, replace
 from operator import le
+from typing import NamedTuple
 
 from .dimension import EMPTY, IdealPresentation
 from .errors import LogjetError, ModeMismatchError
 from .jets import JetLayout, derivative_chain, poly_add, poly_mul, poly_partial
 
 
-@dataclass(frozen=True, eq=False)
 class StratumPresentation:
     """One row source: a stratum piece (one face of the monoid), or with
     face None a whole variety in A^n (x_1..x_n, no w).
@@ -60,15 +59,24 @@ class StratumPresentation:
     off-face monomials and the localization.  They may be Laurent;
     stratum_jet_presentation clears them, which the w-equation makes
     legitimate.  constraints are polynomials over x_1..x_n added unjetted
-    (the open part's Jacobian minors).  Equality and hashing are by
-    identity: the analyzer keys its maps by the source objects it builds.
+    (the open part's Jacobian minors).  Read-only.  Equality and hashing
+    are by identity: the analyzer keys its maps by the source objects it
+    builds.
     """
 
-    face: object
-    index: int
-    variables: tuple
-    equations: tuple
-    constraints: tuple = ()
+    __slots__ = ("face", "index", "variables", "equations", "constraints")
+
+    def __init__(self, face, index, variables, equations, constraints=()):
+        for name, value in zip(self.__slots__, (face, index, variables,
+                                                equations, constraints)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):       # copy and pickle through the constructor
+        return StratumPresentation, (self.face, self.index, self.variables,
+                                     self.equations, self.constraints)
 
 
 def _minimal(off_face, cleared):
@@ -182,8 +190,10 @@ def open_part(chart, strata=()):
     if not strata:
         strata = (stratify(chart) if chart.monoid is not None
                   else (whole_chart(chart),))
-    return replace(strata[0], constraints=tuple(
-        _jacobian_minors(chart.equations, chart.ambient_rank)))
+    source = strata[0]
+    return StratumPresentation(
+        source.face, source.index, source.variables, source.equations,
+        tuple(_jacobian_minors(chart.equations, chart.ambient_rank)))
 
 
 def stratum_jet_presentation(stratum, m):
@@ -223,8 +233,7 @@ def base_presentation(stratum):
     return stratum_jet_presentation(stratum, 0)
 
 
-@dataclass(frozen=True)
-class StratumStatus:
+class StratumStatus(NamedTuple):
     """Assumption-1 bookkeeping for one stratum index l."""
 
     index: int
@@ -234,8 +243,7 @@ class StratumStatus:
     status: str             # PASS | EMPTY | FAIL
 
 
-@dataclass(frozen=True)
-class AssumptionReport:
+class AssumptionReport(NamedTuple):
     rows: tuple
     dim_x: object
     x0_nonempty: bool

@@ -1,14 +1,24 @@
 """analyze on complete intersections of codimension 2: two equations, in
-A^4 and on N^4.
+A^4, A^5 and on N^4; and on products with an a1 factor.
 
 Every other analyzer test has at most one equation, so these are the only
 ones where the Jacobian minors are 2 x 2 and the strata carry two chart
-equations each.
+equations each.  The products are checked against the product rule
+J_m(Y x Z) = J_m(Y) x J_m(Z), Sing(Y x Z) = Sing Y x Z u Y x Sing Z, with
+the factors' dimensions from bench/references.json.
 """
+
+import json
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from logjet import AffineMonoid, AnalysisConfig, Chart, analyze
+from logjet import EMPTY, AffineMonoid, AnalysisConfig, Chart, analyze
+
+REFERENCES = json.loads(
+    (Path(__file__).resolve().parents[1] / "bench" / "references.json")
+    .read_text(encoding="utf-8"))
 
 N4 = AffineMonoid(4, [tuple(int(i == k) for k in range(4)) for i in range(4)])
 
@@ -62,3 +72,56 @@ def test_two_general_hyperplanes_have_smooth_strata(max_order):
         else:
             assert (r.dim_jets, r.status) == ("EMPTY", "EMPTY")
     assert report.verdict == "NO_OBSTRUCTION_UP_TO_M"
+
+
+def _reference(name):
+    """m -> (dim J_m, dim of the jets over the singular locus) of an
+    ordinary corpus chart: its lct rows and its open rows."""
+    ref = REFERENCES[f"{name}.json"]
+    over_sing = {r["m"]: r["dim"] for r in ref["rows"] if r["kind"] == "open"}
+    jets = {r["m"]: r["dim"] for r in ref["lct"]}
+    return lambda m: (jets[m], over_sing[m])
+
+
+def _line(m):
+    """A^1: J_m is A^(m+1), and the singular locus is empty."""
+    return m + 1, None
+
+
+def _product(factors, m):
+    """(dim J_m, dim of the jets over the singular locus) of a product: the
+    jets over Sing Y x Z u Y x Sing Z are the larger of the two products."""
+    dims = [factor(m) for factor in factors]
+    jets = sum(j for j, _over in dims)
+    over = [jets - j + s for j, s in dims if s is not None]
+    return jets, max(over, default=EMPTY)
+
+
+@pytest.mark.parametrize("n, equations, factors, max_order", [
+    (4, ["x1^2 + x2^2 + x3^2"], (_reference("a1"), _line), 2),
+    (5, ["x1^2 + x2^2 + x3^2", "x4^2 - x5^3"],
+     (_reference("a1"), _reference("cusp")), 1),
+], ids=["a1 x A1", "a1 x cusp"])
+def test_products_with_an_a1_factor_follow_the_product_rule(
+        n, equations, factors, max_order):
+    """a1 x A^1 in A^4 (d = 3): open rows 3 + 2 = 5 and 5 + 3 = 8 < 3(m+1),
+    lct rows 4 + 2 and 6 + 3.  a1 x cusp in A^5 (c = 2, d = 3) at m = 1:
+    the jets over a1 x Sing(cusp) have 4 + 2 = 6 >= 3 * 2, so it is
+    reducible there, as the cusp is."""
+    report = analyze(Chart.build(ambient_rank=n, equations=equations),
+                     AnalysisConfig(max_order=max_order))
+    d = n - len(equations)
+    assert report.dim_x == d
+    expected_rows, expected_lct = [], []
+    for m in range(1, max_order + 1):
+        jets, over = _product(factors, m)
+        status = "OK" if over < d * (m + 1) else "VIOLATED"
+        expected_rows.append((0, m, over, status))
+        expected_lct.append((m, jets, n - Fraction(jets, m + 1)))
+    assert [(r.l, r.m, r.dim_jets, r.status)
+            for r in report.rows] == expected_rows
+    assert [(r.m, r.dim_jets, r.value)
+            for r in report.lct_rows] == expected_lct
+    violated = [r for r in report.rows if r.status == "VIOLATED"]
+    assert report.verdict == ("REDUCIBLE" if violated
+                              else "NO_OBSTRUCTION_UP_TO_M")

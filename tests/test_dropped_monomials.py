@@ -10,7 +10,6 @@ tests/test_bench_margins.py): each is rebuilt with every off-face chi^g,
 its exponents solved here from the generator, and both are reduced.
 """
 
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -18,7 +17,7 @@ import pytest
 from logjet import (AnalysisConfig, analyze, analyzer, groebner_basis,
                     load_chart)
 from logjet.errors import LogjetError
-from logjet.strata import stratum_jet_presentation
+from logjet.strata import StratumPresentation, stratum_jet_presentation
 
 BENCH_CHARTS = Path(__file__).resolve().parents[1] / "bench" / "charts"
 LOG_CHARTS = sorted(p.name for p in BENCH_CHARTS.glob("*.json")
@@ -74,8 +73,8 @@ def test_restoring_dropped_monomials_keeps_every_reduced_basis(name):
         full = _restored(chart, stratum)
         dropped += len(full) - len(stratum.equations)
         pres = stratum_jet_presentation(stratum, m)
-        restored = stratum_jet_presentation(
-            replace(stratum, equations=full), m)
+        restored = stratum_jet_presentation(StratumPresentation(
+            stratum.face, stratum.index, stratum.variables, full), m)
         assert groebner_basis(pres).basis == groebner_basis(restored).basis
     # only the cone and conifold charts have a monoid generator whose
     # cleared monomial is a multiple of another's

@@ -1,7 +1,9 @@
 """Every name a logjet module imports is used in that module, every name
 the package exports is used by the package or the benchmark, the engine
-does not import the chart-text layer, and jets.py, the home of the map
-arithmetic, imports no logjet module but errors.
+does not import the chart-text layer, jets.py, the home of the map
+arithmetic, imports no logjet module but errors, every module imports
+only the standard library and logjet, and importing logjet loads neither
+dataclasses nor inspect.
 
 __init__.py is skipped: its imports are the package's re-exports.  An
 import whose line carries "# noqa: F401" is kept on purpose: it must be a
@@ -10,6 +12,8 @@ not otherwise use it, so the marker cannot outlive its reason.
 """
 
 import ast
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -182,3 +186,79 @@ def test_jets_imports_only_errors():
     source = (PACKAGE / "jets.py").read_text(encoding="utf-8")
     assert {module for _line, module in package_imports(source)} == {
         "errors"}
+
+
+# -- the cold start ------------------------------------------------------------
+#
+# Importing dataclasses loads inspect (and with it ast, dis and tokenize),
+# and each @dataclass builds its methods from source text: together most
+# of the import time of logjet, which every `logjet analyze` run pays
+# before its first chart.  The records are NamedTuples and __slots__
+# classes instead (see the package docstring), and these checks keep
+# both modules out.
+
+SLOW_MODULES = {"dataclasses", "inspect"}
+
+PROBE = """
+import sys
+before = set(sys.modules)
+sys.path.insert(0, sys.argv[1])
+import logjet, logjet.cli
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def slow_modules_loaded(src):
+    """The SLOW_MODULES that importing logjet and logjet.cli from the
+    directory src loads into a fresh isolated interpreter."""
+    proc = subprocess.run([sys.executable, "-I", "-c", PROBE, str(src)],
+                          capture_output=True, text=True, check=True)
+    return SLOW_MODULES & set(proc.stdout.split())
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    assert slow_modules_loaded(PACKAGE.parent) == set()
+
+
+def test_finds_a_dataclass_put_back(tmp_path):
+    shutil.copytree(PACKAGE, tmp_path / "logjet",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    monoid = tmp_path / "logjet" / "monoid.py"
+    source = monoid.read_text(encoding="utf-8")
+    assert "class Face(NamedTuple):" in source
+    monoid.write_text(source.replace(
+        "class Face(NamedTuple):",
+        "from dataclasses import dataclass\n\n\n"
+        "@dataclass(frozen=True)\nclass Face:"), encoding="utf-8")
+    assert slow_modules_loaded(tmp_path) == SLOW_MODULES
+
+
+def foreign_imports(source):
+    """(line, module) of each import of a module that is neither in the
+    standard library nor logjet itself."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        found.extend((node.lineno, name) for name in names
+                     if name.split(".")[0] not in sys.stdlib_module_names
+                     and name.split(".")[0] != "logjet")
+    return found
+
+
+def test_finds_a_foreign_import():
+    source = ("import os, numpy\nfrom .jets import poly_add\n"
+              "from sympy.core import Symbol\nimport logjet.parse\n"
+              "from fractions import Fraction\n")
+    assert foreign_imports(source) == [(1, "numpy"), (3, "sympy.core")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_module_imports_only_the_standard_library(path):
+    """pyproject.toml declares no dependency, so none may be imported."""
+    assert foreign_imports(path.read_text(encoding="utf-8")) == []

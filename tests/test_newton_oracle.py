@@ -4,12 +4,11 @@ origin: its open rows are the jets over the origin, its lct rows the jets
 of X.  The orders are those at which analyze finishes in about a second.
 """
 
-from dataclasses import replace
-
 import pytest
 
 from logjet import AnalysisConfig, Chart, analyze, dimension_of
-from logjet.strata import stratum_jet_presentation, whole_chart
+from logjet.strata import (StratumPresentation, stratum_jet_presentation,
+                           whole_chart)
 
 from newton_oracle import newton_jet_dim
 
@@ -66,8 +65,9 @@ def test_a_degenerate_equation_is_outside_the_hypothesis():
     assert over_origin == [3, 5]
     assert open_rows == [4, 6]
     assert lct_rows == whole == [4, 6]
-    origin = replace(
-        whole_chart(Chart.build(ambient_rank=3, equations=[equation])),
-        constraints=({(1, 0, 0): 1}, {(0, 1, 0): 1}, {(0, 0, 1): 1}))
+    source = whole_chart(Chart.build(ambient_rank=3, equations=[equation]))
+    origin = StratumPresentation(
+        source.face, source.index, source.variables, source.equations,
+        ({(1, 0, 0): 1}, {(0, 1, 0): 1}, {(0, 0, 1): 1}))
     assert [dimension_of(stratum_jet_presentation(origin, m)).dimension
             for m in (1, 2)] == over_origin

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from logjet.errors import ExpressionSyntaxError, ResourceLimitError
-from logjet.jets import MAX_PRODUCT_WORK
+from logjet.jets import MAX_PRODUCT_WORK, poly_mul
 from logjet.parse import parse_poly, render
 
 XS = ("x1", "x2")
@@ -143,8 +143,8 @@ def test_expansion_past_the_work_limit_is_refused():
     with pytest.raises(ResourceLimitError) as err:
         parse_poly("(x1 + x2 + x3 + 1)^80", 3)
     assert str(err.value) == (
-        "a product of 969 by 969 terms takes 938961 coefficient products, "
-        f"over the limit of {MAX_PRODUCT_WORK}")
+        "a product of 969 by 969 terms takes 938961 coefficient word "
+        f"products, over the limit of {MAX_PRODUCT_WORK}")
 
 
 def test_a_costly_product_of_few_terms_is_refused_quickly():
@@ -155,3 +155,28 @@ def test_a_costly_product_of_few_terms_is_refused_quickly():
     with pytest.raises(ResourceLimitError):
         parse_poly("(x1 + x2)^2000", 2)
     assert time.perf_counter() - start < 1
+
+
+def test_a_product_of_huge_coefficients_is_refused_quickly():
+    """(3*x1)^4000000 holds one term at every step, but squaring by
+    squaring its coefficient grows to about 52000 64-bit words: the work
+    counts words, so the first squaring past the limit is refused before
+    it starts."""
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError) as err:
+        parse_poly("(3*x1)^4000000 - x2", 2)
+    assert time.perf_counter() - start < 0.5
+    assert str(err.value).startswith("a product of 1 by 1 terms takes ")
+
+
+def test_coefficient_work_counts_64_bit_words():
+    """A 63-bit coefficient takes one word and 2^70 two, so a product of n
+    terms 2^70 x_1^k by 2^70 takes 4n word products: n = MAX_PRODUCT_WORK
+    / 4 is allowed, one more is refused."""
+    one_word = {(k,): 2 ** 62 for k in range(MAX_PRODUCT_WORK)}
+    assert len(poly_mul(one_word, {(0,): 1})) == MAX_PRODUCT_WORK
+    n = MAX_PRODUCT_WORK // 4
+    big = {(0,): 2 ** 70}
+    assert len(poly_mul({(k,): 2 ** 70 for k in range(n)}, big)) == n
+    with pytest.raises(ResourceLimitError, match=f"takes {4 * (n + 1)} "):
+        poly_mul({(k,): 2 ** 70 for k in range(n + 1)}, big)

@@ -3,6 +3,8 @@ with: the frozen ones refuse assignment, Budgets and Face compare and hash
 by value, StratumPresentation by identity, AnalysisConfig validates its
 order, and GroebnerResult builds its reduced basis once."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -45,6 +47,14 @@ def test_a_frozen_record_refuses_assignment(record, name):
     with pytest.raises(AttributeError):
         setattr(record, name, 0)
     assert getattr(record, name) is before
+
+
+@pytest.mark.parametrize("record, name", FROZEN,
+                         ids=[type(r).__name__ for r, _name in FROZEN])
+def test_a_frozen_record_copies_and_pickles(record, name):
+    for clone in (copy.copy(record), pickle.loads(pickle.dumps(record))):
+        assert type(clone) is type(record)
+        assert getattr(clone, name) == getattr(record, name)
 
 
 def test_analysis_config_refuses_order_zero():

@@ -11,7 +11,6 @@ Fraction maps, in the substitution's (i, j) columns, to
 IdealPresentation.from_terms.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -50,7 +49,7 @@ def built_presentation(variables, system, m, localized, constraints):
     variety."""
     source = StratumPresentation(FACE if localized else None, 1, variables,
                                  tuple(system), tuple(constraints))
-    return replace(stratum_jet_presentation(source, m), provenance="")
+    return stratum_jet_presentation(source, m)._replace(provenance="")
 
 
 def reference_presentation(variables, system, m, localized, constraints):
