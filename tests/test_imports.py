@@ -233,6 +233,9 @@ def test_finds_a_dataclass_put_back(tmp_path):
     assert slow_modules_loaded(tmp_path) == SLOW_MODULES
 
 
+OWN_OR_STDLIB = sys.stdlib_module_names | {"logjet"}
+
+
 def foreign_imports(source):
     """(line, module) of each import of a module that is neither in the
     standard library nor logjet itself."""
@@ -245,8 +248,7 @@ def foreign_imports(source):
         else:
             continue
         found.extend((node.lineno, name) for name in names
-                     if name.split(".")[0] not in sys.stdlib_module_names
-                     and name.split(".")[0] != "logjet")
+                     if name.split(".")[0] not in OWN_OR_STDLIB)
     return found
 
 
