@@ -52,27 +52,16 @@ from .strata import (check_assumption, open_part, stratify,
                      stratum_jet_presentation, whole_chart)
 
 
-class AnalysisConfig:
+class AnalysisConfig(NamedTuple):
     """Settings of one analysis: the highest jet order and the budgets.
-    Read-only; a max_order below 1 raises ValueError.
+    analyze refuses a max_order below 1.
 
     Every row comes from the exact Groebner path under budgets; F_p counts
     (over dimension.DEFAULT_PRIMES) only recheck a REDUCIBLE witness.
     """
 
-    __slots__ = ("max_order", "budgets")
-
-    def __init__(self, max_order=2, budgets=Budgets()):
-        if max_order < 1:
-            raise ValueError("max order must be at least 1")
-        object.__setattr__(self, "max_order", max_order)
-        object.__setattr__(self, "budgets", budgets)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __reduce__(self):       # copy and pickle through the constructor
-        return AnalysisConfig, (self.max_order, self.budgets)
+    max_order: int = 2
+    budgets: Budgets = Budgets()
 
 
 class InequalityRow(NamedTuple):
@@ -192,29 +181,30 @@ def estimate_lct(d, c, dim_jets, m):
     return Fraction(d + c) - Fraction(dim_jets, m + 1)
 
 
-def _rows(chart, cfg, d, strata, empty):
+def _rows(chart, cfg, d, strata, base_dims):
     """(row, presentation) of every inequality row: per order m, one per
     stratum of index l > 0 (an ordinary chart's one source has l = 0),
     then the open row.
 
-    A row source in empty is known to be empty, and gets an EMPTY row with
-    no presentation built; a source whose computed row is EMPTY joins empty
-    for the higher orders.  See the module docstring.
+    Each source carries whether it is known to be empty: a stratum whose
+    base dimension in base_dims (in stratum order) is EMPTY, or a source
+    whose computed row was EMPTY at a lower order.  Such a source gets an
+    EMPTY row with no presentation built.  See the module docstring.
     """
-    empty = set(empty)
-    sources = [(s, s.face.generator_indices) for s in strata if s.index]
-    sources.append((open_part(chart, strata), None))
+    sources = [[s, s.face.generator_indices, dim == EMPTY]
+               for s, dim in zip(strata, base_dims) if s.index]
+    sources.append([open_part(chart, strata), None, False])
     for m in range(1, cfg.max_order + 1):
-        for source, face in sources:
+        for entry in sources:
+            source, face, empty = entry
             l = source.index
-            if source in empty:
+            if empty:
                 yield InequalityRow(l, m, face, EMPTY, d * (m + 1),
                                     "EMPTY"), None
                 continue
             pres = stratum_jet_presentation(source, m)
             row = _row(pres, l, m, face, d, cfg)
-            if row.status == "EMPTY":
-                empty.add(source)
+            entry[2] = row.status == "EMPTY"
             yield row, pres
 
 
@@ -265,17 +255,18 @@ def _lct_rows(sources, d, c):
 def analyze(chart, cfg=None):
     """Full analysis: gates, stratification, inequality rows, verdict."""
     cfg = cfg or AnalysisConfig()
+    if cfg.max_order < 1:
+        raise ValueError("max order must be at least 1")
     notes = []
     is_log = chart.monoid is not None
     n, c = chart.ambient_rank, chart.codim
 
     strata = stratify(chart) if is_log else (whole_chart(chart),)
-    base_dims = {s: dimension_of(stratum_jet_presentation(s, 0),
-                                 budgets=cfg.budgets).dimension
-                 for s in strata}
-    assumption = check_assumption(chart, base_dims) if is_log else None
-    d = assumption.dim_x if is_log else base_dims[strata[0]]
-    empty = [s for s, dim in base_dims.items() if dim == EMPTY]
+    base_dims = [dimension_of(stratum_jet_presentation(s, 0),
+                              budgets=cfg.budgets).dimension
+                 for s in strata]
+    assumption = check_assumption(strata, base_dims) if is_log else None
+    d = max((dim for dim in base_dims if dim != EMPTY), default=EMPTY)
 
     summary = {
         "ambient_rank": n,
@@ -308,7 +299,7 @@ def analyze(chart, cfg=None):
                "; the open stratum is empty, no reducibility conclusion"))
     else:
         rows, w = [], None      # w: the violated row of least (m, l)
-        for row, pres in _rows(chart, cfg, d, strata, empty):
+        for row, pres in _rows(chart, cfg, d, strata, base_dims):
             rows.append(row)
             if row.status == "VIOLATED" and (
                     w is None or (row.m, row.l) < (w.m, w.l)):

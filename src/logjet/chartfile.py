@@ -16,7 +16,8 @@ A budget the file does not set keeps its Budgets default, so load_chart
 always returns a Budgets, Budgets() for a file without "budgets".
 
 Unknown top-level fields are ignored; an unknown budget key is an error,
-since a mistyped key would otherwise leave its budget at the default.
+since a mistyped key would otherwise leave its budget at the default, and
+so is a "basis" on an ordinary chart, which has no monoid to index.
 """
 
 import json
@@ -24,8 +25,7 @@ from typing import NamedTuple
 
 from .chart import Chart
 from .dimension import Budgets
-from .errors import (ChartParseError, ExpressionSyntaxError, MonoidError,
-                     SupportError)
+from .errors import ChartParseError, ExpressionSyntaxError, LogjetError
 from .monoid import AffineMonoid
 
 FORMAT = "logjet-chart/1"
@@ -63,7 +63,12 @@ def _field(doc, name, kind, required=False, default=None):
 
 
 def load_chart(path):
-    """Load and fully validate a chart file; returns (Chart, options)."""
+    """Load and fully validate a chart file; returns (Chart, options).
+
+    Every error about the document's content names the file: it is
+    re-raised as its own class with a "{path}: " prefix, and an equation
+    that does not parse is a ChartParseError "{path}: bad equation: ...".
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -71,17 +76,26 @@ def load_chart(path):
         raise ChartParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ChartParseError(f"{path} is not valid JSON: {exc}") from exc
+    try:
+        return _from_document(doc)
+    except ExpressionSyntaxError as exc:
+        raise ChartParseError(f"{path}: bad equation: {exc}") from exc
+    except LogjetError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
+def _from_document(doc):
+    """The (Chart, options) of a parsed chart document."""
     if not isinstance(doc, dict):
-        raise ChartParseError(f"{path}: top level must be an object")
+        raise ChartParseError("top level must be an object")
     fmt = _field(doc, "format", str, default=FORMAT)
     if fmt != FORMAT:
-        raise ChartParseError(f"{path}: unsupported format {fmt!r}")
+        raise ChartParseError(f"unsupported format {fmt!r}")
 
     n = _field(doc, "ambient_rank", int, required=True)
     if n < 1:
         raise ChartParseError(
-            f"{path}: field 'ambient_rank' must be a positive integer, "
-            f"got {n!r}")
+            f"field 'ambient_rank' must be a positive integer, got {n!r}")
     raw_gens = _field(doc, "monoid_generators", list)
     equations = _field(doc, "equations", list, default=[])
     for idx, eq in enumerate(equations):
@@ -90,16 +104,18 @@ def load_chart(path):
 
     monoid = None
     basis = None
-    if raw_gens is not None:
+    basis_idx = _field(doc, "basis", list)
+    if raw_gens is None:
+        if basis_idx is not None:
+            raise ChartParseError(
+                "field 'basis' needs 'monoid_generators'; an ordinary chart "
+                "has no basis")
+    else:
         for gi, g in enumerate(raw_gens):
             if not isinstance(g, list) or not all(map(_is_int, g)):
                 raise ChartParseError(
                     f"monoid_generators[{gi}] must be a list of integers")
-        try:
-            monoid = AffineMonoid(n, raw_gens)
-        except MonoidError as exc:
-            raise MonoidError(f"{path}: {exc}") from exc
-        basis_idx = _field(doc, "basis", list)
+        monoid = AffineMonoid(n, raw_gens)
         if basis_idx is not None:
             for bi in basis_idx:
                 if not _is_int(bi) or not 0 <= bi < len(monoid.generators):
@@ -111,14 +127,14 @@ def load_chart(path):
     implied = "log" if monoid is not None else "ordinary"
     if mode is not None and mode != implied:
         raise ChartParseError(
-            f"{path}: mode {mode!r} contradicts the monoid data "
+            f"mode {mode!r} contradicts the monoid data "
             f"(implied {implied!r})")
 
     raw_budgets = _field(doc, "budgets", dict, default={})
     unknown = sorted(set(raw_budgets) - set(_BUDGET_FIELDS))
     if unknown:
         raise ChartParseError(
-            f"{path}: unknown budget key {unknown[0]!r} (known keys: "
+            f"unknown budget key {unknown[0]!r} (known keys: "
             f"{', '.join(map(repr, _BUDGET_FIELDS))})")
     fields = {}
     for key, name in _BUDGET_FIELDS.items():
@@ -126,15 +142,10 @@ def load_chart(path):
             value = raw_budgets[key]
             if not _is_int(value) or value < 1:
                 raise ChartParseError(
-                    f"{path}: budgets[{key!r}] must be a positive "
-                    f"integer, got {value!r}")
+                    f"budgets[{key!r}] must be a positive integer, got "
+                    f"{value!r}")
             fields[name] = value
 
-    try:
-        chart = Chart.build(ambient_rank=n, equations=equations,
-                            monoid=monoid, basis=basis)
-    except ExpressionSyntaxError as exc:
-        raise ChartParseError(f"{path}: bad equation: {exc}") from exc
-    except SupportError as exc:
-        raise SupportError(f"{path}: {exc}") from exc
+    chart = Chart.build(ambient_rank=n, equations=equations, monoid=monoid,
+                        basis=basis)
     return chart, ChartFileOptions(budgets=Budgets(**fields))

@@ -166,10 +166,7 @@ def main(argv=None):
             return _cmd_dim(args)
         if args.command == "analyze":
             return _cmd_analyze(args)
-    except LogjetError as exc:
-        print(f"logjet: error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (LogjetError, ValueError) as exc:
         print(f"logjet: error: {exc}", file=sys.stderr)
         return 1
 

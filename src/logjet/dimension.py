@@ -8,7 +8,7 @@ dividing a monomial are one AND of per-variable columns, and the lowest set
 bit is the first alive divisor in element order.  A dimension needs only
 the minimal leading monomials, the leads of the alive elements when the
 pair loop ends, so the run stops there; the reduced basis is built on
-first read of GroebnerResult.basis.  Then comes the standard combinatorial
+each read of GroebnerResult.basis.  Then comes the standard combinatorial
 dimension count: dim V(I) is the number of variables minus a minimum
 hitting set of the minimal leading-term supports.  A pruned
 depth-first search over the variables finds it (at most 2^(nvars+1) nodes,
@@ -289,34 +289,26 @@ def _reduced_basis(index):
     return tuple(monic)
 
 
-class GroebnerResult:
+class GroebnerResult(NamedTuple):
     """A finished Buchberger run: its minimal leading monomials, and the
-    reduced basis with monic Fraction coefficients, built on first read.
+    reduced basis with monic Fraction coefficients, built on each read.
 
     leads are the leading monomials of the reduced basis in its ascending
     degrevlex order, which are the minimal generators of the lead ideal;
     a dimension needs only them.  basis inter-reduces the alive elements
-    of index, the run's _LeadIndex, once and keeps the result.
+    of index, the run's _LeadIndex; nothing keeps it, so read it once.
     """
 
-    __slots__ = ("variables", "leads", "pairs_processed", "provenance",
-                 "index", "_basis")
-
-    def __init__(self, variables, leads, pairs_processed, provenance="",
-                 index=None):
-        self.variables = variables
-        self.leads = leads              # minimal leading monomials, ascending
-        self.pairs_processed = pairs_processed
-        self.provenance = provenance
-        self.index = index
-        self._basis = None
+    variables: tuple
+    leads: tuple                # minimal leading monomials, ascending
+    pairs_processed: int
+    provenance: str = ""
+    index: object = None        # the run's _LeadIndex
 
     @property
     def basis(self):
         """tuple of term-tuples ((mono, Fraction), ...), ascending by lead"""
-        if self._basis is None:
-            self._basis = _reduced_basis(self.index)
-        return self._basis
+        return _reduced_basis(self.index)
 
     def leading_monomials(self):
         return self.leads
@@ -329,7 +321,7 @@ class GroebnerResult:
 
 def groebner_basis(pres, budgets=None):
     """Degrevlex Groebner basis of the presentation's ideal, as a
-    GroebnerResult: the minimal leads now, the reduced basis on first read.
+    GroebnerResult: the minimal leads now, the reduced basis on each read.
 
     Buchberger with the Gebauer-Moeller pair update (product and chain
     criteria applied eagerly) and normal selection (smallest lcm first).

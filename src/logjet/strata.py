@@ -34,7 +34,11 @@ every polynomial of the base system with the ordinary derivation, the
 localization included, so w and its jets are fixed by the jetted
 localization, the same for strata and for the open row; constraints are
 added without jetting.  It is also the one place that clears Laurent
-polynomials, on integer exponent tuples, with no Fraction.
+polynomials, on integer exponent tuples, with no Fraction.  A source is a
+value: open_part is strata[0]._replace(constraints=minors).
+
+check_assumption(strata, dims) tests Assumption 1 on the base (m = 0)
+dimensions of stratify(chart), given as a list in stratum order.
 """
 
 import itertools
@@ -47,7 +51,7 @@ from .errors import LogjetError, ModeMismatchError
 from .jets import JetLayout, derivative_chain, poly_add, poly_mul, poly_partial
 
 
-class StratumPresentation:
+class StratumPresentation(NamedTuple):
     """One row source: a stratum piece (one face of the monoid), or with
     face None a whole variety in A^n (x_1..x_n, no w).
 
@@ -59,24 +63,15 @@ class StratumPresentation:
     off-face monomials and the localization.  They may be Laurent;
     stratum_jet_presentation clears them, which the w-equation makes
     legitimate.  constraints are polynomials over x_1..x_n added unjetted
-    (the open part's Jacobian minors).  Read-only.  Equality and hashing
-    are by identity: the analyzer keys its maps by the source objects it
-    builds.
+    (the open part's Jacobian minors).  Sources compare by value; they do
+    not hash, since their equations are dicts.
     """
 
-    __slots__ = ("face", "index", "variables", "equations", "constraints")
-
-    def __init__(self, face, index, variables, equations, constraints=()):
-        for name, value in zip(self.__slots__, (face, index, variables,
-                                                equations, constraints)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __reduce__(self):       # copy and pickle through the constructor
-        return StratumPresentation, (self.face, self.index, self.variables,
-                                     self.equations, self.constraints)
+    face: object            # monoid.Face, or None: a whole variety in A^n
+    index: int
+    variables: tuple
+    equations: tuple
+    constraints: tuple = ()
 
 
 def _minimal(off_face, cleared):
@@ -190,10 +185,8 @@ def open_part(chart, strata=()):
     if not strata:
         strata = (stratify(chart) if chart.monoid is not None
                   else (whole_chart(chart),))
-    source = strata[0]
-    return StratumPresentation(
-        source.face, source.index, source.variables, source.equations,
-        tuple(_jacobian_minors(chart.equations, chart.ambient_rank)))
+    return strata[0]._replace(constraints=tuple(
+        _jacobian_minors(chart.equations, chart.ambient_rank)))
 
 
 def stratum_jet_presentation(stratum, m):
@@ -254,23 +247,21 @@ class AssumptionReport(NamedTuple):
         return tuple(r for r in self.rows if r.status == "FAIL")
 
 
-def check_assumption(chart, dims):
+def check_assumption(strata, dims):
     """Assumption 1: every nonempty stratum X_l has codimension l in X.
 
-    dims maps each stratum presentation of stratify(chart) to its computed
-    dimension (int or EMPTY) and must cover every face of the chart
-    monoid.  Strata sharing an index l are aggregated: dim X_l is the max
-    over its pieces, and dim X the max over all strata.
+    strata is stratify(chart), and dims holds the computed dimension (int
+    or EMPTY) of each stratum, in the same order.  Strata sharing an
+    index l are aggregated: dim X_l is the max over its pieces, and dim X
+    the max over all strata.
     """
-    covered = {s.face for s in dims}
-    missing = [f for f in chart.monoid.faces() if f not in covered]
-    if missing:
+    if len(dims) != len(strata):
         raise ValueError(
-            f"dimension map misses {len(missing)} face(s) of the monoid")
+            f"{len(dims)} dimension(s) given for {len(strata)} strata")
     by_l = {}
-    for s, value in dims.items():
+    for s, value in zip(strata, dims):
         by_l.setdefault(s.index, []).append((s.face.generator_indices, value))
-    dim_x = max((d for d in dims.values() if d != EMPTY), default=EMPTY)
+    dim_x = max((d for d in dims if d != EMPTY), default=EMPTY)
     rows = []
     for l in sorted(by_l):
         pieces = tuple(sorted(by_l[l]))

@@ -6,7 +6,8 @@ import pytest
 
 from logjet.chartfile import load_chart
 from logjet.dimension import Budgets
-from logjet.errors import ChartParseError, MonoidError
+from logjet.errors import (ChartParseError, LogjetError, MonoidError,
+                           ResourceLimitError, SupportError)
 
 N2_DOC = {"format": "logjet-chart/1", "ambient_rank": 2,
           "monoid_generators": [[1, 0], [0, 1]],
@@ -127,3 +128,31 @@ def test_partial_budgets_keep_the_defaults(tmp_path):
     _, options = load_chart(write(tmp_path, dict(N2_DOC,
                                                  budgets={"pairs": 8})))
     assert options.budgets == Budgets(max_pairs=8)
+
+
+@pytest.mark.parametrize("doc, error", [
+    ({k: v for k, v in N2_DOC.items() if k != "ambient_rank"},
+     ChartParseError),
+    (dict(N2_DOC, equations=["x1 + x2 - 1", 3]), ChartParseError),
+    (dict(N2_DOC, basis=[0, 0]), MonoidError),
+    (dict(N2_DOC, basis=[0]), MonoidError),
+    (dict(N2_DOC, basis=[0, 2]), ChartParseError),
+    (dict(N2_DOC, mode="ordinary"), ChartParseError),
+    (dict(N2_DOC, budgets={"pairs": 0}), ChartParseError),
+    (dict(N2_DOC, equations=["x1^-1 - 1"]), SupportError),
+    (dict(N2_DOC, equations=["(x1 + x2)^3000"]), ResourceLimitError),
+    (dict(N2_DOC, monoid_generators=[[1, 0], [1, 2]]), MonoidError),
+    ({"ambient_rank": 2, "equations": ["x1"], "basis": [0, 1]},
+     ChartParseError),
+], ids=["missing-field", "non-string-equation", "non-unimodular-basis",
+        "short-basis", "basis-index-out-of-range", "mode-contradicts-monoid",
+        "bad-budget", "support", "work-refusal", "unsaturated-monoid",
+        "basis-on-an-ordinary-chart"])
+def test_every_content_error_names_the_file(tmp_path, doc, error):
+    """Each error keeps its class and starts with the file's path."""
+    path = write(tmp_path, doc)
+    with pytest.raises(LogjetError) as err:
+        load_chart(path)
+    assert type(err.value) is error
+    assert str(err.value).startswith(f"{path}: ")
+

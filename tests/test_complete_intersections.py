@@ -1,5 +1,6 @@
 """analyze on complete intersections of codimension 2: two equations, in
-A^4, A^5 and on N^4; and on products with an a1 factor.
+A^4, A^5 and on N^4; on products with an a1 or a2 factor; and the gate
+that refuses a chart that is no complete intersection.
 
 Every other analyzer test has at most one equation, so these are the only
 ones where the Jacobian minors are 2 x 2 and the strata carry two chart
@@ -15,6 +16,8 @@ from pathlib import Path
 import pytest
 
 from logjet import EMPTY, AffineMonoid, AnalysisConfig, Chart, analyze
+from logjet.cli import main
+from logjet.errors import CompleteIntersectionError
 
 REFERENCES = json.loads(
     (Path(__file__).resolve().parents[1] / "bench" / "references.json")
@@ -101,13 +104,17 @@ def _product(factors, m):
     (4, ["x1^2 + x2^2 + x3^2"], (_reference("a1"), _line), 2),
     (5, ["x1^2 + x2^2 + x3^2", "x4^2 - x5^3"],
      (_reference("a1"), _reference("cusp")), 1),
-], ids=["a1 x A1", "a1 x cusp"])
-def test_products_with_an_a1_factor_follow_the_product_rule(
-        n, equations, factors, max_order):
+    (4, ["x1^2 + x2^2 + x3^3"], (_reference("a2"), _line), 2),
+    (5, ["x1^2 + x2^2 + x3^3", "x4^2 - x5^3"],
+     (_reference("a2"), _reference("cusp")), 1),
+], ids=["a1 x A1", "a1 x cusp", "a2 x A1", "a2 x cusp"])
+def test_products_follow_the_product_rule(n, equations, factors, max_order):
     """a1 x A^1 in A^4 (d = 3): open rows 3 + 2 = 5 and 5 + 3 = 8 < 3(m+1),
     lct rows 4 + 2 and 6 + 3.  a1 x cusp in A^5 (c = 2, d = 3) at m = 1:
     the jets over a1 x Sing(cusp) have 4 + 2 = 6 >= 3 * 2, so it is
-    reducible there, as the cusp is."""
+    reducible there, as the cusp is.  a2 has the same dimensions as a1 at
+    m <= 2, so a2 x A^1 has open rows 5 and 8 and lct rows 6 and 9, and
+    a2 x cusp has open row 6 at m = 1 and is reducible."""
     report = analyze(Chart.build(ambient_rank=n, equations=equations),
                      AnalysisConfig(max_order=max_order))
     d = n - len(equations)
@@ -125,3 +132,24 @@ def test_products_with_an_a1_factor_follow_the_product_rule(
     violated = [r for r in report.rows if r.status == "VIOLATED"]
     assert report.verdict == ("REDUCIBLE" if violated
                               else "NO_OBSTRUCTION_UP_TO_M")
+
+
+@pytest.mark.parametrize("equations, message", [
+    (["x1", "x1"], "not a complete intersection: dim X = 1, expected "
+                   "2 - 2 = 0"),
+    (["x1", "x1 - 1"], "the chart cuts out an empty scheme"),
+], ids=["repeated-equation", "empty-scheme"])
+def test_the_complete_intersection_gate(tmp_path, capsys, equations,
+                                        message):
+    """Two equations in A^2 must cut out a point: x1 = x1 = 0 is a line,
+    and x1 = 0 = x1 - 1 is empty.  analyze refuses both, and the CLI
+    exits 1 with the same text."""
+    with pytest.raises(CompleteIntersectionError) as err:
+        analyze(Chart.build(ambient_rank=2, equations=equations))
+    assert str(err.value) == message
+    path = tmp_path / "chart.json"
+    path.write_text(json.dumps({"ambient_rank": 2, "equations": equations}))
+    assert main(["analyze", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("",
+                                            f"logjet: error: {message}\n")

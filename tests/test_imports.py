@@ -193,9 +193,8 @@ def test_jets_imports_only_errors():
 # Importing dataclasses loads inspect (and with it ast, dis and tokenize),
 # and each @dataclass builds its methods from source text: together most
 # of the import time of logjet, which every `logjet analyze` run pays
-# before its first chart.  The records are NamedTuples and __slots__
-# classes instead (see the package docstring), and these checks keep
-# both modules out.
+# before its first chart.  The records are NamedTuples instead (see the
+# package docstring), and these checks keep both modules out.
 
 SLOW_MODULES = {"dataclasses", "inspect"}
 

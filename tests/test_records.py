@@ -1,22 +1,26 @@
-"""The package's records keep their behaviour whatever they are built
-with: the frozen ones refuse assignment, Budgets and Face compare and hash
-by value, StratumPresentation by identity, AnalysisConfig validates its
-order, and GroebnerResult builds its reduced basis once."""
+"""The package's records are NamedTuples: they refuse assignment, copy
+and pickle, and compare by value; analyze validates its config's order,
+and GroebnerResult reduces its basis on each read.  A lint keeps the
+idiom: no logjet class defines __setattr__ or __reduce__."""
 
+import ast
 import copy
 import pickle
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from logjet import (AnalysisConfig, AnalysisReport, Budgets, Chart,
-                    DimResult, Face, IdealPresentation)
+                    DimResult, Face, IdealPresentation, analyze)
 from logjet.analyzer import InequalityRow, LctRow, WitnessConfirmation
 from logjet.chartfile import ChartFileOptions
 from logjet.dimension import groebner_basis
 from logjet.jets import degrevlex
 from logjet.strata import (AssumptionReport, StratumPresentation,
                            StratumStatus)
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "logjet"
 
 FACE = Face((0,), ((0, 1),), 1)
 
@@ -58,8 +62,9 @@ def test_a_frozen_record_copies_and_pickles(record, name):
 
 
 def test_analysis_config_refuses_order_zero():
+    chart = Chart.build(ambient_rank=1, equations=["x1"])
     with pytest.raises(ValueError, match="max order must be at least 1"):
-        AnalysisConfig(max_order=0)
+        analyze(chart, AnalysisConfig(max_order=0))
 
 
 def test_analysis_config_defaults():
@@ -83,17 +88,37 @@ def test_budgets_with_different_values_differ():
     assert Budgets(max_pairs=8) != Budgets()
 
 
-def test_stratum_presentations_are_keyed_by_identity():
+def test_equal_stratum_presentations_compare_equal():
     fields = (FACE, 1, ("x1", "w"), ({(1, 0): 1},))
     a, b = StratumPresentation(*fields), StratumPresentation(*fields)
-    assert a == a
-    assert a != b
-    assert len({a: 1, b: 2}) == 2
+    assert a is not b
+    assert a == b
+    assert a._replace(constraints=({(1,): 1},)) != b
 
 
-def test_groebner_result_builds_its_basis_once():
+def test_groebner_result_reduces_its_basis_on_read():
     gb = groebner_basis(IdealPresentation.from_terms(
         ("x", "y"), [{(1, 1): 1, (0, 0): -1}, {(2, 0): 1, (0, 1): -1}]))
-    assert gb.basis is gb.basis
+    basis = gb.basis
+    assert gb.basis == basis
     assert gb.leading_monomials() == tuple(
-        max((mono for mono, _c in g), key=degrevlex) for g in gb.basis)
+        max((mono for mono, _c in g), key=degrevlex) for g in basis)
+
+
+@pytest.mark.parametrize("record", [r for r, _name in FROZEN] + [
+    groebner_basis(IdealPresentation(("x",), ((((1,), 1),),)))],
+    ids=[type(r).__name__ for r, _name in FROZEN] + ["GroebnerResult"])
+def test_every_record_is_a_named_tuple(record):
+    assert isinstance(record, tuple)
+    assert record._fields
+
+
+def test_no_class_defines_setattr_or_reduce():
+    found = [f"{path.name}: {node.name}.{item.name}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text("utf-8")))
+             if isinstance(node, ast.ClassDef)
+             for item in node.body
+             if isinstance(item, ast.FunctionDef)
+             and item.name in ("__setattr__", "__reduce__")]
+    assert found == []

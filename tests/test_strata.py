@@ -129,9 +129,9 @@ def test_check_assumption_fail():
     """x1 = x2 in N^2 meets the origin (l = 2) in codimension 1."""
     chart = Chart.build(monoid=AffineMonoid(2, [(1, 0), (0, 1)]),
                         equations=["x1 - x2"])
-    dims = {s: dimension_of(base_presentation(s)).dimension
-            for s in stratify(chart)}
-    report = check_assumption(chart, dims)
+    strata = stratify(chart)
+    dims = [dimension_of(base_presentation(s)).dimension for s in strata]
+    report = check_assumption(strata, dims)
     assert not report.passed and report.x0_nonempty and report.dim_x == 1
     assert [(r.index, r.dim, r.codim, r.status) for r in report.rows] == [
         (0, 1, 0, "PASS"), (1, EMPTY, EMPTY, "EMPTY"), (2, 0, 1, "FAIL")]
@@ -139,6 +139,6 @@ def test_check_assumption_fail():
 
 
 def test_check_assumption_needs_every_face(cone):
-    dims = {s: 1 for s in stratify(cone)[:-1]}
-    with pytest.raises(ValueError, match="misses 1 face"):
-        check_assumption(cone, dims)
+    strata = stratify(cone)
+    with pytest.raises(ValueError, match="given for 4 strata"):
+        check_assumption(strata, [1] * (len(strata) - 1))
