@@ -14,7 +14,11 @@ class NoUnimodularSubsetError(MonoidError):
 
 
 class RankTooLargeError(MonoidError):
-    """Ambient rank exceeds the desk-scale bound for face enumeration."""
+    """Monoid rank exceeds the desk-scale bound (monoid.MAX_FACE_RANK).
+
+    Raised by the AffineMonoid constructor before any generator subset is
+    walked: the facet forms and the face lattice walk subsets of size n - 1.
+    """
 
 
 class ModeMismatchError(LogjetError):

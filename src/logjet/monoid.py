@@ -5,7 +5,9 @@ all of Z^n (so P^gp = Z^n after normalization, which is the caller's job).
 Construction proves that P is saturated and generated by those vectors, so
 P = cone ∩ Z^n and membership is decided exactly by the facet inequalities
 (Bruns & Ichim, "Normaliz: algorithms for affine monoids and rational
-cones", J. Algebra 2010; Cox-Little-Schenck, Toric Varieties, ch. 1).
+cones", J. Algebra 2010; Cox-Little-Schenck, Toric Varieties, ch. 1).  The
+proof walks the half-open parallelepipeds of one star of simplicial cones
+around a single generator, which covers the cone.
 
 Faces of the rational cone spanned by the generators correspond to torus
 orbits of Spec k[P]; stratum_index of a face is n minus the rank of its
@@ -20,9 +22,11 @@ from . import intlinalg
 from .errors import (MonoidError, NoUnimodularSubsetError, RankTooLargeError,
                      ResourceLimitError)
 
+# Ambient rank above which a monoid is refused at construction: the facet
+# forms and the face lattice walk generator subsets of size n - 1.
 MAX_FACE_RANK = 6
 # Lattice points over all fundamental parallelepipeds that the saturation
-# proof may enumerate (the sum of |det S| over nonsingular n-subsets S).
+# proof may enumerate (the sum of |det S| over the simplices S of its star).
 MAX_PARALLELEPIPED_POINTS = 20000
 
 
@@ -41,21 +45,36 @@ class Face(NamedTuple):
 class AffineMonoid:
     """Fine saturated submonoid of Z^n spanned by explicit generators.
 
-    The constructor proves exactly that the generators span Z^n as a group
-    and that every lattice point of their cone is an N-combination of them,
-    or raises MonoidError naming a missing point.  For every n-subset S of
-    the generators with det S != 0 it checks the |det S| lattice points of
-    the half-open parallelepiped of S, which with S generate the lattice
-    points of cone(S); these cones cover the cone.  Each point is a coset
+    The constructor refuses an ambient rank over MAX_FACE_RANK before any
+    generator subset is walked.  It then proves exactly that the generators
+    span Z^n as a group and that every lattice point of their cone is an
+    N-combination of them, or raises MonoidError naming a missing point.
+
+    The proof covers the cone by simplicial cones.  Fix v, the first
+    generator on which some facet form is positive.  For every facet F with
+    <u_F, v> > 0, take the n-subsets S = {v} ∪ T, where T runs over the
+    independent (n-1)-subsets of the generators on F.  These cones cover
+    the cone: from a point p subtract s v for the largest s that stays in
+    the cone; the rest lies on a facet F with <u_F, v> > 0, and
+    Carathéodory inside F, whose generators span its hyperplane, puts it
+    in cone(T) for some T.  For each S the proof checks the |det S|
+    lattice points of the half-open parallelepiped of S, which with S
+    generate the lattice points of cone(S).  Each point is a coset
     representative of the lattice of S folded into the parallelepiped by
     the integer adjugate of S.  Over MAX_PARALLELEPIPED_POINTS points in
-    all, ResourceLimitError is raised before any is enumerated.  So
-    P = cone ∩ Z^n and membership() is exact.
+    all, ResourceLimitError is raised before any is enumerated.  A cone
+    with no facet is all of R^n (P is a group); the span check already
+    proves that one, and no point is enumerated.  So P = cone ∩ Z^n and
+    membership() is exact.
     """
 
     def __init__(self, ambient_rank, generators):
         if ambient_rank < 1:
             raise MonoidError("ambient rank must be at least 1")
+        if ambient_rank > MAX_FACE_RANK:
+            raise RankTooLargeError(
+                f"monoids are limited to rank {MAX_FACE_RANK}, "
+                f"got {ambient_rank}")
         gens = tuple(tuple(int(x) for x in g) for g in generators)
         if not gens:
             raise MonoidError("monoid needs at least one generator")
@@ -131,9 +150,6 @@ class AffineMonoid:
     @cached_property
     def _face_lattice(self):
         n = self.ambient_rank
-        if n > MAX_FACE_RANK:
-            raise RankTooLargeError(
-                f"face enumeration limited to rank {MAX_FACE_RANK}, got {n}")
         gens = self.generators
         forms = self.facet_forms
         seen = {}
@@ -167,19 +183,28 @@ class AffineMonoid:
     # -- saturation proof ----------------------------------------------------
 
     def _prove_saturation(self):
-        n = self.ambient_rank
+        forms = self.facet_forms
+        # the star of the class docstring, around the first generator on
+        # which a facet form is positive; no simplex when there is no facet
+        apex = next((g for g in self.generators
+                     if any(_pairing(u, g) > 0 for u in forms)), None)
         simplices = []
         total = 0
-        for simplex in itertools.combinations(self.generators, n):
-            d = abs(intlinalg.det([list(s) for s in simplex]))
-            if d:
-                simplices.append(simplex)
-                total += d
+        for u in forms:
+            if _pairing(u, apex) <= 0:
+                continue
+            on_facet = [g for g in self.generators if _pairing(u, g) == 0]
+            for rest in itertools.combinations(on_facet,
+                                               self.ambient_rank - 1):
+                simplex = (apex,) + rest
+                d = abs(intlinalg.det([list(s) for s in simplex]))
+                if d:
+                    simplices.append(simplex)
+                    total += d
         if total > MAX_PARALLELEPIPED_POINTS:
             raise ResourceLimitError(
                 f"saturation check needs {total} parallelepiped points, "
                 f"over the limit of {MAX_PARALLELEPIPED_POINTS}")
-        forms = self.facet_forms
         units = self.units()
         steps = [g for g in self.generators
                  if any(_pairing(u, g) for u in forms)]

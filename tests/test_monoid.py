@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from logjet import intlinalg
+from logjet import monoid as monoid_module
 from logjet.errors import (MonoidError, NoUnimodularSubsetError,
                            RankTooLargeError, ResourceLimitError)
 from logjet.monoid import MAX_PARALLELEPIPED_POINTS, AffineMonoid
@@ -26,21 +27,35 @@ def reach_set(gens, window):
     Steinitz lemma (constant at most the rank n), any representation of a
     window point can be ordered so that every partial sum stays within
     n * (max|g| + window) of the segment from 0 to the point, so the box
-    below loses no window point.
+    below loses no window point.  The box is padded by max|g| on every
+    side and flattened to one byte per point; the padding starts out
+    marked, so a sum that leaves the box is never taken up.
     """
     n = len(gens[0])
-    box = window + n * (max(abs(x) for g in gens for x in g) + window)
-    origin = (0,) * n
-    reached = {origin}
+    reach = max(abs(x) for g in gens for x in g)
+    box = window + n * (reach + window)
+    side = 2 * (box + reach) + 1
+
+    def index(v):
+        return sum((x + box + reach) * side ** k for k, x in enumerate(v))
+
+    marked = bytearray(b"\1") * side ** n
+    for rest in itertools.product(range(-box, box + 1), repeat=n - 1):
+        start = index((-box,) + rest)
+        marked[start:start + 2 * box + 1] = bytes(2 * box + 1)
+    origin = index((0,) * n)
+    steps = [index(g) - origin for g in gens]
+    marked[origin] = 1
     frontier = [origin]
     while frontier:
-        v = frontier.pop()
-        for g in gens:
-            w = tuple(a + b for a, b in zip(v, g))
-            if w not in reached and all(abs(x) <= box for x in w):
-                reached.add(w)
-                frontier.append(w)
-    return {v for v in reached if all(abs(x) <= window for x in v)}
+        i = frontier.pop()
+        for step in steps:
+            j = i + step
+            if not marked[j]:
+                marked[j] = 1
+                frontier.append(j)
+    return {v for v in itertools.product(range(-window, window + 1), repeat=n)
+            if marked[index(v)]}
 
 
 def brute_force_faces(gens, bound=5):
@@ -195,9 +210,22 @@ def test_faces_hexagon_cone_walks_the_lattice():
 
 def test_rank_too_large():
     gens = [tuple(1 if i == j else 0 for j in range(7)) for i in range(7)]
-    monoid = AffineMonoid(7, gens)
     with pytest.raises(RankTooLargeError):
-        monoid.faces()
+        AffineMonoid(7, gens)
+
+
+def test_rank_too_large_walks_no_subset(monkeypatch):
+    # the rank-8 orthant from its 8 unit vectors and 12 sums e_i + e_j:
+    # facet_forms alone would walk all C(20, 7) subsets of its generators
+    units = [tuple(1 if i == j else 0 for j in range(8)) for i in range(8)]
+    sums = [tuple(a + b for a, b in zip(units[i], units[j]))
+            for i, j in itertools.combinations(range(8), 2)][:12]
+    calls = []
+    monkeypatch.setattr(intlinalg, "kernel_vector",
+                        lambda *args: calls.append(args))
+    with pytest.raises(RankTooLargeError, match="limited to rank 6, got 8"):
+        AffineMonoid(8, units + sums)
+    assert calls == []
 
 
 def test_units():
@@ -217,43 +245,69 @@ def test_units_mixed_lattice():
 
 
 def bench_chart_monoids():
+    """{chart name: (rank, generators)} of the bench charts with a monoid."""
+    monoids = {}
     for path in sorted(BENCH_CHARTS.glob("*.json")):
         doc = json.loads(path.read_text())
         if doc.get("monoid_generators") is not None:
-            yield doc["ambient_rank"], doc["monoid_generators"]
+            monoids[path.name] = doc["ambient_rank"], doc["monoid_generators"]
+    return monoids
 
 
 def test_saturation_check_passes_desk_charts():
     desk = [(2, N2.generators), (2, CONE3.generators), (1, Z1.generators),
             (1, [(2,), (-3,)]), (2, [(1, 0), (-1, 0), (0, 1)]),
             (3, HEXAGON)]
-    bench = list(bench_chart_monoids())
+    bench = list(bench_chart_monoids().values())
     assert bench
     for rank, gens in desk + bench:
         monoid = AffineMonoid(rank, gens)
         assert monoid.generators == tuple(tuple(g) for g in gens)
 
 
-def test_saturation_descent_deeper_than_recursion_limit():
-    # the parallelepiped of (1,0), (1,1500) holds (1, 1499), whose only
-    # representation (1,0) + 1499 * (0,1) is a 1500-step descent
-    monoid = AffineMonoid(2, [(0, 1), (1, 0), (1, 1500)])
-    assert monoid.membership((1, 1499))
+def test_saturation_descent_deeper_than_recursion_limit(monkeypatch):
+    # the star around (1, -1500) holds the parallelepiped of (1, -1500),
+    # (1, 0), whose points come as (1, -1499), (1, -1498), ..., (1, -1).
+    # The first has the one representation (1, 0) + 1499 * (0, -1), so its
+    # descent runs 1499 steps with nothing known on the way.  In the upper
+    # half-plane the points would come as (1, 1), (1, 2), ..., each one
+    # step above a point already proved.
+    in_cone = []
+    membership = AffineMonoid.membership
+
+    def recording(self, v):
+        if membership(self, v):
+            in_cone.append(v)
+            return True
+        return False
+
+    monkeypatch.setattr(AffineMonoid, "membership", recording)
+    monoid = AffineMonoid(2, [(1, -1500), (0, -1), (1, 0)])
+    assert in_cone[:1500] == [(1, y) for y in range(-1498, 1)] + [(0, 0)]
+    assert monoid.membership((1, -1499))
 
 
 def test_saturation_limit_is_checked_before_enumeration():
-    # sum of |det| over the 2-subsets: 1 + 20000 + 19999
+    # the star around (1, 0) is the one simplex (1, 0), (1, 20001)
     with pytest.raises(ResourceLimitError) as err:
-        AffineMonoid(2, [(1, 0), (1, 1), (1, 20000)])
-    assert "40000" in str(err.value)
+        AffineMonoid(2, [(1, 0), (1, 1), (1, 20001)])
+    assert "20001" in str(err.value)
     assert str(MAX_PARALLELEPIPED_POINTS) in str(err.value)
+
+
+def test_saturation_check_at_the_point_limit():
+    # the star's one simplex (1, 0), (1, 20000) holds 20000 points, all
+    # enumerated; (1, 2) is the first that is not generated
+    with pytest.raises(MonoidError, match=r"^cone point \(1, 2\) "):
+        AffineMonoid(2, [(1, 0), (1, 1), (1, 20000)])
 
 
 FAN46 = [(1, 0)] + [(1, k) for k in range(1, 47)]
 
 
 def test_saturation_check_near_the_point_limit():
-    # the 1081 simplices of <(1,0),(1,1),...,(1,46)> hold 17296 points
+    # the 1081 two-subsets of <(1,0),(1,1),...,(1,46)> hold 17296 points,
+    # near the limit; the star around (1, 0) needs only (1, 0), (1, 46)
     total = sum(abs(intlinalg.det([list(a), list(b)]))
                 for a, b in itertools.combinations(FAN46, 2))
     assert total == 17296 < MAX_PARALLELEPIPED_POINTS
@@ -267,6 +321,48 @@ def test_saturation_check_near_the_point_limit():
 def test_saturation_check_names_the_missing_fan_ray():
     with pytest.raises(MonoidError, match=r"\(1, 23\)"):
         AffineMonoid(2, [g for g in FAN46 if g != (1, 23)])
+
+
+def saturation_work(rank, gens):
+    """(simplices, points) the saturation proof enumerates for a monoid."""
+    work = [0, 0]
+
+    def counting(simplex):
+        work[0] += 1
+        for point in parallelepiped_points(simplex):
+            work[1] += 1
+            yield point
+
+    parallelepiped_points = monoid_module._parallelepiped_points
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(monoid_module, "_parallelepiped_points", counting)
+        AffineMonoid(rank, gens)
+    return tuple(work)
+
+
+# The star has one simplex for each facet off the apex whose generators are
+# independent: a cone over a segment has one such facet, the conifold's
+# square two.  A proof over every nonsingular n-subset would read
+# (k(k+1)/2, k(k+1)(k+2)/6) for cone k, (4, 4) for the conifold and
+# (1081, 17296) for FAN46.
+SATURATION_WORK = {
+    **{f"cone{k}_hyperplane.json": (1, k) for k in range(2, 8)},
+    "cone2_bare.json": (1, 2),
+    "conifold_hyperplane.json": (2, 2),
+    **{f"n{k}_{kind}.json": (1, 1) for k, kind in [
+        (2, "binomial"), (2, "hyperplane"), (2, "hyperplane_pairs8"),
+        (3, "binomial"), (3, "hyperplane"), (3, "quadric"),
+        (5, "hyperplane")]},
+}
+
+
+def test_saturation_work_on_the_bench_charts_is_pinned():
+    assert {name: saturation_work(rank, gens) for name, (rank, gens)
+            in bench_chart_monoids().items()} == SATURATION_WORK
+
+
+def test_saturation_work_on_fan46_is_pinned():
+    assert saturation_work(2, FAN46) == (1, 46)
 
 
 def test_saturation_check_rejects_unsaturated():
@@ -283,6 +379,14 @@ def test_saturation_check_rejects_unsaturated_mirror_image():
     # the nonnegative orthant never looked there
     with pytest.raises(MonoidError, match=r"\(-1, 0\)"):
         AffineMonoid(2, [(-2, 0), (-3, 0), (0, -1), (-1, -1)])
+
+
+def test_saturation_check_walks_every_pair_on_a_facet():
+    # the star around (0, 0, 1) meets the one facet z = 0, which holds
+    # (1, 0, 0), (1, 1, 0) and (1, 3, 0); only its simplex with (1, 0, 0),
+    # (1, 3, 0) holds the missing point (1, 2, 0)
+    with pytest.raises(MonoidError, match=r"\(1, 2, 0\)"):
+        AffineMonoid(3, [(0, 0, 1), (1, 0, 0), (1, 1, 0), (1, 3, 0)])
 
 
 def test_saturation_check_rejects_ungenerated_cone_point():
