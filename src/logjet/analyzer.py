@@ -34,7 +34,9 @@ computed once for the Assumption-1 check, is EMPTY, and the open part at
 every order above one whose row was EMPTY.  This is exact: the order-m
 presentation contains the order-m' generators (m' < m) in the lower
 variables, so V(J_m) projects into V(J_m') = empty.  An UNKNOWN row decides
-nothing and is never propagated.
+nothing and is never propagated.  Every presentation is built under the
+analysis budgets, so a row whose J_m has more variables than the Groebner
+bound is UNKNOWN without a build, and no jet past the bound is derived.
 
 A REDUCIBLE witness is rechecked by counting points of its own
 presentation over F_p.
@@ -197,32 +199,33 @@ def _rows(chart, cfg, d, strata, base_dims):
     for m in range(1, cfg.max_order + 1):
         for entry in sources:
             source, face, empty = entry
-            l = source.index
             if empty:
-                yield InequalityRow(l, m, face, EMPTY, d * (m + 1),
-                                    "EMPTY"), None
+                yield InequalityRow(source.index, m, face, EMPTY,
+                                    d * (m + 1), "EMPTY"), None
                 continue
-            pres = stratum_jet_presentation(source, m)
-            row = _row(pres, l, m, face, d, cfg)
+            row, pres = _row(source, m, face, d, cfg)
             entry[2] = row.status == "EMPTY"
             yield row, pres
 
 
-def _row(pres, l, m, face, d, cfg):
-    """The row of one presentation: dim J_m + m*l against d*(m+1), or
-    UNKNOWN when a budget trips; see the module docstring."""
-    bound = d * (m + 1)
+def _row(source, m, face, d, cfg):
+    """(row, presentation) of J_m of a source: dim J_m + m*l against
+    d*(m+1), or UNKNOWN with no presentation when a budget trips; see the
+    module docstring."""
+    l, bound = source.index, d * (m + 1)
     try:
+        pres = stratum_jet_presentation(source, m, cfg.budgets)
         dim_jets = dimension_of(pres, budgets=cfg.budgets).dimension
     except ResourceLimitError as exc:
-        return InequalityRow(l, m, face, None, bound, "UNKNOWN", str(exc))
+        return InequalityRow(l, m, face, None, bound, "UNKNOWN",
+                             str(exc)), None
     if dim_jets == EMPTY:
         status = "EMPTY"
     elif dim_jets + m * l < bound:
         status = "OK"
     else:
         status = "VIOLATED"
-    return InequalityRow(l, m, face, dim_jets, bound, status)
+    return InequalityRow(l, m, face, dim_jets, bound, status), pres
 
 
 def _confirm_witness(row, pres, cfg):
@@ -262,7 +265,7 @@ def analyze(chart, cfg=None):
     n, c = chart.ambient_rank, chart.codim
 
     strata = stratify(chart) if is_log else (whole_chart(chart),)
-    base_dims = [dimension_of(stratum_jet_presentation(s, 0),
+    base_dims = [dimension_of(stratum_jet_presentation(s, 0, cfg.budgets),
                               budgets=cfg.budgets).dimension
                  for s in strata]
     assumption = check_assumption(strata, base_dims) if is_log else None
@@ -314,7 +317,7 @@ def analyze(chart, cfg=None):
             for m in range(1, cfg.max_order + 1):
                 try:
                     lct_sources.append(("X", m, dimension_of(
-                        stratum_jet_presentation(strata[0], m),
+                        stratum_jet_presentation(strata[0], m, cfg.budgets),
                         budgets=cfg.budgets).dimension))
                 except ResourceLimitError as exc:
                     notes.append(f"lct at order {m} skipped: {exc}")

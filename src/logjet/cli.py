@@ -21,11 +21,13 @@ presentation's variable order, so a stratum's certificate names the jets
 of its inversion variable w, which its presentation lists first.
 Budgets come from the chart file's "budgets" field, or the defaults.  Exit
 codes from analyze: 0 no obstruction, 10 reducible, 20 assumption failure,
-30 inconclusive; 1 = usage or input error.
+30 inconclusive; 1 = usage or input error.  A stdout closed by its reader
+(`logjet strata FILE | head -2`) ends any command quietly with exit 1.
 """
 
 import argparse
 import json
+import os
 import sys
 
 from .analyzer import AnalysisConfig, analyze
@@ -134,8 +136,8 @@ def _cmd_dim(args):
     lines = []
     payload = []
     for label, source in sources:
-        res = dimension_of(stratum_jet_presentation(source, args.order),
-                           opts.budgets)
+        pres = stratum_jet_presentation(source, args.order, opts.budgets)
+        res = dimension_of(pres, opts.budgets)
         lines.append(f"{label}: dim = {res.dimension}")
         if args.verbose and res.certificate is not None:
             lines.append(f"  certificate: {res.certificate}")
@@ -154,20 +156,23 @@ def _cmd_analyze(args):
     return report.exit_code
 
 
+_COMMANDS = {"jets": _cmd_jets, "strata": _cmd_strata, "dim": _cmd_dim,
+             "analyze": _cmd_analyze}
+
+
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "jets":
-            return _cmd_jets(args)
-        if args.command == "strata":
-            return _cmd_strata(args)
-        if args.command == "dim":
-            return _cmd_dim(args)
-        if args.command == "analyze":
-            return _cmd_analyze(args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()      # a closed stdout fails here, not at exit
+        return code
     except (LogjetError, ValueError) as exc:
         print(f"logjet: error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader is gone; the interpreter's flush at exit goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

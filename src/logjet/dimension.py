@@ -319,6 +319,15 @@ class GroebnerResult(NamedTuple):
         return any(not any(m) for m in self.leads)
 
 
+def check_variables(nvars, provenance, budgets):
+    """The ResourceLimitError of groebner_basis for nvars variables over
+    the Groebner bound, raised for a presentation named provenance."""
+    if nvars > budgets.max_groebner_vars:
+        raise ResourceLimitError(
+            f"{nvars} variables exceeds the Groebner bound "
+            f"{budgets.max_groebner_vars} ({provenance})")
+
+
 def groebner_basis(pres, budgets=None):
     """Degrevlex Groebner basis of the presentation's ideal, as a
     GroebnerResult: the minimal leads now, the reduced basis on each read.
@@ -342,10 +351,7 @@ def groebner_basis(pres, budgets=None):
     """
     budgets = budgets or Budgets()
     nvars = len(pres.variables)
-    if nvars > budgets.max_groebner_vars:
-        raise ResourceLimitError(
-            f"{nvars} variables exceeds the Groebner bound "
-            f"{budgets.max_groebner_vars} ({pres.provenance})")
+    check_variables(nvars, pres.provenance, budgets)
     index = _LeadIndex(nvars)
     elements = index.elements  # _Reductor per generator and remainder
     pairs = {}            # (i, j) -> lcm monomial, i < j

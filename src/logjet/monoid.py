@@ -6,8 +6,8 @@ Construction proves that P is saturated and generated by those vectors, so
 P = cone ∩ Z^n and membership is decided exactly by the facet inequalities
 (Bruns & Ichim, "Normaliz: algorithms for affine monoids and rational
 cones", J. Algebra 2010; Cox-Little-Schenck, Toric Varieties, ch. 1).  The
-proof walks the half-open parallelepipeds of one star of simplicial cones
-around a single generator, which covers the cone.
+proof checks one generator step at each point of the half-open
+parallelepipeds of one star of simplicial cones, which covers the cone.
 
 Faces of the rational cone spanned by the generators correspond to torus
 orbits of Spec k[P]; stratum_index of a face is n minus the rank of its
@@ -16,6 +16,7 @@ generator set.
 
 import itertools
 from functools import cached_property
+from operator import sub
 from typing import NamedTuple
 
 from . import intlinalg
@@ -46,26 +47,28 @@ class AffineMonoid:
     """Fine saturated submonoid of Z^n spanned by explicit generators.
 
     The constructor refuses an ambient rank over MAX_FACE_RANK before any
-    generator subset is walked.  It then proves exactly that the generators
-    span Z^n as a group and that every lattice point of their cone is an
-    N-combination of them, or raises MonoidError naming a missing point.
+    generator subset is walked.  It then proves that the generators span
+    Z^n as a group and that P, their N-span, is cone ∩ Z^n, or raises
+    MonoidError naming a cone point outside P.  So membership() is exact.
 
-    The proof covers the cone by simplicial cones.  Fix v, the first
-    generator on which some facet form is positive.  For every facet F with
-    <u_F, v> > 0, take the n-subsets S = {v} ∪ T, where T runs over the
-    independent (n-1)-subsets of the generators on F.  These cones cover
-    the cone: from a point p subtract s v for the largest s that stays in
-    the cone; the rest lies on a facet F with <u_F, v> > 0, and
-    Carathéodory inside F, whose generators span its hyperplane, puts it
-    in cone(T) for some T.  For each S the proof checks the |det S|
-    lattice points of the half-open parallelepiped of S, which with S
-    generate the lattice points of cone(S).  Each point is a coset
-    representative of the lattice of S folded into the parallelepiped by
-    the integer adjugate of S.  Over MAX_PARALLELEPIPED_POINTS points in
-    all, ResourceLimitError is raised before any is enumerated.  A cone
-    with no facet is all of R^n (P is a group); the span check already
-    proves that one, and no point is enumerated.  So P = cone ∩ Z^n and
-    membership() is exact.
+    The star around v, the first non-unit generator, covers the cone: the
+    cones of S = {v} ∪ T, T an independent (n-1)-subset of the generators on
+    a facet F with <u_F, v> > 0 (less the most v it holds, a cone point lies
+    on such an F, and in some cone(T) by Carathéodory inside F).  So a cone
+    lattice point is q = sum n_i s_i + p, n_i in N, s_i in some S and p one
+    of the |det S| points of the half-open parallelepiped of S, which the
+    adjugate of S folds in from the cosets of its lattice.  Over
+    MAX_PARALLELEPIPED_POINTS points in all, ResourceLimitError is raised
+    before any is enumerated.
+
+    The height h, the sum of the facet forms, is a nonnegative integer on
+    the cone, 0 on its lineality space and at least 1 on every non-unit
+    generator.  Each p needs a certificate: if h(p) = 0, p is in the unit
+    lattice; else p - g is in the cone for a non-unit generator g, and in
+    the unit lattice if h(p - g) = 0.  P = cone ∩ Z^n gives it.  It puts q
+    in P by induction on h(q): the unit generators span the unit lattice as
+    a monoid (their cone is the lineality space), and q - g is a cone point
+    of smaller height.  With no facet the span check proves P = Z^n.
     """
 
     def __init__(self, ambient_rank, generators):
@@ -103,19 +106,15 @@ class AffineMonoid:
         Each form vanishes on n-1 independent generators and is nonnegative
         on all of them.  Empty for a cone with full lineality (P a group).
         """
-        n = self.ambient_rank
-        gens = self.generators
+        n, gens = self.ambient_rank, self.generators
         forms = set()
-        for subset in itertools.combinations(range(len(gens)), n - 1):
-            rows = [list(gens[i]) for i in subset]
-            u = intlinalg.kernel_vector(rows, n)
+        for subset in itertools.combinations(gens, n - 1):
+            u = intlinalg.kernel_vector(subset, n)
             if u is None:
                 continue
-            vals = [_pairing(u, g) for g in gens]
-            if all(v >= 0 for v in vals):
-                forms.add(tuple(u))
-            elif all(v <= 0 for v in vals):
-                forms.add(tuple(-x for x in u))
+            for sign in (1, -1):
+                if all(sign * _pairing(u, g) >= 0 for g in gens):
+                    forms.add(tuple(sign * x for x in u))
         return tuple(sorted(forms))
 
     def membership(self, v):
@@ -149,8 +148,7 @@ class AffineMonoid:
 
     @cached_property
     def _face_lattice(self):
-        n = self.ambient_rank
-        gens = self.generators
+        n, gens = self.ambient_rank, self.generators
         forms = self.facet_forms
         seen = {}
         todo = [tuple(range(len(gens)))]
@@ -171,11 +169,10 @@ class AffineMonoid:
 
     def select_gp_basis(self):
         """First generator subset (lexicographic by index) with det +-1."""
-        n = self.ambient_rank
-        for subset in itertools.combinations(range(len(self.generators)), n):
-            mat = [list(self.generators[i]) for i in subset]
-            if intlinalg.det(mat) in (1, -1):
-                return tuple(self.generators[i] for i in subset)
+        for subset in itertools.combinations(self.generators,
+                                             self.ambient_rank):
+            if intlinalg.det(subset) in (1, -1):
+                return subset
         raise NoUnimodularSubsetError(
             "no generator subset is a Z-basis of Z^n; "
             "choose different generators or supply an explicit basis")
@@ -184,69 +181,36 @@ class AffineMonoid:
 
     def _prove_saturation(self):
         forms = self.facet_forms
-        # the star of the class docstring, around the first generator on
-        # which a facet form is positive; no simplex when there is no facet
-        apex = next((g for g in self.generators
-                     if any(_pairing(u, g) > 0 for u in forms)), None)
-        simplices = []
-        total = 0
+        # the height h and the non-unit generators; no facet, no step
+        h = [sum(column) for column in zip(*forms)]
+        steps = [g for g in self.generators if _pairing(h, g)]
+        star = {}       # simplex of the star around steps[0] -> |det|
         for u in forms:
-            if _pairing(u, apex) <= 0:
-                continue
-            on_facet = [g for g in self.generators if _pairing(u, g) == 0]
-            for rest in itertools.combinations(on_facet,
-                                               self.ambient_rank - 1):
-                simplex = (apex,) + rest
-                d = abs(intlinalg.det([list(s) for s in simplex]))
-                if d:
-                    simplices.append(simplex)
-                    total += d
+            if _pairing(u, steps[0]) > 0:
+                on_facet = [g for g in self.generators if not _pairing(u, g)]
+                for rest in itertools.combinations(on_facet,
+                                                   self.ambient_rank - 1):
+                    simplex = (steps[0],) + rest
+                    d = abs(intlinalg.det(simplex))
+                    if d:
+                        star[simplex] = d
+        total = sum(star.values())
         if total > MAX_PARALLELEPIPED_POINTS:
             raise ResourceLimitError(
                 f"saturation check needs {total} parallelepiped points, "
                 f"over the limit of {MAX_PARALLELEPIPED_POINTS}")
         units = self.units()
-        steps = [g for g in self.generators
-                 if any(_pairing(u, g) for u in forms)]
-        spanned = {}
 
-        # Descent along h = sum of the facet forms, a nonnegative integer on
-        # the cone that every non-unit generator raises by at least 1.  A
-        # cone point q with h(q) = 0 lies in the lineality space and is
-        # spanned iff it is in the unit lattice (the N-span of the units is
-        # a group); otherwise q is spanned iff q - g is a spanned cone point
-        # for some non-unit generator g.
-        def spanned_at(q):
-            # spanned[q], decided outright when h(q) = 0; None while q
-            # still needs a descent
-            if q not in spanned and not any(_pairing(u, q) for u in forms):
-                spanned[q] = intlinalg.lattice_contains(units, q)
-            return spanned.get(q)
+        def certified(p):       # the certificate of the class docstring
+            if not _pairing(h, p):
+                return intlinalg.lattice_contains(units, p)
+            return any(self.membership(q) and (
+                _pairing(h, q) or intlinalg.lattice_contains(units, q))
+                for q in (tuple(map(sub, p, g)) for g in steps))
 
-        def in_span(p):
-            # an explicit stack: descents can outrun the recursion limit
-            path = [(p, iter(steps))] if spanned_at(p) is None else []
-            while path:
-                q, moves = path[-1]
-                for g in moves:
-                    r = tuple(a - b for a, b in zip(q, g))
-                    if not self.membership(r):
-                        continue
-                    known = spanned_at(r)
-                    if known is None:
-                        path.append((r, iter(steps)))
-                        break
-                    if known:
-                        spanned.update((s, True) for s, _ in path)
-                        return True
-                else:
-                    spanned[q] = False
-                    path.pop()
-            return spanned[p]
-
-        for simplex in simplices:
+        for simplex in star:
             for point in _parallelepiped_points(simplex):
-                if not in_span(point):
+                if not certified(point):
                     raise MonoidError(
                         f"cone point {point} is not an N-combination of the "
                         "generators; the monoid is not saturated or not "

@@ -23,6 +23,10 @@ from .errors import ExpressionSyntaxError
 from .jets import degrevlex, poly_add, poly_mul, poly_pow
 
 _OPS = set("+-*/^()")
+# Deepest parenthesis nesting parse_poly accepts; a deeper "(" is an
+# ExpressionSyntaxError, never a RecursionError.  The parser recurses
+# through four methods per level, 400 frames of the default limit of 1000.
+MAX_NESTING = 100
 
 
 class _Token:
@@ -74,6 +78,7 @@ class _Parser:
         self.n = n
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -155,8 +160,12 @@ class _Parser:
                 value = value / den.value
             return {(0,) * self.n: value} if value else {}
         if tok.kind == "(":
+            if self.depth == MAX_NESTING:
+                self.fail(f"parentheses nested deeper than {MAX_NESTING}")
             self.advance()
+            self.depth += 1
             poly = self.expr()
+            self.depth -= 1
             self.expect(")")
             return poly
         if tok.kind == "xvar":

@@ -46,7 +46,7 @@ import math
 from operator import le
 from typing import NamedTuple
 
-from .dimension import EMPTY, IdealPresentation
+from .dimension import EMPTY, IdealPresentation, check_variables
 from .errors import LogjetError, ModeMismatchError
 from .jets import JetLayout, derivative_chain, poly_add, poly_mul, poly_partial
 
@@ -189,7 +189,7 @@ def open_part(chart, strata=()):
         _jacobian_minors(chart.equations, chart.ambient_rank)))
 
 
-def stratum_jet_presentation(stratum, m):
+def stratum_jet_presentation(stratum, m, budgets=None):
     """J_m of a source as dimension-engine input, m = 0 its base system.
 
     Every polynomial of stratum.equations is jetted with the ordinary
@@ -202,11 +202,18 @@ def stratum_jet_presentation(stratum, m):
     is the only place where Laurent polynomials are cleared.  A stratum's
     jetted localization fixes the jets of w, so the dimension is that of
     the jets of the locally closed stratum X_l.
+
+    Given budgets, J_m with more variables than their Groebner bound, one
+    per jet column, is refused as groebner_basis would refuse it, before
+    any jet is derived.
     """
     where = ("over singular locus of the open stratum" if stratum.constraints
              else "of chart equations" if stratum.face is None
              else f"of stratum l={stratum.index} "
                   f"{stratum.face.generator_indices}")
+    if budgets is not None:
+        check_variables(len(stratum.variables) * (m + 1), f"J_{m} {where}",
+                        budgets)
     inverted = stratum.face is not None
     layout = JetLayout(len(stratum.variables), m, inverted)
     moves = layout.moves()

@@ -145,7 +145,7 @@ def _recording(monkeypatch):
     built = []
     build = analyzer.stratum_jet_presentation
 
-    def recording(source, m):
+    def recording(source, m, budgets=None):
         if source.constraints:
             key = "open"
         elif source.face is None:
@@ -154,7 +154,7 @@ def _recording(monkeypatch):
             key = source.face.generator_indices
         if m:
             built.append((key, m))
-        return build(source, m)
+        return build(source, m, budgets)
 
     monkeypatch.setattr(analyzer, "stratum_jet_presentation", recording)
     return built
@@ -182,7 +182,7 @@ def test_rows_answered_without_a_build_are_empty(monkeypatch, name):
     by_face = {s.face.generator_indices: s
                for s in stratify(chart)} if chart.monoid else {}
     for r in report.rows:
-        if r.status == "UNKNOWN":       # a budget tripped on a built row
+        if r.status == "UNKNOWN":       # a budget tripped, built or not
             continue
         if r.kind == "stratum":
             s = by_face[r.face]

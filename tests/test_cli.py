@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from logjet import cli
+from logjet import cli, strata
 from logjet.chartfile import load_chart
 from logjet.cli import main
 from logjet.parse import render
@@ -441,11 +441,102 @@ def test_docstring_lists_exactly_the_commands():
 
 
 def test_python_dash_m_runs_the_cli():
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    done = subprocess.run(
-        [sys.executable, "-m", "logjet", "analyze", "--max-order", "1",
-         str(BENCH_CHARTS / "n2_hyperplane.json")],
-        capture_output=True, text=True, env=env, cwd=root, timeout=60)
+    done = _run(["analyze", "--max-order", "1",
+                 str(BENCH_CHARTS / "n2_hyperplane.json")])
     assert done.returncode == 0, done.stderr
     assert "verdict: NO_OBSTRUCTION_UP_TO_M" in done.stdout
+
+
+# -- hostile input: each ends with an exit code and a message, no traceback
+
+
+def _run(args, **kwargs):
+    """`python -m logjet ARGS` in a fresh interpreter, output as text."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run([sys.executable, "-m", "logjet", *args],
+                          stderr=subprocess.PIPE, text=True, env=env,
+                          cwd=root, timeout=60, **kwargs)
+
+
+def _recorded_jet_work(monkeypatch):
+    """Record the width of every JetLayout and the order of every
+    derivative chain strata builds."""
+    widths, orders = [], []
+    layout, chain = strata.JetLayout, strata.derivative_chain
+
+    def recording_layout(n, m, inverted=False):
+        widths.append(n * (m + 1))
+        return layout(n, m, inverted)
+
+    def recording_chain(terms, m, moves, grows=()):
+        orders.append(m)
+        return chain(terms, m, moves, grows)
+
+    monkeypatch.setattr(strata, "JetLayout", recording_layout)
+    monkeypatch.setattr(strata, "derivative_chain", recording_chain)
+    return widths, orders
+
+
+def test_a_deeply_nested_equation_is_a_bad_equation(chart_file):
+    path = chart_file(dict(CUSP, equations=["(" * 250 + "x1" + ")" * 250]))
+    done = _run(["analyze", path])
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr == (
+        f"logjet: error: {path}: bad equation: parentheses nested deeper "
+        "than 100 at position 100\n")
+
+
+def test_a_closed_stdout_ends_quietly():
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = _run(["strata", str(BENCH_CHARTS / "n3_quadric.json")],
+                    stdout=write)
+    finally:
+        os.close(write)
+    assert done.returncode == 1
+    assert done.stderr == ""
+
+
+def test_a_high_max_order_stops_at_the_variable_bound(monkeypatch, capsys):
+    """a1 has 3 variables, so J_m has 3(m+1): over the bound of 18 from
+    m = 6 on.  Those rows are UNKNOWN and those lct orders skipped without
+    a jet derived or a layout built."""
+    a1 = str(BENCH_CHARTS / "a1.json")
+    done = _run(["analyze", "--max-order", "160", a1])
+    assert done.returncode == 30
+    assert "Traceback" not in done.stderr
+    assert ("UNKNOWN  [483 variables exceeds the Groebner bound 18 "
+            "(J_160 over singular locus of the open stratum)]") in done.stdout
+    widths, orders = _recorded_jet_work(monkeypatch)
+    assert main(["analyze", "--max-order", "160", a1]) == 30
+    assert capsys.readouterr().out == done.stdout
+    assert max(widths) == 18
+    assert max(orders) == 5
+
+
+def test_dim_refuses_an_order_over_the_bound_before_its_jets(monkeypatch,
+                                                              capsys):
+    widths, orders = _recorded_jet_work(monkeypatch)
+    assert main(["dim", "--order", "10", str(BENCH_CHARTS / "a1.json")]) == 1
+    assert capsys.readouterr().err == (
+        "logjet: error: 33 variables exceeds the Groebner bound 18 "
+        "(J_10 of chart equations)\n")
+    assert widths == orders == []
+
+
+def test_a_rank_100000_chart_is_refused_before_its_layout(
+        chart_file, monkeypatch, capsys):
+    path = chart_file({"format": "logjet-chart/1", "ambient_rank": 100_000,
+                       "equations": ["x1 + x2 - 1"]})
+    message = ("logjet: error: 100000 variables exceeds the Groebner bound "
+               "18 (J_0 of chart equations)\n")
+    done = _run(["analyze", path])
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", message)
+    widths, orders = _recorded_jet_work(monkeypatch)
+    assert main(["analyze", path]) == 1
+    assert capsys.readouterr().err == message
+    assert widths == orders == []

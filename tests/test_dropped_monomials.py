@@ -43,10 +43,10 @@ def _built(chart, max_order, budgets):
     built = []
     jets = analyzer.stratum_jet_presentation
 
-    def jets_recording(stratum, m):
+    def jets_recording(stratum, m, budgets=None):
         if not stratum.constraints:
             built.append((stratum, m))
-        return jets(stratum, m)
+        return jets(stratum, m, budgets)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(analyzer, "stratum_jet_presentation", jets_recording)

@@ -265,25 +265,32 @@ def test_saturation_check_passes_desk_charts():
         assert monoid.generators == tuple(tuple(g) for g in gens)
 
 
-def test_saturation_descent_deeper_than_recursion_limit(monkeypatch):
+def test_saturation_takes_one_step_per_point_and_generator(monkeypatch):
     # the star around (1, -1500) holds the parallelepiped of (1, -1500),
-    # (1, 0), whose points come as (1, -1499), (1, -1498), ..., (1, -1).
-    # The first has the one representation (1, 0) + 1499 * (0, -1), so its
-    # descent runs 1499 steps with nothing known on the way.  In the upper
-    # half-plane the points would come as (1, 1), (1, 2), ..., each one
-    # step above a point already proved.
-    in_cone = []
+    # (1, 0), whose first point (1, -1499) has the one representation
+    # (1, 0) + 1499 * (0, -1): a search for it would descend 1499 steps.
+    # The certificate stops at (1, -1498), a cone point of positive height,
+    # so each point tests each of the three non-unit generators at most
+    # once.
+    tested = []     # (parallelepiped point, its membership tests)
+    points_of = monoid_module._parallelepiped_points
     membership = AffineMonoid.membership
 
-    def recording(self, v):
-        if membership(self, v):
-            in_cone.append(v)
-            return True
-        return False
+    def marking(simplex):
+        for point in points_of(simplex):
+            tested.append((point, []))
+            yield point
 
+    def recording(self, v):
+        tested[-1][1].append(v)
+        return membership(self, v)
+
+    monkeypatch.setattr(monoid_module, "_parallelepiped_points", marking)
     monkeypatch.setattr(AffineMonoid, "membership", recording)
     monoid = AffineMonoid(2, [(1, -1500), (0, -1), (1, 0)])
-    assert in_cone[:1500] == [(1, y) for y in range(-1498, 1)] + [(0, 0)]
+    assert len(tested) == 1501
+    assert dict(tested)[1, -1499] == [(0, 1), (1, -1498)]
+    assert max(len(tests) for _point, tests in tested) <= 3
     assert monoid.membership((1, -1499))
 
 

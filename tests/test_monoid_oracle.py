@@ -1,7 +1,9 @@
 """Random rank-2 and rank-3 monoids against brute-force oracles for the
 exact layer."""
 
+import ast
 import itertools
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -54,15 +56,20 @@ def check_against_brute_force(gens, window, in_cone):
     N-combination of gens, and then its membership is the oracle's on the
     whole window.  A monoid that is not saturated or not generated misses
     a parallelepiped point of some nonsingular n-subset, so the window must
-    hold every such point."""
+    hold every such point; the point a refusal names is a cone point of
+    the window that no N-combination reaches."""
     n = len(gens[0])
     reached = reach_set(gens, window)
     grid = list(itertools.product(range(-window, window + 1), repeat=n))
     saturated = all(v in reached or not in_cone(gens, v) for v in grid)
     try:
         monoid = AffineMonoid(n, gens)
-    except MonoidError:
+    except MonoidError as err:
         assert not saturated
+        named = ast.literal_eval(
+            re.match(r"cone point (\(.*?\)) ", str(err)).group(1))
+        assert max(map(abs, named)) <= window
+        assert in_cone(gens, named) and named not in reached, named
         return
     assert saturated
     for v in grid:

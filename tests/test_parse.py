@@ -5,7 +5,7 @@ import pytest
 
 from logjet.errors import ExpressionSyntaxError, ResourceLimitError
 from logjet.jets import MAX_PRODUCT_WORK, poly_mul
-from logjet.parse import parse_poly, render
+from logjet.parse import MAX_NESTING, parse_poly, render
 
 XS = ("x1", "x2")
 
@@ -180,3 +180,31 @@ def test_coefficient_work_counts_64_bit_words():
     assert len(poly_mul({(k,): 2 ** 70 for k in range(n)}, big)) == n
     with pytest.raises(ResourceLimitError, match=f"takes {4 * (n + 1)} "):
         poly_mul({(k,): 2 ** 70 for k in range(n + 1)}, big)
+
+
+def _nested(depth):
+    return "(" * depth + "x1" + ")" * depth
+
+
+def test_nesting_is_bounded_by_a_syntax_error():
+    assert MAX_NESTING == 100
+    assert parse_poly(_nested(MAX_NESTING), 1) == {(1,): 1}
+    for depth in (MAX_NESTING + 1, 250, 100_000):
+        with pytest.raises(ExpressionSyntaxError) as err:
+            parse_poly(_nested(depth), 1)
+        assert err.value.position == MAX_NESTING
+        assert "nested deeper than 100" in str(err.value)
+
+
+def test_nesting_does_not_depend_on_the_callers_stack():
+    def at_depth(frames, text):
+        if frames:
+            return at_depth(frames - 1, text)
+        try:
+            return parse_poly(text, 1)
+        except ExpressionSyntaxError as exc:
+            return exc.position
+
+    for frames in (0, 300):
+        assert at_depth(frames, _nested(MAX_NESTING)) == {(1,): 1}
+        assert at_depth(frames, _nested(250)) == MAX_NESTING
