@@ -9,11 +9,15 @@ Schema "logjet-chart/1":
       "basis": [0, 1],                          // optional generator indices
       "equations": ["x1 + x2 - 1"],
       "mode": "log",                            // optional, validated
-      "budgets": {"pairs": 50000, "degree": 40} // optional; also "variables"
+      "budgets": {"pairs": 50000}               // optional; also "variables"
     }                                           // and "fp_nodes", all > 0
 
 A budget the file does not set keeps its Budgets default, so load_chart
-always returns a Budgets, Budgets() for a file without "budgets".
+always returns a Budgets, Budgets() for a file without "budgets".  The
+three keys set max_pairs, max_groebner_vars and fp_node_budget; no key
+sets fp_max_vars, and the term work of a Groebner run has one bound for
+every chart, dimension.MAX_GROEBNER_WORK, so a "degree" or "work" key is
+unknown.
 
 Unknown top-level fields are ignored; an unknown budget key is an error,
 since a mistyped key would otherwise leave its budget at the default, and
@@ -31,9 +35,8 @@ from .monoid import AffineMonoid
 FORMAT = "logjet-chart/1"
 
 # chart-file budget keys and the Budgets fields they set
-_BUDGET_FIELDS = {"pairs": "max_pairs", "degree": "max_degree",
-                 "variables": "max_groebner_vars",
-                 "fp_nodes": "fp_node_budget"}
+_BUDGET_FIELDS = {"pairs": "max_pairs", "variables": "max_groebner_vars",
+                  "fp_nodes": "fp_node_budget"}
 
 
 class ChartFileOptions(NamedTuple):

@@ -12,9 +12,16 @@ each read of GroebnerResult.basis.  Then comes the standard combinatorial
 dimension count: dim V(I) is the number of variables minus a minimum
 hitting set of the minimal leading-term supports.  A pruned
 depth-first search over the variables finds it (at most 2^(nvars+1) nodes,
-bounded by the Groebner variable cap).  Budgets on the S-pair count and the
-total degree turn runaway inputs into ResourceLimit errors, never wrong
-answers.
+bounded by the Groebner variable cap).
+
+Runaway inputs raise ResourceLimitError, never wrong answers.  Besides the
+Budgets caps on the variables and the S-pairs, every run counts its term
+operations and is refused past MAX_GROEBNER_WORK: the tail terms each
+S-polynomial is built from, the tail terms each reduction step subtracts,
+the pending and result terms each pseudo-division rescale multiplies, and
+the entries each new lead adds to the index columns.  A term operation
+counts 1 whatever the size of its coefficients; coefficient growth is not
+counted.
 
 dimension_of is the one dimension entry point, and it is exact.  Exact
 F_p point counts (recursive enumeration with closed forms for linear
@@ -37,12 +44,23 @@ DEFAULT_PRIMES = (101, 103, 107)
 
 EMPTY = "EMPTY"
 
+# Term operations one groebner_basis run may take (see the module
+# docstring); read at call time.  The largest run of any corpus or test
+# presentation, the cusp's J_4, takes 741,875, under a fifth of it; a2's
+# J_3, whose remainders swell to thousands of terms, goes over it in 6 s.
+MAX_GROEBNER_WORK = 4_000_000
+
 
 class Budgets(NamedTuple):
-    """Computation limits; exceeding any of them raises ResourceLimit."""
+    """Computation limits; exceeding any of them raises ResourceLimit.
+
+    max_pairs bounds the S-pairs and max_groebner_vars the variables of one
+    groebner_basis run, fp_max_vars and fp_node_budget the F_p recount.
+    The term work of a run has one bound for every run, MAX_GROEBNER_WORK,
+    not a field here.
+    """
 
     max_pairs: int = 50_000
-    max_degree: int = 40
     max_groebner_vars: int = 18
     fp_max_vars: int = 8
     fp_node_budget: int = 500_000
@@ -170,23 +188,39 @@ class _LeadIndex:
     in variable k, so its last entry holds every element, and a larger
     exponent constrains nothing.  alive is the bitset of the elements that
     may reduce.
+
+    work is the term operations of the run the index belongs to, named
+    provenance in its refusal: append charges the entries a column gains,
+    before it extends the column.  A refused run drops its index.
     """
 
-    __slots__ = ("elements", "cols", "alive")
+    __slots__ = ("elements", "cols", "alive", "work", "provenance")
 
-    def __init__(self, nvars):
+    def __init__(self, nvars, provenance=""):
         self.elements = []
         self.cols = [[0] for _ in range(nvars)]
         self.alive = 0
+        self.work = 0
+        self.provenance = provenance
+
+    def charge(self, units):
+        """Add units to the run's work; a run over MAX_GROEBNER_WORK is
+        refused."""
+        self.work += units
+        if self.work > MAX_GROEBNER_WORK:
+            raise ResourceLimitError(
+                f"Groebner work bound {MAX_GROEBNER_WORK} term operations "
+                f"exceeded ({self.provenance})")
 
     def append(self, red, alive=True):
         bit = 1 << len(self.elements)
-        self.elements.append(red)
         for col, e in zip(self.cols, red.lead):
             if e >= len(col):
+                self.charge(e + 1 - len(col))
                 col.extend([col[-1]] * (e + 1 - len(col)))
             for x in range(e, len(col)):
                 col[x] |= bit
+        self.elements.append(red)
         if alive:
             self.alive |= bit
 
@@ -216,10 +250,11 @@ def _heap_key(mono):
     return (-sum(mono), tuple(reversed(mono)))
 
 
-def _normal_form(p, index, usable):
+def _normal_form(p, index, usable, charged=True):
     """Full normal form of the integer polynomial p modulo the elements of
     the index in the bitset usable; each term is reduced by the first
-    usable element whose lead divides it.
+    usable element whose lead divides it.  When charged, each step's term
+    operations go to the index's work.
 
     Integer pseudo-reduction: to cancel a term c*lm against a reductor with
     leading coefficient L, g = gcd(c, L), the pending terms and the terms
@@ -246,9 +281,13 @@ def _normal_form(p, index, usable):
         g = gcd(cf, hit.lc)
         scale = hit.lc // g
         if scale != 1:
+            if charged:
+                index.charge(len(val) + len(result))
             val = {m: c * scale for m, c in val.items()}
             result = {m: c * scale for m, c in result.items()}
         cf //= g
+        if charged:
+            index.charge(len(hit.tail))
         shift = _mono_div(lm, hit.lead)
         # tail monomials are strictly below lm, hence never already final
         for bm, bc in hit.tail:
@@ -277,12 +316,12 @@ def _alive(index):
 def _reduced_basis(index):
     """Each alive element reduced by the others and made monic over
     Fraction; the reduced basis is unique, so any reductor order gives the
-    same one."""
+    same one.  It is read after the run, so it charges no work."""
     monic = []
     for t in _alive(index):
         e = index.elements[t]
         terms = _normal_form({e.lead: e.lc, **dict(e.tail)}, index,
-                             index.alive & ~(1 << t))
+                             index.alive & ~(1 << t), charged=False)
         lc = terms[e.lead]
         monic.append(tuple(sorted(
             (m, Fraction(c, lc)) for m, c in terms.items())))
@@ -297,11 +336,13 @@ class GroebnerResult(NamedTuple):
     degrevlex order, which are the minimal generators of the lead ideal;
     a dimension needs only them.  basis inter-reduces the alive elements
     of index, the run's _LeadIndex; nothing keeps it, so read it once.
+    work is the run's count of term operations (see MAX_GROEBNER_WORK).
     """
 
     variables: tuple
     leads: tuple                # minimal leading monomials, ascending
     pairs_processed: int
+    work: int = 0
     provenance: str = ""
     index: object = None        # the run's _LeadIndex
 
@@ -348,11 +389,13 @@ def groebner_basis(pres, budgets=None):
     retired).  Reduction takes the lowest set bit of the usable divisors,
     which is the first alive divisor in element order, so the remainders,
     and with them the pairs and the basis, do not depend on the index.
+    The index also counts the run's term work; past MAX_GROEBNER_WORK the
+    run raises ResourceLimitError, as it does past either Budgets cap.
     """
     budgets = budgets or Budgets()
     nvars = len(pres.variables)
     check_variables(nvars, pres.provenance, budgets)
-    index = _LeadIndex(nvars)
+    index = _LeadIndex(nvars, pres.provenance)
     elements = index.elements  # _Reductor per generator and remainder
     pairs = {}            # (i, j) -> lcm monomial, i < j
     heap = []             # (lcm key, i, j) with lazy deletion
@@ -407,6 +450,7 @@ def groebner_basis(pres, budgets=None):
         # S-polynomial ai*(lcm/lmi)*fi - aj*(lcm/lmj)*fj, d = gcd(ci, cj);
         # the leading terms cancel, so only the tails contribute
         ei, ej = elements[i], elements[j]
+        index.charge(len(ei.tail) + len(ej.tail))
         d = gcd(ei.lc, ej.lc)
         ai, aj = ej.lc // d, ei.lc // d
         si, sj = _mono_div(lcm, ei.lead), _mono_div(lcm, ej.lead)
@@ -427,16 +471,11 @@ def groebner_basis(pres, budgets=None):
         reduced = _normal_form(spoly, index, index.alive)
         if not reduced:
             continue
-        new = _Reductor(reduced)
-        if new.degree > budgets.max_degree:
-            raise ResourceLimitError(
-                f"degree budget {budgets.max_degree} exceeded with leading "
-                f"degree {new.degree} ({pres.provenance})")
-        add_element(new)
+        add_element(_Reductor(reduced))
 
     leads = tuple(elements[t].lead for t in _alive(index))
     return GroebnerResult(pres.variables, leads, pairs_processed,
-                          pres.provenance, index)
+                          index.work, pres.provenance, index)
 
 
 class DimResult(NamedTuple):

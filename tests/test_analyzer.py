@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,7 +8,7 @@ from logjet import (EMPTY, AffineMonoid, AnalysisConfig, Budgets, Chart,
                     analyze, dimension_of, emit_report, load_chart)
 from logjet import analyzer, dimension, strata
 from logjet.analyzer import open_part_jet_presentation
-from logjet.errors import LogjetError
+from logjet.errors import LogjetError, ResourceLimitError
 from logjet.strata import stratify, stratum_jet_presentation
 
 A1 = "(x1-1)^2 + (x2-1)^2 + (x3-1)^2"
@@ -64,6 +65,38 @@ def test_du_val_point_in_torus_has_no_obstruction(a1_charts):
     assert report.witness is None
     assert [(r.kind, r.status) for r in report.rows
             if r.kind == "open"] == [("open", "OK")]
+
+
+def test_an_lct_run_over_the_work_bound_is_skipped(monkeypatch):
+    """a2's J_3 swells past a work bound of 100000; its open row still
+    decides, so only the lct estimate at order 3 is lost."""
+    monkeypatch.setattr(dimension, "MAX_GROEBNER_WORK", 100_000)
+    a2, _options = load_chart(BENCH_CHARTS / "a2.json")
+    report = analyze(a2, AnalysisConfig(max_order=3))
+    assert report.verdict == "NO_OBSTRUCTION_UP_TO_M"
+    assert [(r.m, r.dim_jets, r.status) for r in report.rows] == [
+        (1, 3, "OK"), (2, 5, "OK"), (3, 7, "OK")]
+    assert [(r.m, r.dim_jets) for r in report.lct_rows] == [(1, 4), (2, 6)]
+    assert report.notes == (
+        "lct at order 3 skipped: Groebner work bound 100000 term "
+        "operations exceeded (J_3 of chart equations)",)
+
+
+@pytest.mark.parametrize("exponent, dims", [(1000, (2, 3)),
+                                            (10 ** 9, None)])
+def test_a_high_exponent_decides_or_trips_the_work_bound(exponent, dims):
+    """x1^1000 - x2 keeps its jet dimensions; x1^(10^9) - x2 is refused
+    at once, before its lead's index columns are built."""
+    chart = Chart.build(ambient_rank=2, equations=[f"x1^{exponent} - x2"])
+    start = time.perf_counter()
+    if dims is None:
+        with pytest.raises(ResourceLimitError, match="Groebner work bound"):
+            analyze(chart, AnalysisConfig(max_order=2))
+    else:
+        report = analyze(chart, AnalysisConfig(max_order=2))
+        assert [r.status for r in report.rows] == ["EMPTY", "EMPTY"]
+        assert tuple(r.dim_jets for r in report.lct_rows) == dims
+    assert time.perf_counter() - start < 1
 
 
 def test_best_lct_estimate_is_the_smallest():

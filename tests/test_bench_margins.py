@@ -8,9 +8,10 @@ analyzer builds and on the S-pairs Buchberger processes for them, so a
 change to presentation building or to the pair update shows here first,
 with the figure that moved, instead of as a timing failure there.  The
 basis pin holds a change to the reduction itself to the same reduced bases
-and S-pair counts.
+and S-pair counts, and the work pins to the same term operations.
 """
 
+import functools
 import hashlib
 from pathlib import Path
 
@@ -111,14 +112,35 @@ def test_every_groebner_basis_analyze_computes_is_pinned(analyze_pass):
         BASES)
 
 
+@functools.cache
+def _run(name, face, m):
+    return groebner_basis(_jets(name, face, m))
+
+
+PINNED_RUNS = [("a2.json", None, 2), ("cusp.json", None, 3),
+               ("n3_hyperplane.json", (1, 2), 3), ("cusp.json", None, 4)]
+
+
 @pytest.mark.parametrize("name, face, m, pairs", [
-    ("a2.json", None, 2, 80),
-    ("cusp.json", None, 3, 176),
-    ("n3_hyperplane.json", (1, 2), 3, 121),
-    ("cusp.json", None, 4, 851),
-])
+    run + (pairs,) for run, pairs in zip(PINNED_RUNS, (80, 176, 121, 851))])
 def test_pairs_processed_are_pinned(name, face, m, pairs):
-    assert groebner_basis(_jets(name, face, m)).pairs_processed == pairs
+    assert _run(name, face, m).pairs_processed == pairs
+
+
+@pytest.mark.parametrize("name, m, work", [("a2.json", 2, 22068),
+                                          ("cusp.json", 4, 741875)])
+def test_work_is_pinned(name, m, work):
+    """The term operations of a run: a change to the reduction shows as a
+    count that moved, not as a time."""
+    assert _run(name, None, m).work == work
+
+
+def test_work_bound_has_a_fourfold_margin():
+    """The cusp's J_4 is the largest run of the corpus and of tier 1, so
+    the work bound refuses nothing the benchmark or the tests decide."""
+    largest = max(_run(*run).work for run in PINNED_RUNS)
+    assert largest == _run("cusp.json", None, 4).work
+    assert dimension.MAX_GROEBNER_WORK >= 4 * largest
 
 
 def test_pairs8_face_trips_its_budget():

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from logjet.chartfile import load_chart
+from logjet.chartfile import _BUDGET_FIELDS, load_chart
 from logjet.dimension import Budgets
 from logjet.errors import (ChartParseError, LogjetError, MonoidError,
                            ResourceLimitError, SupportError)
@@ -80,19 +80,25 @@ def test_unsaturated_monoid_error_names_the_file(tmp_path):
 
 
 def test_budgets_block_reaches_options(tmp_path):
-    doc = dict(N2_DOC, budgets={"pairs": 8, "degree": 12, "variables": 10,
+    doc = dict(N2_DOC, budgets={"pairs": 8, "variables": 10,
                                 "fp_nodes": 1000})
     _, options = load_chart(write(tmp_path, doc))
     base = Budgets()
-    assert options.budgets == Budgets(max_pairs=8, max_degree=12,
-                                      max_groebner_vars=10,
+    assert options.budgets == Budgets(max_pairs=8, max_groebner_vars=10,
                                       fp_max_vars=base.fp_max_vars,
                                       fp_node_budget=1000)
 
 
+def test_every_budget_key_sets_its_own_field():
+    """Each key names a Budgets field, and each field but fp_max_vars has
+    exactly one key, so a removed field leaves no dead key behind."""
+    assert sorted(_BUDGET_FIELDS.values()) == sorted(
+        set(Budgets._fields) - {"fp_max_vars"})
+
+
 @pytest.mark.parametrize("key, value", [
-    ("pairs", "many"), ("degree", 0), ("variables", True), ("fp_nodes", -3),
-    ("pairs", 2.5), ("degree", None)])
+    ("pairs", "many"), ("variables", 0), ("variables", True),
+    ("fp_nodes", -3), ("pairs", 2.5), ("fp_nodes", None)])
 def test_bad_budget_is_a_parse_error_naming_the_key(tmp_path, key, value):
     doc = dict(N2_DOC, budgets={key: value})
     with pytest.raises(ChartParseError) as err:
@@ -101,17 +107,19 @@ def test_bad_budget_is_a_parse_error_naming_the_key(tmp_path, key, value):
 
 
 @pytest.mark.parametrize("budgets", [
-    {"pair": 8}, {"degree": 12, "max_pairs": 8}, {"Pairs": 8},
-    {"fp_node": "many"}], ids=["pair", "max_pairs", "Pairs", "fp_node"])
+    {"pair": 8}, {"variables": 12, "max_pairs": 8}, {"Pairs": 8},
+    {"fp_node": "many"}, {"degree": 40}],
+    ids=["pair", "max_pairs", "Pairs", "fp_node", "degree"])
 def test_unknown_budget_key_is_a_parse_error(tmp_path, budgets):
-    # a mistyped key must not fall back to the default budget silently
-    (unknown,) = set(budgets) - {"degree"}
+    # a mistyped key must not fall back to the default budget silently;
+    # "degree" sets nothing, since MAX_GROEBNER_WORK bounds every run
+    (unknown,) = set(budgets) - set(_BUDGET_FIELDS)
     with pytest.raises(ChartParseError) as err:
         load_chart(write(tmp_path, dict(N2_DOC, budgets=budgets)))
     message = str(err.value)
     assert f"unknown budget key {unknown!r}" in message
-    for known in ("pairs", "degree", "variables", "fp_nodes"):
-        assert repr(known) in message
+    assert message.endswith(
+        "(known keys: 'pairs', 'variables', 'fp_nodes')")
 
 
 @pytest.mark.parametrize("budgets", ["absent", None])

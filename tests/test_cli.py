@@ -489,6 +489,18 @@ def test_a_deeply_nested_equation_is_a_bad_equation(chart_file):
         "than 100 at position 100\n")
 
 
+def test_a_huge_exponent_trips_the_work_bound(chart_file):
+    """x1^(10^9) - x2 would need 10^9 lead-index column entries; the run
+    is refused before they are built."""
+    path = chart_file(dict(CUSP, equations=["x1^1000000000 - x2"]))
+    done = _run(["analyze", path])
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr == (
+        "logjet: error: Groebner work bound 4000000 term operations "
+        "exceeded (J_0 of chart equations)\n")
+
+
 def test_a_closed_stdout_ends_quietly():
     read, write = os.pipe()
     os.close(read)

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from logjet import dimension
 from logjet.analyzer import ordinary_jet_presentation
 from logjet.chartfile import load_chart
 from logjet.dimension import (EMPTY, Budgets, DimResult, GroebnerResult,
@@ -156,6 +157,32 @@ def test_pair_budget():
             {(0, 3, 0): F(1), (1, 0, 1): F(1)}]
     with pytest.raises(ResourceLimitError):
         groebner_basis(pres(["x", "y", "z"], gens), Budgets(max_pairs=1))
+
+
+def test_work_bound_is_read_at_call_time(monkeypatch):
+    """a2's J_2 takes 22068 term operations and J_3 far more: under a
+    bound of 100000 the first decides and the second is refused, with a
+    message that names no pair, variable or degree budget."""
+    monkeypatch.setattr(dimension, "MAX_GROEBNER_WORK", 100_000)
+    a2, _options = load_chart(BENCH_CHARTS / "a2.json")
+    assert dimension_of(ordinary_jet_presentation(a2, 2)).dimension == 6
+    with pytest.raises(ResourceLimitError) as err:
+        groebner_basis(ordinary_jet_presentation(a2, 3))
+    text = str(err.value)
+    assert text == ("Groebner work bound 100000 term operations exceeded "
+                    "(J_3 of chart equations)")
+    assert not any(word in text for word in ("pair", "variables", "degree"))
+
+
+def test_lead_columns_are_charged_before_they_grow():
+    """A lead adds one column entry per exponent step past the columns'
+    ends, each a unit of work, and a lead over the bound adds none."""
+    index = _LeadIndex(2)
+    index.append(_Reductor({(1000, 0): 1, (0, 1): -1}))
+    assert index.work == 1000 and len(index.cols[0]) == 1001
+    with pytest.raises(ResourceLimitError, match="Groebner work bound"):
+        index.append(_Reductor({(10 ** 9, 0): 1, (0, 1): -1}))
+    assert len(index.cols[0]) == 1001 and len(index.elements) == 1
 
 
 def test_laurent_refused_without_localization():
