@@ -47,7 +47,7 @@ EMPTY = "EMPTY"
 # Term operations one groebner_basis run may take (see the module
 # docstring); read at call time.  The largest run of any corpus or test
 # presentation, the cusp's J_4, takes 741,875, under a fifth of it; a2's
-# J_3, whose remainders swell to thousands of terms, goes over it in 6 s.
+# J_3, whose remainders swell to thousands of terms, goes over it.
 MAX_GROEBNER_WORK = 4_000_000
 
 
