@@ -9,15 +9,15 @@ Schema "logjet-chart/1":
       "basis": [0, 1],                          // optional generator indices
       "equations": ["x1 + x2 - 1"],
       "mode": "log",                            // optional, validated
-      "budgets": {"pairs": 50000}               // optional; also "variables"
-    }                                           // and "fp_nodes", all > 0
+      "budgets": {"pairs": 50000}               // optional; also
+    }                                           // "variables", both > 0
 
 A budget the file does not set keeps its Budgets default, so load_chart
 always returns a Budgets, Budgets() for a file without "budgets".  The
-three keys set max_pairs, max_groebner_vars and fp_node_budget; no key
-sets fp_max_vars, and the term work of a Groebner run has one bound for
-every chart, dimension.MAX_GROEBNER_WORK, so a "degree" or "work" key is
-unknown.
+two keys set max_pairs and max_groebner_vars.  The Groebner term work,
+the F_p search nodes and the monoid work have one bound each for every
+chart, MAX_GROEBNER_WORK, MAX_FP_NODES and MAX_MONOID_WORK, so a
+"degree", "work" or "fp_nodes" key is unknown.
 
 Unknown top-level fields are ignored; an unknown budget key is an error,
 since a mistyped key would otherwise leave its budget at the default, and
@@ -35,8 +35,7 @@ from .monoid import AffineMonoid
 FORMAT = "logjet-chart/1"
 
 # chart-file budget keys and the Budgets fields they set
-_BUDGET_FIELDS = {"pairs": "max_pairs", "variables": "max_groebner_vars",
-                  "fp_nodes": "fp_node_budget"}
+_BUDGET_FIELDS = {"pairs": "max_pairs", "variables": "max_groebner_vars"}
 
 
 class ChartFileOptions(NamedTuple):

@@ -49,21 +49,22 @@ EMPTY = "EMPTY"
 # presentation, the cusp's J_4, takes 741,875, under a fifth of it; a2's
 # J_3, whose remainders swell to thousands of terms, goes over it.
 MAX_GROEBNER_WORK = 4_000_000
+# Search nodes one F_p point count may visit; read at call time.
+MAX_FP_NODES = 500_000
 
 
 class Budgets(NamedTuple):
     """Computation limits; exceeding any of them raises ResourceLimit.
 
     max_pairs bounds the S-pairs and max_groebner_vars the variables of one
-    groebner_basis run, fp_max_vars and fp_node_budget the F_p recount.
-    The term work of a run has one bound for every run, MAX_GROEBNER_WORK,
-    not a field here.
+    groebner_basis run, fp_max_vars the variables of the F_p recount.  The
+    term work of a run and the search nodes of an F_p count have one bound
+    each for every run, MAX_GROEBNER_WORK and MAX_FP_NODES, not fields here.
     """
 
     max_pairs: int = 50_000
     max_groebner_vars: int = 18
     fp_max_vars: int = 8
-    fp_node_budget: int = 500_000
 
 
 class IdealPresentation(NamedTuple):
@@ -637,16 +638,15 @@ def _univariate_roots(poly, var, p):
 
 
 class _FpCounter:
-    def __init__(self, p, budget):
+    def __init__(self, p):
         self.p = p
-        self.budget = budget
         self.nodes = 0
 
     def count(self, polys, unassigned):
         self.nodes += 1
-        if self.nodes > self.budget:
+        if self.nodes > MAX_FP_NODES:
             raise ResourceLimitError(
-                f"F_p node budget {self.budget} exceeded")
+                f"F_p node bound {MAX_FP_NODES} exceeded")
         p = self.p
         live = []
         for poly in polys:
@@ -680,12 +680,10 @@ class _FpCounter:
         return total
 
 
-def fp_count_points(pres, p, budgets=None):
-    """Exact number of F_p points of V(I)."""
-    budgets = budgets or Budgets()
-    polys = _fp_reduce(pres, p)
-    counter = _FpCounter(p, budgets.fp_node_budget)
-    return counter.count(polys, set(range(len(pres.variables))))
+def fp_count_points(pres, p):
+    """Exact number of F_p points of V(I), within MAX_FP_NODES nodes."""
+    return _FpCounter(p).count(_fp_reduce(pres, p),
+                               set(range(len(pres.variables))))
 
 
 def fp_dimension_estimate(pres, primes=None, budgets=None):
@@ -705,7 +703,7 @@ def fp_dimension_estimate(pres, primes=None, budgets=None):
         raise TooManyVariablesError(
             f"{nvars} variables exceeds the F_p brute-force bound "
             f"{budgets.fp_max_vars}")
-    table = {p: fp_count_points(pres, p, budgets) for p in primes}
+    table = {p: fp_count_points(pres, p) for p in primes}
     values = [EMPTY if count == 0 else round(math.log(count, p))
               for p, count in table.items()]
     return DimResult(max(values, key=values.count), certificate=table,

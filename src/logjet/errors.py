@@ -13,14 +13,6 @@ class NoUnimodularSubsetError(MonoidError):
     """No subset of the generators forms a Z-basis of the ambient lattice."""
 
 
-class RankTooLargeError(MonoidError):
-    """Monoid rank exceeds the desk-scale bound (monoid.MAX_FACE_RANK).
-
-    Raised by the AffineMonoid constructor before any generator subset is
-    walked: the facet forms and the face lattice walk subsets of size n - 1.
-    """
-
-
 class ModeMismatchError(LogjetError):
     """Operation requires the other jet-variable mode (ordinary vs log)."""
 
@@ -42,7 +34,7 @@ class SupportError(LogjetError):
 
 
 class ResourceLimitError(LogjetError):
-    """A configured computation budget was exceeded (never a wrong answer)."""
+    """A Budgets field or a MAX_* bound was exceeded; never a wrong answer."""
 
 
 class PrimeTooSmallError(LogjetError):

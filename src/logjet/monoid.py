@@ -12,23 +12,30 @@ parallelepipeds of one star of simplicial cones, which covers the cone.
 Faces of the rational cone spanned by the generators correspond to torus
 orbits of Spec k[P]; stratum_index of a face is n minus the rank of its
 generator set.
+
+Every walk is charged to the monoid's work, k^3 units per k x k determinant
+and n per pairing, against one bound, MAX_MONOID_WORK, read at call time.
+The walks of a closed-form size are charged before they start, so an
+oversized input is refused at once: the span check (g n^2 + n^3 for g
+generators), the facet forms (C(g, n-1) (n (n-1)^3 + 2gn)), the star
+(C(|F|, n-1) n^3 for each facet F it meets) and its parallelepiped points
+(n^2 + |steps| |forms| n each).  select_gp_basis (n^3 per subset) and the
+face lattice (|forms| |face| n + |face| n^2 per face) are charged as they go.
 """
 
 import itertools
 from functools import cached_property
+from math import comb
 from operator import sub
 from typing import NamedTuple
 
 from . import intlinalg
-from .errors import (MonoidError, NoUnimodularSubsetError, RankTooLargeError,
-                     ResourceLimitError)
+from .errors import MonoidError, NoUnimodularSubsetError, ResourceLimitError
 
-# Ambient rank above which a monoid is refused at construction: the facet
-# forms and the face lattice walk generator subsets of size n - 1.
-MAX_FACE_RANK = 6
-# Lattice points over all fundamental parallelepipeds that the saturation
-# proof may enumerate (the sum of |det S| over the simplices S of its star).
-MAX_PARALLELEPIPED_POINTS = 20000
+# Work units of one monoid, all walks; read at call time.  No corpus or test
+# monoid takes a quarter (the most, 320,070, is <(1, 0), (1, 1), (1, 20000)>),
+# and the rank-6 orthant with its 15 sums e_i + e_j, 22.5 M, still builds.
+MAX_MONOID_WORK = 30_000_000
 
 
 def _pairing(u, v):
@@ -46,10 +53,11 @@ class Face(NamedTuple):
 class AffineMonoid:
     """Fine saturated submonoid of Z^n spanned by explicit generators.
 
-    The constructor refuses an ambient rank over MAX_FACE_RANK before any
-    generator subset is walked.  It then proves that the generators span
-    Z^n as a group and that P, their N-span, is cone ∩ Z^n, or raises
-    MonoidError naming a cone point outside P.  So membership() is exact.
+    The constructor proves that the generators span Z^n as a group and
+    that P, their N-span, is cone ∩ Z^n, or raises MonoidError naming a
+    cone point outside P.  So membership() is exact.  self.work counts the
+    units of the module docstring; past MAX_MONOID_WORK a walk raises
+    ResourceLimitError.
 
     The star around v, the first non-unit generator, covers the cone: the
     cones of S = {v} ∪ T, T an independent (n-1)-subset of the generators on
@@ -57,9 +65,7 @@ class AffineMonoid:
     on such an F, and in some cone(T) by Carathéodory inside F).  So a cone
     lattice point is q = sum n_i s_i + p, n_i in N, s_i in some S and p one
     of the |det S| points of the half-open parallelepiped of S, which the
-    adjugate of S folds in from the cosets of its lattice.  Over
-    MAX_PARALLELEPIPED_POINTS points in all, ResourceLimitError is raised
-    before any is enumerated.
+    adjugate of S folds in from the cosets of its lattice.
 
     The height h, the sum of the facet forms, is a nonnegative integer on
     the cone, 0 on its lineality space and at least 1 on every non-unit
@@ -74,27 +80,24 @@ class AffineMonoid:
     def __init__(self, ambient_rank, generators):
         if ambient_rank < 1:
             raise MonoidError("ambient rank must be at least 1")
-        if ambient_rank > MAX_FACE_RANK:
-            raise RankTooLargeError(
-                f"monoids are limited to rank {MAX_FACE_RANK}, "
-                f"got {ambient_rank}")
-        gens = tuple(tuple(int(x) for x in g) for g in generators)
+        n, self.ambient_rank, self.work = ambient_rank, ambient_rank, 0
+        gens = tuple(generators)
         if not gens:
             raise MonoidError("monoid needs at least one generator")
+        self._charge(len(gens) * n ** 2 + n ** 3, "span check")
+        self.generators = gens = tuple(tuple(map(int, g)) for g in gens)
         for g in gens:
-            if len(g) != ambient_rank:
+            if len(g) != n:
                 raise MonoidError(
-                    f"generator {g} has length {len(g)}, expected {ambient_rank}")
-            if all(x == 0 for x in g):
+                    f"generator {g} has length {len(g)}, expected {n}")
+            if not any(g):
                 raise MonoidError("zero vector is not allowed as a generator")
-        self.ambient_rank = ambient_rank
-        self.generators = gens
 
         basis = intlinalg.lattice_row_basis([list(g) for g in gens])
-        if len(basis) != ambient_rank or intlinalg.det(basis) not in (1, -1):
+        if len(basis) != n or intlinalg.det(basis) not in (1, -1):
             raise MonoidError(
                 "generators do not span Z^n as a group "
-                f"(rank-{ambient_rank} unimodular lattice expected)")
+                f"(rank-{n} unimodular lattice expected)")
         self._prove_saturation()
 
     # -- membership ---------------------------------------------------------
@@ -107,6 +110,8 @@ class AffineMonoid:
         on all of them.  Empty for a cone with full lineality (P a group).
         """
         n, gens = self.ambient_rank, self.generators
+        self._charge(comb(len(gens), n - 1)
+                     * (n * (n - 1) ** 3 + 2 * len(gens) * n), "facet forms")
         forms = set()
         for subset in itertools.combinations(gens, n - 1):
             u = intlinalg.kernel_vector(subset, n)
@@ -148,14 +153,15 @@ class AffineMonoid:
 
     @cached_property
     def _face_lattice(self):
-        n, gens = self.ambient_rank, self.generators
-        forms = self.facet_forms
+        n, gens, forms = self.ambient_rank, self.generators, self.facet_forms
         seen = {}
         todo = [tuple(range(len(gens)))]
         while todo:
             idxs = todo.pop()
             if idxs in seen:
                 continue
+            self._charge(len(forms) * len(idxs) * n + len(idxs) * n ** 2,
+                         "face lattice")
             support = tuple(u for u in forms
                             if all(_pairing(u, gens[gi]) == 0 for gi in idxs))
             face_rank = intlinalg.rank([list(gens[gi]) for gi in idxs])
@@ -169,36 +175,41 @@ class AffineMonoid:
 
     def select_gp_basis(self):
         """First generator subset (lexicographic by index) with det +-1."""
-        for subset in itertools.combinations(self.generators,
-                                             self.ambient_rank):
+        n = self.ambient_rank
+        for subset in itertools.combinations(self.generators, n):
+            self._charge(n ** 3, "basis search")
             if intlinalg.det(subset) in (1, -1):
                 return subset
         raise NoUnimodularSubsetError(
             "no generator subset is a Z-basis of Z^n; "
             "choose different generators or supply an explicit basis")
 
-    # -- saturation proof ----------------------------------------------------
+    # -- work bound and saturation proof ------------------------------------
+
+    def _charge(self, units, walk):
+        """Add units to self.work; past MAX_MONOID_WORK raise, naming walk."""
+        self.work += units
+        if self.work > MAX_MONOID_WORK:
+            raise ResourceLimitError(
+                f"monoid work bound {MAX_MONOID_WORK} exceeded in the {walk}"
+                f" (rank {self.ambient_rank}, {self.work} units)")
 
     def _prove_saturation(self):
-        forms = self.facet_forms
+        n, forms = self.ambient_rank, self.facet_forms
         # the height h and the non-unit generators; no facet, no step
         h = [sum(column) for column in zip(*forms)]
         steps = [g for g in self.generators if _pairing(h, g)]
+        facets = [[g for g in self.generators if not _pairing(u, g)]
+                  for u in forms if _pairing(u, steps[0]) > 0]
+        self._charge(sum(comb(len(f), n - 1) for f in facets) * n ** 3,
+                     "saturation star")
         star = {}       # simplex of the star around steps[0] -> |det|
-        for u in forms:
-            if _pairing(u, steps[0]) > 0:
-                on_facet = [g for g in self.generators if not _pairing(u, g)]
-                for rest in itertools.combinations(on_facet,
-                                                   self.ambient_rank - 1):
-                    simplex = (steps[0],) + rest
-                    d = abs(intlinalg.det(simplex))
-                    if d:
-                        star[simplex] = d
-        total = sum(star.values())
-        if total > MAX_PARALLELEPIPED_POINTS:
-            raise ResourceLimitError(
-                f"saturation check needs {total} parallelepiped points, "
-                f"over the limit of {MAX_PARALLELEPIPED_POINTS}")
+        for on_facet in facets:
+            for rest in itertools.combinations(on_facet, n - 1):
+                if d := abs(intlinalg.det((steps[0],) + rest)):
+                    star[(steps[0],) + rest] = d
+        per_point = n ** 2 + len(steps) * len(forms) * n
+        self._charge(sum(star.values()) * per_point, "parallelepiped points")
         units = self.units()
 
         def certified(p):       # the certificate of the class docstring

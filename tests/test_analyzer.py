@@ -1,3 +1,4 @@
+import math
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -5,7 +6,8 @@ from pathlib import Path
 import pytest
 
 from logjet import (EMPTY, AffineMonoid, AnalysisConfig, Budgets, Chart,
-                    analyze, dimension_of, emit_report, load_chart)
+                    analyze, dimension_of, emit_report, fp_count_points,
+                    load_chart)
 from logjet import analyzer, dimension, strata
 from logjet.analyzer import open_part_jet_presentation
 from logjet.errors import LogjetError, ResourceLimitError
@@ -80,6 +82,47 @@ def test_an_lct_run_over_the_work_bound_is_skipped(monkeypatch):
     assert report.notes == (
         "lct at order 3 skipped: Groebner work bound 100000 term "
         "operations exceeded (J_3 of chart equations)",)
+
+
+def test_an_fp_recount_over_the_node_bound_leaves_the_witness_standing(
+        monkeypatch):
+    """The cusp's order-1 witness counts its 10201 points over F_101 in 3
+    search nodes.  Under a bound of 2 the count raises, and the witness,
+    which the exact dimension found, stands unconfirmed."""
+    cusp, _options = load_chart(BENCH_CHARTS / "cusp.json")
+    pres = open_part_jet_presentation(cusp, 1)
+    assert fp_count_points(pres, 101) == 10201
+    monkeypatch.setattr(dimension, "MAX_FP_NODES", 2)
+    with pytest.raises(ResourceLimitError, match="F_p node bound 2 exceeded"):
+        fp_count_points(pres, 101)
+    report = analyze(cusp, AnalysisConfig(max_order=1))
+    assert (report.verdict, report.witness) == ("REDUCIBLE", (0, 1))
+    assert report.witness_confirmation.confirmed is None
+    assert report.witness_confirmation.note == (
+        "fp check unavailable: F_p node bound 2 exceeded")
+
+
+def hyperplane_chart(n):
+    """x1 + ... + xn = 1 on N^n."""
+    return Chart.build(monoid=AffineMonoid(n, [
+        tuple(int(i == j) for j in range(n)) for i in range(n)]),
+        equations=[" + ".join(f"x{i}" for i in range(1, n + 1)) + " - 1"])
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_a_hyperplane_past_rank_six_decides(n):
+    """With no rank cap, the hyperplane on N^7 and N^8 decides at m = 1:
+    the C(n, l) strata of each 0 < l < n are smooth of dimension n - 1 - l,
+    so their jets have dimension (n - 1 - l)(m + 1); the open row and the
+    stratum l = n, the origin, are EMPTY."""
+    report = analyze(hyperplane_chart(n), AnalysisConfig(max_order=1))
+    assert report.verdict == "NO_OBSTRUCTION_UP_TO_M"
+    assert sorted((r.l, r.dim_jets) for r in report.rows
+                  if r.status != "EMPTY") == sorted(
+        (l, (n - 1 - l) * 2) for l in range(1, n)
+        for _face in range(math.comb(n, l)))
+    assert sorted((r.kind, r.l) for r in report.rows
+                  if r.status == "EMPTY") == [("open", 0), ("stratum", n)]
 
 
 @pytest.mark.parametrize("exponent, dims", [(1000, (2, 3)),

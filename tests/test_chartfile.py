@@ -80,13 +80,10 @@ def test_unsaturated_monoid_error_names_the_file(tmp_path):
 
 
 def test_budgets_block_reaches_options(tmp_path):
-    doc = dict(N2_DOC, budgets={"pairs": 8, "variables": 10,
-                                "fp_nodes": 1000})
+    doc = dict(N2_DOC, budgets={"pairs": 8, "variables": 10})
     _, options = load_chart(write(tmp_path, doc))
-    base = Budgets()
     assert options.budgets == Budgets(max_pairs=8, max_groebner_vars=10,
-                                      fp_max_vars=base.fp_max_vars,
-                                      fp_node_budget=1000)
+                                      fp_max_vars=Budgets().fp_max_vars)
 
 
 def test_every_budget_key_sets_its_own_field():
@@ -98,7 +95,7 @@ def test_every_budget_key_sets_its_own_field():
 
 @pytest.mark.parametrize("key, value", [
     ("pairs", "many"), ("variables", 0), ("variables", True),
-    ("fp_nodes", -3), ("pairs", 2.5), ("fp_nodes", None)])
+    ("pairs", -3), ("pairs", 2.5), ("variables", None)])
 def test_bad_budget_is_a_parse_error_naming_the_key(tmp_path, key, value):
     doc = dict(N2_DOC, budgets={key: value})
     with pytest.raises(ChartParseError) as err:
@@ -108,18 +105,18 @@ def test_bad_budget_is_a_parse_error_naming_the_key(tmp_path, key, value):
 
 @pytest.mark.parametrize("budgets", [
     {"pair": 8}, {"variables": 12, "max_pairs": 8}, {"Pairs": 8},
-    {"fp_node": "many"}, {"degree": 40}],
-    ids=["pair", "max_pairs", "Pairs", "fp_node", "degree"])
+    {"fp_node": "many"}, {"degree": 40}, {"fp_nodes": 1000}],
+    ids=["pair", "max_pairs", "Pairs", "fp_node", "degree", "fp_nodes"])
 def test_unknown_budget_key_is_a_parse_error(tmp_path, budgets):
     # a mistyped key must not fall back to the default budget silently;
-    # "degree" sets nothing, since MAX_GROEBNER_WORK bounds every run
+    # "degree" and "fp_nodes" set nothing, since MAX_GROEBNER_WORK and
+    # MAX_FP_NODES bound every run
     (unknown,) = set(budgets) - set(_BUDGET_FIELDS)
     with pytest.raises(ChartParseError) as err:
         load_chart(write(tmp_path, dict(N2_DOC, budgets=budgets)))
     message = str(err.value)
     assert f"unknown budget key {unknown!r}" in message
-    assert message.endswith(
-        "(known keys: 'pairs', 'variables', 'fp_nodes')")
+    assert message.endswith("(known keys: 'pairs', 'variables')")
 
 
 @pytest.mark.parametrize("budgets", ["absent", None])

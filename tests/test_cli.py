@@ -4,11 +4,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from logjet import cli, strata
+from logjet import cli, monoid, strata
 from logjet.chartfile import load_chart
 from logjet.cli import main
 from logjet.parse import render
@@ -499,6 +500,33 @@ def test_a_huge_exponent_trips_the_work_bound(chart_file):
     assert done.stderr == (
         "logjet: error: Groebner work bound 4000000 term operations "
         "exceeded (J_0 of chart equations)\n")
+
+
+def _unit_vectors(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("rank, generators, walk, seconds", [
+    (2, [[1, 0]] + [[1, k] for k in range(1, 4001)], "facet forms", 1),
+    (14, _unit_vectors(14), "face lattice", 5)],
+    ids=["fan-to-4000", "N14"])
+def test_a_monoid_over_the_work_bound_is_an_input_error(
+        chart_file, rank, generators, walk, seconds):
+    """The fan to (1, 4000) would take 64 M units in its facet forms and
+    is refused before them; N^14 builds, and its face lattice, 45 M units
+    for its 2^14 faces, is refused part way."""
+    path = chart_file(dict(N2_HYPERPLANE, ambient_rank=rank,
+                           monoid_generators=generators,
+                           equations=["x1 + x2 - 1"]))
+    start = time.perf_counter()
+    done = _run(["analyze", "--max-order", "1", path])
+    assert time.perf_counter() - start < seconds
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("logjet: error: ")
+    assert (f"monoid work bound {monoid.MAX_MONOID_WORK} exceeded in the "
+            f"{walk}") in done.stderr
 
 
 def test_a_closed_stdout_ends_quietly():

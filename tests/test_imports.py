@@ -2,8 +2,8 @@
 the package exports is used by the package or the benchmark, the engine
 does not import the chart-text layer, jets.py, the home of the map
 arithmetic, imports no logjet module but errors, every module imports
-only the standard library and logjet, and importing logjet loads neither
-dataclasses nor inspect.
+only the standard library and logjet, importing logjet loads neither
+dataclasses nor inspect, and every MAX_* bound is read at call time.
 
 __init__.py is skipped: its imports are the package's re-exports.  An
 import whose line carries "# noqa: F401" is kept on purpose: it must be a
@@ -263,3 +263,69 @@ def test_finds_a_foreign_import():
 def test_module_imports_only_the_standard_library(path):
     """pyproject.toml declares no dependency, so none may be imported."""
     assert foreign_imports(path.read_text(encoding="utf-8")) == []
+
+
+# -- bounds read at call time --------------------------------------------------
+#
+# A trip test lowers a bound with monkeypatch.setattr(module, "MAX_...",
+# small), which reaches only code that looks the name up when it runs.  A
+# default-argument value, or a copy taken at module level, is bound at
+# import and would keep the old figure, so the trip test would pass or
+# fail for the wrong reason.
+
+def bounds(tree):
+    """The module-level MAX_* constants a module assigns."""
+    return {target.id for node in tree.body if isinstance(node, ast.Assign)
+            for target in node.targets if isinstance(target, ast.Name)
+            and target.id.startswith("MAX_")}
+
+
+def misread_bounds(source):
+    """(line, name, why) of each module-level MAX_* constant that is not
+    read at call time: read in a default-argument value, read outside any
+    function body, or never read in one."""
+    tree = ast.parse(source)
+    names = bounds(tree)
+    functions = [node for node in ast.walk(tree) if isinstance(
+        node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
+    defaults = {id(node) for f in functions
+                for value in f.args.defaults + f.args.kw_defaults
+                if value is not None for node in ast.walk(value)}
+    bodies = {id(node) for f in functions
+              for part in (f.body if isinstance(f.body, list) else [f.body])
+              for node in ast.walk(part)}
+    found, read = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in names and isinstance(
+                node.ctx, ast.Load):
+            if id(node) in defaults:
+                found.append((node.lineno, node.id, "default"))
+            elif id(node) in bodies:
+                read.add(node.id)
+            else:
+                found.append((node.lineno, node.id, "import time"))
+    found.extend((0, name, "never read") for name in names - read)
+    return sorted(found)
+
+
+def test_finds_a_bound_read_too_early():
+    source = ("MAX_A = 1\nMAX_B = 2\nMAX_C = 3\nMAX_D = 4\nLIMIT = MAX_C\n"
+              "def f(x, cap=MAX_A):\n    return x <= MAX_B\n"
+              "def g(x, *, cap=MAX_D):\n    return lambda y=MAX_B: y\n")
+    assert misread_bounds(source) == [
+        (0, "MAX_A", "never read"), (0, "MAX_C", "never read"),
+        (0, "MAX_D", "never read"), (5, "MAX_C", "import time"),
+        (6, "MAX_A", "default"), (8, "MAX_D", "default"),
+        (9, "MAX_B", "default")]
+
+
+def test_finds_every_bound():
+    assert set().union(*(bounds(ast.parse(p.read_text(encoding="utf-8")))
+                         for p in MODULES)) == {
+        "MAX_PRODUCT_WORK", "MAX_GROEBNER_WORK", "MAX_FP_NODES",
+        "MAX_MONOID_WORK", "MAX_NESTING"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_bound_is_read_at_call_time(path):
+    assert misread_bounds(path.read_text(encoding="utf-8")) == []

@@ -1,14 +1,16 @@
 import itertools
 import json
+import time
 from pathlib import Path
 
 import pytest
 
 from logjet import intlinalg
 from logjet import monoid as monoid_module
+from logjet.chartfile import load_chart
 from logjet.errors import (MonoidError, NoUnimodularSubsetError,
-                           RankTooLargeError, ResourceLimitError)
-from logjet.monoid import MAX_PARALLELEPIPED_POINTS, AffineMonoid
+                           ResourceLimitError)
+from logjet.monoid import AffineMonoid
 
 N2 = AffineMonoid(2, [(1, 0), (0, 1)])
 CONE3 = AffineMonoid(2, [(1, 0), (1, 1), (1, 2)])
@@ -208,24 +210,52 @@ def test_faces_hexagon_cone_walks_the_lattice():
                                                        f.generator_indices)))
 
 
+def orthant(n):
+    """The unit vectors of Z^n, the generators of N^n."""
+    return [tuple(int(i == j) for j in range(n)) for i in range(n)]
+
+
 def test_rank_too_large():
-    gens = [tuple(1 if i == j else 0 for j in range(7)) for i in range(7)]
-    with pytest.raises(RankTooLargeError):
-        AffineMonoid(7, gens)
+    # no rank is too large: the rank-7 orthant builds, with its 2^7 faces
+    monoid = AffineMonoid(7, orthant(7))
+    assert len(monoid.faces()) == 128
 
 
 def test_rank_too_large_walks_no_subset(monkeypatch):
     # the rank-8 orthant from its 8 unit vectors and 12 sums e_i + e_j:
-    # facet_forms alone would walk all C(20, 7) subsets of its generators
-    units = [tuple(1 if i == j else 0 for j in range(8)) for i in range(8)]
-    sums = [tuple(a + b for a, b in zip(units[i], units[j]))
-            for i, j in itertools.combinations(range(8), 2)][:12]
+    # facet_forms alone would walk all C(20, 7) = 77520 subsets of its
+    # generators, 237,523,072 units, and is refused before the first
     calls = []
     monkeypatch.setattr(intlinalg, "kernel_vector",
                         lambda *args: calls.append(args))
-    with pytest.raises(RankTooLargeError, match="limited to rank 6, got 8"):
+    units = orthant(8)
+    sums = [tuple(map(sum, zip(units[i], units[j])))
+            for i, j in itertools.combinations(range(8), 2)][:12]
+    with pytest.raises(ResourceLimitError,
+                       match=r"^monoid work bound \d+ exceeded in the facet "
+                             r"forms \(rank 8, 237523072 units\)$"):
         AffineMonoid(8, units + sums)
     assert calls == []
+
+
+def test_work_bound_is_read_at_call_time(monkeypatch):
+    # N^2 builds in 56 units: 16 for the span check, 2 * 10 for its two
+    # facet forms, 8 for the star and 12 for its one point; select_gp_basis
+    # adds 8 for its first subset, and its four faces 16 + 8 + 8 + 0
+    monoid = AffineMonoid(2, orthant(2))
+    assert monoid.work == 56
+    assert monoid.select_gp_basis() and monoid.work == 64
+    assert monoid.faces() and monoid.work == 96
+    monkeypatch.setattr(monoid_module, "MAX_MONOID_WORK", 63)
+    with pytest.raises(ResourceLimitError,
+                       match=r"in the basis search \(rank 2, 64 units\)$"):
+        AffineMonoid(2, orthant(2)).select_gp_basis()
+    monkeypatch.setattr(monoid_module, "MAX_MONOID_WORK", 95)
+    monoid = AffineMonoid(2, orthant(2))
+    monoid.select_gp_basis()
+    with pytest.raises(ResourceLimitError,
+                       match=r"in the face lattice \(rank 2, 96 units\)$"):
+        monoid.faces()
 
 
 def test_units():
@@ -294,17 +324,24 @@ def test_saturation_takes_one_step_per_point_and_generator(monkeypatch):
     assert monoid.membership((1, -1499))
 
 
-def test_saturation_limit_is_checked_before_enumeration():
-    # the star around (1, 0) is the one simplex (1, 0), (1, 20001)
-    with pytest.raises(ResourceLimitError) as err:
-        AffineMonoid(2, [(1, 0), (1, 1), (1, 20001)])
-    assert "20001" in str(err.value)
-    assert str(MAX_PARALLELEPIPED_POINTS) in str(err.value)
+def test_saturation_limit_is_checked_before_enumeration(monkeypatch):
+    # the star around (1, 0) is the one simplex (1, 0), (1, k), whose k
+    # points cost 4 to fold and 3 * 2 * 2 to certify: 16 k units, over the
+    # bound, charged before _parallelepiped_points is called
+    k = monoid_module.MAX_MONOID_WORK // 16 + 1
+    calls = []
+    monkeypatch.setattr(monoid_module, "_parallelepiped_points",
+                        lambda simplex: calls.append(simplex) or ())
+    with pytest.raises(ResourceLimitError,
+                       match="exceeded in the parallelepiped points"):
+        AffineMonoid(2, [(1, 0), (1, 1), (1, k)])
+    assert calls == []
 
 
 def test_saturation_check_at_the_point_limit():
     # the star's one simplex (1, 0), (1, 20000) holds 20000 points, all
-    # enumerated; (1, 2) is the first that is not generated
+    # enumerated under the work bound; (1, 2) is the first that is not
+    # generated
     with pytest.raises(MonoidError, match=r"^cone point \(1, 2\) "):
         AffineMonoid(2, [(1, 0), (1, 1), (1, 20000)])
 
@@ -313,11 +350,11 @@ FAN46 = [(1, 0)] + [(1, k) for k in range(1, 47)]
 
 
 def test_saturation_check_near_the_point_limit():
-    # the 1081 two-subsets of <(1,0),(1,1),...,(1,46)> hold 17296 points,
-    # near the limit; the star around (1, 0) needs only (1, 0), (1, 46)
+    # the 1081 two-subsets of <(1,0),(1,1),...,(1,46)> hold 17296 points;
+    # the star around (1, 0) needs only (1, 0), (1, 46), 46 of them
     total = sum(abs(intlinalg.det([list(a), list(b)]))
                 for a, b in itertools.combinations(FAN46, 2))
-    assert total == 17296 < MAX_PARALLELEPIPED_POINTS
+    assert total == 17296
     monoid = AffineMonoid(2, FAN46)
     assert monoid.facet_forms == ((0, 1), (46, -1))
     for x in range(-2, 4):
@@ -370,6 +407,84 @@ def test_saturation_work_on_the_bench_charts_is_pinned():
 
 def test_saturation_work_on_fan46_is_pinned():
     assert saturation_work(2, FAN46) == (1, 46)
+
+
+# The work of each corpus monoid through load_chart (the span check, the
+# facet forms, the saturation proof and select_gp_basis) and faces(): a
+# change to a walk or its charge shows as a count that moved, not a time.
+MONOID_WORK = {
+    "cone2_bare.json": 150, "cone2_hyperplane.json": 150,
+    "cone3_hyperplane.json": 220, "cone4_hyperplane.json": 306,
+    "cone5_hyperplane.json": 408, "cone6_hyperplane.json": 526,
+    "cone7_hyperplane.json": 660, "conifold_hyperplane.json": 882,
+    "n2_binomial.json": 96, "n2_hyperplane.json": 96,
+    "n2_hyperplane_pairs8.json": 96, "n3_binomial.json": 486,
+    "n3_hyperplane.json": 486, "n3_quadric.json": 486,
+    "n5_hyperplane.json": 6500,
+}
+
+
+def corpus_work(name):
+    monoid = load_chart(BENCH_CHARTS / name)[0].monoid
+    monoid.faces()
+    return monoid.work
+
+
+def test_work_on_the_bench_charts_is_pinned():
+    assert {name: corpus_work(name)
+            for name in bench_chart_monoids()} == MONOID_WORK
+
+
+def largest_work(rank, gens):
+    """The most work a monoid reached: built, its basis chosen and its
+    faces walked, or as far as it got before a MonoidError."""
+    reached = [0]
+    charge = AffineMonoid._charge
+
+    def recording(self, units, walk):
+        reached[0] = max(reached[0], self.work + units)
+        charge(self, units, walk)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(AffineMonoid, "_charge", recording)
+        try:
+            monoid = AffineMonoid(rank, gens)
+            monoid.select_gp_basis()
+            monoid.faces()
+        except MonoidError:
+            pass
+    return reached[0]
+
+
+def test_work_bound_has_a_fourfold_margin():
+    """The saturation check of the fan to (1, 20000), which enumerates
+    20000 points before it finds (1, 2), is the most work of any monoid
+    the corpus or the tests walk under the bound; the face lattice of
+    N^8, which test_analyzer decides, comes next."""
+    work = {name: corpus_work(name) for name in bench_chart_monoids()}
+    work.update({
+        "N^7": largest_work(7, orthant(7)),
+        "N^8": largest_work(8, orthant(8)),
+        "hexagon": largest_work(3, HEXAGON),
+        "fan46": largest_work(2, FAN46),
+        "fan to (1, -1500)": largest_work(2, [(1, -1500), (0, -1), (1, 0)]),
+        "fan to (1, 20000)": largest_work(2, [(1, 0), (1, 1), (1, 20000)]),
+    })
+    largest = max(work, key=work.get)
+    assert (largest, work[largest]) == ("fan to (1, 20000)", 320070)
+    assert sorted(work.values())[-2] == work["N^8"] == 156672
+    assert monoid_module.MAX_MONOID_WORK >= 4 * work[largest]
+
+
+def test_a_huge_rank_is_refused_at_the_span_check():
+    # N^1000 would take 2 * 10^9 units to check its span alone; it is
+    # refused before its generators are even converted
+    gens = orthant(1000)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError,
+                       match=r"in the span check .* 2000000000 units"):
+        AffineMonoid(1000, gens)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_saturation_check_rejects_unsaturated():
